@@ -3,11 +3,12 @@
 The package is organised in layers:
 
 ``qmath``
-    State/operator helpers, a closed-form symmetric 3x3 eigensolver and a
-    counter-based deterministic random generator.
+    State/operator helpers, symmetric 3x3 eigenvalues and a counter-based
+    deterministic random generator.
 ``optics``
-    The four signal states, the receiver interferometer chain and projective
-    spin measurements at the two output ports.
+    The four signal states, the receiver interferometer chain, projective
+    spin measurements at the two output ports and the receiver outcome
+    table derived from that chain.
 ``protocol``
     Round simulation, sifting, key decoding, transcripts and replay.
 ``security``

@@ -21,8 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidDistributionError
-from .optics import OUTCOMES, OutcomePair, SpinBasis, StateLabel, outcome_support, prepare
-from .protocol import PhaseChoice, Transcript, Verdict, keep_group, receiver_distribution
+from .optics import (
+    OUTCOMES,
+    OutcomePair,
+    SpinBasis,
+    StateLabel,
+    outcome_support,
+    prepare,
+    receiver_distribution,
+)
+from .protocol import PhaseChoice, Transcript, Verdict, keep_group
 from .qmath import Rng
 
 
@@ -85,13 +93,6 @@ class InterceptResend:
             basis=SpinBasis(cfg["basis"]),
             fraction=float(cfg.get("fraction", 1.0)),
         )
-
-
-def tap(state: np.ndarray, eve: InterceptResend | None, rng: Rng) -> tuple[np.ndarray, Rng]:
-    """Channel action: identity without an adversary, else her tap."""
-    if eve is None:
-        return state, rng
-    return eve.tap(state, rng)
 
 
 @dataclass(frozen=True)

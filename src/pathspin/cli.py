@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .adversary import InterceptResend, qber
@@ -122,8 +122,29 @@ def parse_eve(value: str | dict | None) -> InterceptResend | None:
     )
 
 
-_CONFIG_KEYS = {"rounds", "seed", "alice_weights", "basis_mode", "eve", "frame",
-                "min_aborts", "out", "jobs"}
+def _check_frame(name: str) -> str:
+    if name not in ("abinitio", "weights", "both"):
+        raise ValueError(f"frame must be abinitio, weights or both, got {name!r}")
+    return name
+
+
+#: How a config-file value or a flag value becomes each SessionConfig field.
+_PARSERS = {
+    "rounds": int,
+    "seed": int,
+    "alice_weights": parse_weights,
+    "basis_mode": BasisMode,
+    "eve": parse_eve,
+    "frame": lambda v: _check_frame(str(v)),
+    "min_aborts": int,
+    "out": str,
+    "jobs": int,
+}
+_CONFIG_KEYS = tuple(f.name for f in fields(SessionConfig))
+
+
+def _apply(cfg: SessionConfig, values: dict) -> SessionConfig:
+    return replace(cfg, **{key: _PARSERS[key](value) for key, value in values.items()})
 
 
 def load_config(path: str) -> SessionConfig:
@@ -135,57 +156,15 @@ def load_config(path: str) -> SessionConfig:
             raise ValueError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw).difference(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    cfg = SessionConfig()
-    if "rounds" in raw:
-        cfg = replace(cfg, rounds=int(raw["rounds"]))
-    if "seed" in raw:
-        cfg = replace(cfg, seed=int(raw["seed"]))
-    if "alice_weights" in raw:
-        cfg = replace(cfg, alice_weights=parse_weights(raw["alice_weights"]))
-    if "basis_mode" in raw:
-        cfg = replace(cfg, basis_mode=BasisMode(raw["basis_mode"]))
-    if "eve" in raw:
-        cfg = replace(cfg, eve=parse_eve(raw["eve"]))
-    if "frame" in raw:
-        cfg = replace(cfg, frame=_check_frame(str(raw["frame"])))
-    if "min_aborts" in raw:
-        cfg = replace(cfg, min_aborts=int(raw["min_aborts"]))
-    if "out" in raw:
-        cfg = replace(cfg, out=str(raw["out"]))
-    if "jobs" in raw:
-        cfg = replace(cfg, jobs=int(raw["jobs"]))
-    return cfg
-
-
-def _check_frame(name: str) -> str:
-    if name not in ("abinitio", "weights", "both"):
-        raise ValueError(f"frame must be abinitio, weights or both, got {name!r}")
-    return name
+    return _apply(SessionConfig(), raw)
 
 
 def _merge_flags(cfg: SessionConfig, args: argparse.Namespace) -> SessionConfig:
-    if args.rounds is not None:
-        cfg = replace(cfg, rounds=args.rounds)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.alice_weights is not None:
-        cfg = replace(cfg, alice_weights=parse_weights(args.alice_weights))
-    if args.basis_mode is not None:
-        cfg = replace(cfg, basis_mode=BasisMode(args.basis_mode))
-    if args.eve is not None:
-        cfg = replace(cfg, eve=parse_eve(args.eve))
-    if args.frame is not None:
-        cfg = replace(cfg, frame=_check_frame(args.frame))
-    if args.min_aborts is not None:
-        cfg = replace(cfg, min_aborts=args.min_aborts)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
-    return cfg
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
+    return _apply(cfg, {key: value for key, value in flags.items() if value is not None})
 
 
 def _frames_for(name: str) -> list[Frame]:
@@ -382,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--frame", help="abinitio, weights or both")
     p_run.add_argument("--min-aborts", type=int, help="minimum declared aborts for a verdict")
     p_run.add_argument("--out", help="transcript output path (.qkdlog)")
-    p_run.add_argument("--jobs", type=int, help="parallel workers (same transcript bytes)")
+    p_run.add_argument("--jobs", type=int,
+                       help="must be >= 1; selects no code path (rounds run serially)")
     p_run.add_argument("--json", action="store_true", help="machine-readable summary")
     p_run.set_defaults(func=cmd_run)
 

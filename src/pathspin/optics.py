@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -169,7 +169,6 @@ def source_state(bs: BeamSplitterSpec) -> np.ndarray:
     return bs.alpha * qmath.tensor(SPIN_0, PATH_T) + 1j * bs.beta * qmath.tensor(SPIN_1, PATH_R)
 
 
-@lru_cache(maxsize=None)
 def _recombiner(phi: float) -> np.ndarray:
     """Path unitary of the phase shifter followed by the output splitter.
 
@@ -203,14 +202,16 @@ def spin_basis_vectors(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     return CHI_PLUS, CHI_MINUS
 
 
-@lru_cache(maxsize=None)
 def _projectors(basis: SpinBasis) -> tuple[np.ndarray, ...]:
     out = []
     for port_vec in (PATH_T, PATH_R):
         for spin_vec in spin_basis_vectors(basis):
             joint = np.kron(spin_vec, port_vec)
-            out.append(np.outer(joint, joint.conj()))
+            out.append(_frozen(np.outer(joint, joint.conj())))
     return tuple(out)
+
+
+_PROJECTORS = {basis: _projectors(basis) for basis in SpinBasis}
 
 
 def measure_distribution(state: np.ndarray, basis: SpinBasis) -> np.ndarray:
@@ -219,7 +220,7 @@ def measure_distribution(state: np.ndarray, basis: SpinBasis) -> np.ndarray:
     Expects a state already propagated through ``bob_transform`` (and
     ``hadamard_stage``), so the path component indexes output ports.
     """
-    return qmath.born(state, _projectors(basis))
+    return qmath.born(state, _PROJECTORS[basis])
 
 
 def measure(state: np.ndarray, basis: SpinBasis, rng: Rng) -> tuple[OutcomePair, Rng]:
@@ -240,15 +241,54 @@ def path_observable(phi: float) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# receiver outcome table
+
+
+class _Row(NamedTuple):
+    distribution: tuple[float, ...]
+    support: frozenset[OutcomePair]
+
+
+def _chain_row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
+    out = hadamard_stage(bob_transform(state, phi), phi)
+    dist = tuple(float(p) for p in measure_distribution(out, basis))
+    return _Row(dist, frozenset(o for o, p in zip(OUTCOMES, dist) if p > 1e-9))
+
+
+#: (state bytes, phi, basis) -> row for the four signal states under the four
+#: protocol settings, computed once from the chain above.  Keyed by the state
+#: vector's bytes because the channel carries vectors, not labels.
+_TABLE = MappingProxyType({
+    (prepare(label).tobytes(), phi, basis): _chain_row(prepare(label), phi, basis)
+    for label in StateLabel
+    for phi in (0.0, HALF_PI)
+    for basis in SpinBasis
+})
+
+
+def _row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
+    state = np.asarray(state, dtype=complex)
+    phi = float(phi)
+    row = _TABLE.get((state.tobytes(), phi, basis))
+    return row if row is not None else _chain_row(state, phi, basis)
+
+
+def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> tuple[float, ...]:
+    """Outcome distribution of the full receiver chain on an arbitrary state.
+
+    Signal states under protocol settings are read from the outcome table;
+    any other state (e.g. an unequal splitter's ``source_state``) runs the
+    chain.
+    """
+    return _row(state, phi, basis).distribution
+
+
 def pipeline_distribution(label: StateLabel, phi: float, basis: SpinBasis) -> tuple[float, ...]:
     """Outcome distribution of a signal state under one receiver setting."""
-    state = hadamard_stage(bob_transform(prepare(label), phi), phi)
-    return tuple(float(p) for p in measure_distribution(state, basis))
+    return _row(prepare(label), phi, basis).distribution
 
 
-@lru_cache(maxsize=None)
 def outcome_support(label: StateLabel, phi: float, basis: SpinBasis) -> frozenset[OutcomePair]:
     """Outcomes with non-negligible probability under a receiver setting."""
-    probs = pipeline_distribution(label, phi, basis)
-    return frozenset(o for o, p in zip(OUTCOMES, probs) if p > 1e-9)
+    return _row(prepare(label), phi, basis).support

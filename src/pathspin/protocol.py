@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, IO, Iterable
-
-import numpy as np
 
 from .errors import ConfigError, DecodingError, InvalidDistributionError, ParseError
 from .optics import (
@@ -33,11 +29,9 @@ from .optics import (
     SpinBasis,
     SpinOutcome,
     StateLabel,
-    bob_transform,
-    hadamard_stage,
-    measure_distribution,
     outcome_support,
     prepare,
+    receiver_distribution,
 )
 from .qmath import Rng
 
@@ -115,7 +109,8 @@ class AlicePolicy:
             raise InvalidDistributionError(f"expected 4 weights, got {len(w)}")
         if any(x < 0.0 for x in w):
             raise InvalidDistributionError(f"negative weight in {w}")
-        if abs(sum(w) - 1.0) > 1e-9:
+        # phrased so that a NaN weight, and hence a NaN sum, fails it
+        if not abs(sum(w) - 1.0) <= 1e-9:
             raise InvalidDistributionError(f"weights sum to {sum(w)!r}, expected 1")
         object.__setattr__(self, "weights", w)
 
@@ -152,19 +147,6 @@ class RoundRecord:
     decode_failed: bool = False
 
 
-@lru_cache(maxsize=None)
-def _cached_distribution(state_bytes: bytes, phi: float, basis: SpinBasis) -> tuple[float, ...]:
-    # memo of the full receiver pipeline keyed by the exact input state
-    state = np.frombuffer(state_bytes, dtype=complex)
-    out = hadamard_stage(bob_transform(state, phi), phi)
-    return tuple(float(p) for p in measure_distribution(out, basis))
-
-
-def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> tuple[float, ...]:
-    """Outcome distribution of the full receiver chain on an arbitrary state."""
-    return _cached_distribution(np.asarray(state, dtype=complex).tobytes(), float(phi), basis)
-
-
 def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
     """Simulate one round.
 
@@ -188,8 +170,7 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     if eve is not None:
         state, rng = eve.tap(state, rng)
 
-    dist = _cached_distribution(state.tobytes(), phi.radians, basis)
-    outcome_idx, rng = rng.sample(dist)
+    outcome_idx, rng = rng.sample(receiver_distribution(state, phi.radians, basis))
     outcome = OUTCOMES[outcome_idx]
 
     verdict = sift(label.group, phi, basis)
@@ -260,22 +241,16 @@ def run_session(
 ) -> Transcript:
     """Run ``n_rounds`` rounds and assemble keys and abort declarations.
 
-    Round ``i`` draws only from stream ``i`` of ``seed``, so the transcript
-    is identical whatever ``jobs`` is and however the work is scheduled.
+    Round ``i`` draws only from stream ``i`` of ``seed``.  ``jobs`` must be
+    >= 1 but selects no code path: rounds always run in order on the
+    calling thread, so the transcript is the same for every ``jobs``.
     """
     if n_rounds < 1:
         raise ConfigError(f"n_rounds must be >= 1, got {n_rounds}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    def one(i: int) -> RoundRecord:
-        return run_round(i, alice, bob, eve, Rng(seed=seed, stream=i))
-
-    if jobs == 1:
-        rounds = [one(i) for i in range(n_rounds)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rounds = list(pool.map(one, range(n_rounds)))
+    rounds = [run_round(i, alice, bob, eve, Rng(seed=seed, stream=i)) for i in range(n_rounds)]
 
     declarations = [(r.round_index, r.label) for r in rounds if r.verdict is Verdict.ABORT]
     alice_key = [r.alice_bit for r in rounds if r.verdict is Verdict.KEEP]
@@ -403,6 +378,14 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                 if obj.get("version") != TRANSCRIPT_VERSION:
                     raise ParseError(
                         f"unsupported transcript version {obj.get('version')!r}", line=1
+                    )
+                if not isinstance(obj.get("seed"), int):
+                    raise ParseError(
+                        f"header needs an integer seed, got {obj.get('seed')!r}", line=1
+                    )
+                if not isinstance(obj.get("config"), dict):
+                    raise ParseError(
+                        f"header needs a config object, got {obj.get('config')!r}", line=1
                     )
                 header = obj
             elif kind == "round":

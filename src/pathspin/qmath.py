@@ -1,10 +1,10 @@
 """Small dense linear-algebra and sampling kernel.
 
 Everything here is physics-agnostic: complex vectors of dimension 2 and 4,
-projective (Born-rule) probabilities, a closed-form symmetric 3x3
-eigensolver, and a counter-based random generator whose draws depend only
-on (seed, stream, counter) so that independently generated streams can be
-evaluated in any order, on any platform, with identical results.
+projective (Born-rule) probabilities, symmetric 3x3 eigenvalues, and a
+counter-based random generator whose draws depend only on (seed, stream,
+counter) so that independently generated streams can be evaluated in any
+order, on any platform, with identical results.
 """
 
 from __future__ import annotations
@@ -116,70 +116,18 @@ def born(v: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarray:
 # symmetric 3x3 eigenvalues
 
 
-def _jacobi3(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi sweeps; used when the closed form is ill-conditioned."""
-    a = a.copy()
-    for _ in range(64):
-        off = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-        if off < 1e-30:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            if a[p, q] == 0.0:
-                continue
-            theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-            t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-            if theta == 0.0:
-                t = 1.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-    return np.diagonal(a).copy()
-
-
 def sym3_eigs(m: np.ndarray) -> tuple[float, float, float]:
     """Eigenvalues of a real symmetric 3x3 matrix, sorted descending.
 
-    Uses the trigonometric closed form of the characteristic cubic.  When
-    the depressed cubic's discriminant is nearly zero (repeated roots,
-    |disc| < 1e-14) the closed form loses accuracy, so the routine falls
-    back to Jacobi rotations.  Diagonal input is returned exactly.
+    The symmetric part is handed to LAPACK's symmetric eigensolver
+    (``numpy.linalg.eigvalsh``).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise DimensionError(f"expected a 3x3 matrix, got {m.shape}")
     if np.max(np.abs(m - m.T)) > 1e-12:
         raise InvalidMatrixError("matrix is not symmetric")
-    m = 0.5 * (m + m.T)
-
-    if m[0, 1] == 0.0 and m[0, 2] == 0.0 and m[1, 2] == 0.0:
-        d = np.sort(np.diagonal(m))[::-1]
-        return float(d[0]), float(d[1]), float(d[2])
-
-    # characteristic cubic x^3 - c2 x^2 + c1 x - c0, depressed via x -> x + c2/3
-    c2 = m[0, 0] + m[1, 1] + m[2, 2]
-    c1 = (
-        m[0, 0] * m[1, 1] - m[0, 1] ** 2
-        + m[0, 0] * m[2, 2] - m[0, 2] ** 2
-        + m[1, 1] * m[2, 2] - m[1, 2] ** 2
-    )
-    c0 = np.linalg.det(m)
-    p = c1 - c2 * c2 / 3.0
-    q = -2.0 * c2**3 / 27.0 + c1 * c2 / 3.0 - c0
-    disc = -4.0 * p**3 - 27.0 * q * q
-
-    if abs(disc) < 1e-14 or p >= 0.0:
-        eigs = np.sort(_jacobi3(m))[::-1]
-    else:
-        # all roots real: x_k = 2 sqrt(-p/3) cos(theta/3 - 2 pi k / 3)
-        rad = np.sqrt(-p / 3.0)
-        arg = np.clip(1.5 * q / (p * rad), -1.0, 1.0)
-        theta = np.arccos(arg)
-        xs = 2.0 * rad * np.cos(theta / 3.0 - 2.0 * np.pi * np.arange(3) / 3.0)
-        eigs = np.sort(xs + c2 / 3.0)[::-1]
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
     return float(eigs[0]), float(eigs[1]), float(eigs[2])
 
 
@@ -227,7 +175,8 @@ class Rng:
             raise InvalidDistributionError("weights must be a non-empty 1-D sequence")
         if np.any(w < 0.0):
             raise InvalidDistributionError(f"negative weight in {list(w)}")
-        if abs(w.sum() - 1.0) > 1e-9:
+        # phrased so that a NaN weight, and hence a NaN sum, fails it
+        if not abs(w.sum() - 1.0) <= 1e-9:
             raise InvalidDistributionError(f"weights sum to {w.sum()!r}, expected 1")
         u, nxt = self.next_uniform()
         acc = 0.0

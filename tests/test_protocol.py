@@ -1,5 +1,7 @@
 """Round simulation, sifting, keys, transcripts and replay."""
 
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -10,6 +12,7 @@ from pathspin import (
     BasisMode,
     BobPolicy,
     Group,
+    InterceptResend,
     PhaseChoice,
     Rng,
     SpinBasis,
@@ -99,6 +102,8 @@ class TestPolicies:
             AlicePolicy((0.5, 0.5, 0.5, -0.5))
         with pytest.raises(InvalidDistributionError):
             AlicePolicy((0.1, 0.1, 0.1, 0.1))
+        with pytest.raises(InvalidDistributionError):
+            AlicePolicy((float("nan"), 0.0, 0.0, 1.0))
 
     def test_family_domain(self):
         with pytest.raises(InvalidDistributionError):
@@ -179,6 +184,31 @@ class TestSessions:
         assert serial.alice_key == threaded.alice_key
         assert serial.bob_key == threaded.bob_key
 
+    @pytest.mark.parametrize(
+        "alice, bob, eve, seed, digest",
+        [
+            (AlicePolicy.uniform(), BobPolicy(), None, 7,
+             "c958d3e5ba0a4b2cf5f910c462aedcf2e962612c84e2adde4a003055e5b49983"),
+            (AlicePolicy.family(0.8), BobPolicy(BasisMode.ALWAYS_Z), None, 8,
+             "569421eab2232e7ce1a79c24bc479b8b458bb0df5d7e2c6f40a8ef8162ba2940"),
+            (AlicePolicy.uniform(), BobPolicy(),
+             InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y), 9,
+             "615b4ac3586aa487b069d0301db23a2f01788d8c361ea382ee92ea528537aa37"),
+            (AlicePolicy.family(0.9), BobPolicy(),
+             InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z, 0.5), 10,
+             "15a8c5d3cfd39449312490f75abb111bdc2c80774f857ccae56c19f6cd142251"),
+            (AlicePolicy.family(0.7), BobPolicy(BasisMode.ALWAYS_Z),
+             InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.3), 11,
+             "9ee813d67a529bc4603d35e80ae79883547b21fc13c1fc66a992ac0d74449c67"),
+        ],
+        ids=["uniform", "family-always-z", "full-tap", "half-tap", "partial-tap-always-z"],
+    )
+    def test_transcript_bytes_are_pinned(self, alice, bob, eve, seed, digest):
+        # any change to draw order, outcome tables or serialization shows here
+        buf = io.StringIO()
+        save_transcript(run_session(3000, alice, bob, eve=eve, seed=seed), buf)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
     def test_replay_reproduces_rounds(self):
         session = run_session(n_rounds=150, alice=AlicePolicy.family(0.6),
                               bob=BobPolicy(), seed=8)
@@ -194,6 +224,12 @@ class TestSessions:
         np.testing.assert_allclose(cfg["alice_weights"], AlicePolicy.family(0.6).weights)
         assert cfg["basis_mode"] == "independent_uniform"
         assert cfg["eve"] is None
+
+
+def _drop_header_key(line: str, key: str) -> str:
+    head = json.loads(line)
+    del head[key]
+    return json.dumps(head)
 
 
 class TestSerialization:
@@ -240,6 +276,10 @@ class TestSerialization:
             (lambda lines: lines[:1] + lines[2:], "round"),
             (lambda lines: lines + [lines[-1]], "footer"),
             (lambda lines: lines[:3] + ['{"record":"mystery"}'] + lines[3:], "mystery"),
+            (lambda lines: [_drop_header_key(lines[0], "config")] + lines[1:],
+             "line 1: header needs a config"),
+            (lambda lines: [_drop_header_key(lines[0], "seed")] + lines[1:],
+             "line 1: header needs an integer seed"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):

@@ -199,6 +199,8 @@ class TestRng:
             rng.sample([0.3, 0.3])
         with pytest.raises(InvalidDistributionError):
             rng.sample([])
+        with pytest.raises(InvalidDistributionError):
+            rng.sample([float("nan"), 0.0, 1.0])
 
     def test_sample_boundary_weights(self):
         rng = qmath.Rng(seed=17)
