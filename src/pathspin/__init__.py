@@ -3,8 +3,8 @@
 The package is organised in layers:
 
 ``qmath``
-    State/operator helpers, symmetric 3x3 eigenvalues and a counter-based
-    deterministic random generator.
+    State/operator helpers, symmetric 3x3 eigenvalues, checked finite
+    distributions and a counter-based deterministic random generator.
 ``optics``
     The four signal states, the receiver interferometer chain, projective
     spin measurements at the two output ports and the receiver outcome

@@ -180,9 +180,10 @@ def _report_security(transcript: Transcript, frame_name: str, min_aborts: int,
     frames = _frames_for(frame_name)
     payload["reports"] = []
     m_values = []
-    for fr in frames:
+    # an empty ensemble has no correlation matrix; security_decision reports it
+    for fr in frames if ensemble.total else []:
         lam, mu, m = horodecki_m(correlation_matrix(ensemble, fr))
-        eta1, eta2 = eta_rates(ensemble) if ensemble.total else (float("nan"),) * 2
+        eta1, eta2 = eta_rates(ensemble)
         m_values.append(m)
         out.append(
             f"frame={fr.value:13s} M={m:.6f} lambda={lam:.6f} mu={mu:.6f} "

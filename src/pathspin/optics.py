@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmath
 from .errors import InvalidStateError
-from .qmath import Rng
+from .qmath import Distribution, Rng
 
 HALF_PI = math.pi / 2.0
 _RT2 = math.sqrt(2.0)
@@ -246,13 +246,13 @@ def path_observable(phi: float) -> np.ndarray:
 
 
 class _Row(NamedTuple):
-    distribution: tuple[float, ...]
+    distribution: Distribution
     support: frozenset[OutcomePair]
 
 
 def _chain_row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
     out = hadamard_stage(bob_transform(state, phi), phi)
-    dist = tuple(float(p) for p in measure_distribution(out, basis))
+    dist = Distribution(measure_distribution(out, basis))
     return _Row(dist, frozenset(o for o, p in zip(OUTCOMES, dist) if p > 1e-9))
 
 
@@ -274,7 +274,7 @@ def _row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
     return row if row is not None else _chain_row(state, phi, basis)
 
 
-def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> tuple[float, ...]:
+def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> Distribution:
     """Outcome distribution of the full receiver chain on an arbitrary state.
 
     Signal states under protocol settings are read from the outcome table;
@@ -284,7 +284,7 @@ def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> tu
     return _row(state, phi, basis).distribution
 
 
-def pipeline_distribution(label: StateLabel, phi: float, basis: SpinBasis) -> tuple[float, ...]:
+def pipeline_distribution(label: StateLabel, phi: float, basis: SpinBasis) -> Distribution:
     """Outcome distribution of a signal state under one receiver setting."""
     return _row(prepare(label), phi, basis).distribution
 

@@ -33,10 +33,10 @@ from .optics import (
     prepare,
     receiver_distribution,
 )
-from .qmath import Rng
+from .qmath import Distribution, Rng
 
 TRANSCRIPT_VERSION = 1
-_HALF = (0.5, 0.5)
+_HALF = Distribution((0.5, 0.5))
 
 
 class PhaseChoice(Enum):
@@ -104,14 +104,9 @@ class AlicePolicy:
     weights: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
+        w = Distribution(self.weights)
         if len(w) != 4:
             raise InvalidDistributionError(f"expected 4 weights, got {len(w)}")
-        if any(x < 0.0 for x in w):
-            raise InvalidDistributionError(f"negative weight in {w}")
-        # phrased so that a NaN weight, and hence a NaN sum, fails it
-        if not abs(sum(w) - 1.0) <= 1e-9:
-            raise InvalidDistributionError(f"weights sum to {sum(w)!r}, expected 1")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -251,10 +246,7 @@ def run_session(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     rounds = [run_round(i, alice, bob, eve, Rng(seed=seed, stream=i)) for i in range(n_rounds)]
-
-    declarations = [(r.round_index, r.label) for r in rounds if r.verdict is Verdict.ABORT]
-    alice_key = [r.alice_bit for r in rounds if r.verdict is Verdict.KEEP]
-    bob_key = [r.bob_bit for r in rounds if r.verdict is Verdict.KEEP and r.bob_bit is not None]
+    declarations, alice_key, bob_key = _announce(rounds)
     return Transcript(
         seed=seed,
         config=_config_snapshot(n_rounds, alice, bob, eve),
@@ -263,6 +255,16 @@ def run_session(
         alice_key=alice_key,
         bob_key=bob_key,
     )
+
+
+def _announce(
+    rounds: list[RoundRecord],
+) -> tuple[list[tuple[int, StateLabel]], list[int], list[int]]:
+    """Abort declarations and the two keys that follow from the round records."""
+    declarations = [(r.round_index, r.label) for r in rounds if r.verdict is Verdict.ABORT]
+    alice_key = [r.alice_bit for r in rounds if r.verdict is Verdict.KEEP]
+    bob_key = [r.bob_bit for r in rounds if r.verdict is Verdict.KEEP and r.bob_bit is not None]
+    return declarations, alice_key, bob_key
 
 
 def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
@@ -324,6 +326,17 @@ def _bits_to_str(bits: Iterable[int]) -> str:
     return "".join("1" if b else "0" for b in bits)
 
 
+def _footer_obj(
+    declarations: list[tuple[int, StateLabel]], alice_key: list[int], bob_key: list[int]
+) -> dict:
+    return {
+        "record": "footer",
+        "declarations": [[i, label.value] for i, label in declarations],
+        "alice_key": _bits_to_str(alice_key),
+        "bob_key": _bits_to_str(bob_key),
+    }
+
+
 def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """Write a transcript as line-delimited JSON (.qkdlog)."""
     own = isinstance(dest, (str, Path))
@@ -338,12 +351,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for r in transcript.rounds:
             fh.write(json.dumps(_round_to_obj(r), separators=(",", ":")) + "\n")
-        footer = {
-            "record": "footer",
-            "declarations": [[i, label.value] for i, label in transcript.declarations],
-            "alice_key": _bits_to_str(transcript.alice_key),
-            "bob_key": _bits_to_str(transcript.bob_key),
-        }
+        footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
         fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
     finally:
         if own:
@@ -353,8 +361,11 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
-    Raises ParseError (with the 1-based line number) on malformed JSON,
-    unknown record kinds, an unsupported version, or truncation.
+    Raises ParseError (with the 1-based line number) on malformed JSON, a
+    line that is not a JSON object, unknown record kinds, an unsupported
+    version, truncation, a ``round_index`` that differs from the record's
+    position, or a footer whose declarations or keys differ from those the
+    round records give.
     """
     own = isinstance(src, (str, Path))
     fh = open(src, "r", encoding="utf-8") if own else src
@@ -371,6 +382,10 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from exc
+            if not isinstance(obj, dict):
+                raise ParseError(
+                    f"expected a JSON object, got {type(obj).__name__}", line=line_no
+                )
             kind = obj.get("record")
             if line_no == 1:
                 if kind != "header":
@@ -391,11 +406,17 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             elif kind == "round":
                 if footer is not None:
                     raise ParseError("round record after footer", line=line_no)
-                rounds.append(_round_from_obj(obj, line_no))
+                record = _round_from_obj(obj, line_no)
+                if record.round_index != len(rounds):
+                    raise ParseError(
+                        f"round_index {record.round_index}, expected {len(rounds)}",
+                        line=line_no,
+                    )
+                rounds.append(record)
             elif kind == "footer":
                 if footer is not None:
                     raise ParseError("duplicate footer record", line=line_no)
-                footer = obj
+                footer, footer_line = obj, line_no
             elif kind == "header":
                 raise ParseError("duplicate header record", line=line_no)
             else:
@@ -409,12 +430,13 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             raise ParseError(
                 f"header announces {expected} rounds, found {len(rounds)}", line=line_no
             )
-        try:
-            declarations = [(int(i), StateLabel(v)) for i, v in footer["declarations"]]
-            alice_key = [int(c) for c in footer["alice_key"]]
-            bob_key = [int(c) for c in footer["bob_key"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad footer record ({exc})", line=line_no) from exc
+        declarations, alice_key, bob_key = _announce(rounds)
+        derived = _footer_obj(declarations, alice_key, bob_key)
+        for key in ("declarations", "alice_key", "bob_key"):
+            if footer.get(key) != derived[key]:
+                raise ParseError(
+                    f"footer {key} does not match the round records", line=footer_line
+                )
         return Transcript(
             seed=int(header["seed"]),
             config=header["config"],

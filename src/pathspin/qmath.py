@@ -1,10 +1,11 @@
 """Small dense linear-algebra and sampling kernel.
 
 Everything here is physics-agnostic: complex vectors of dimension 2 and 4,
-projective (Born-rule) probabilities, symmetric 3x3 eigenvalues, and a
-counter-based random generator whose draws depend only on (seed, stream,
-counter) so that independently generated streams can be evaluated in any
-order, on any platform, with identical results.
+projective (Born-rule) probabilities, symmetric 3x3 eigenvalues, checked
+finite distributions, and a counter-based random generator whose draws
+depend only on (seed, stream, counter) so that independently generated
+streams can be evaluated in any order, on any platform, with identical
+results.
 """
 
 from __future__ import annotations
@@ -132,7 +133,31 @@ def sym3_eigs(m: np.ndarray) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# counter-based sampling
+# finite distributions and counter-based sampling
+
+
+class Distribution(tuple):
+    """An immutable finite probability distribution, as a tuple of floats.
+
+    Built only from a non-empty 1-D sequence with no negative entry whose
+    sum is within 1e-9 of one; anything else raises
+    ``InvalidDistributionError``.  The check runs once, here, so a
+    ``Distribution`` can be sampled any number of times without another.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, weights: Sequence[float] | np.ndarray) -> "Distribution":
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise InvalidDistributionError("weights must be a non-empty 1-D sequence")
+        if np.any(w < 0.0):
+            raise InvalidDistributionError(f"negative weight in {list(w)}")
+        # phrased so that a NaN weight, and hence a NaN sum, fails it
+        if not abs(w.sum() - 1.0) <= 1e-9:
+            raise InvalidDistributionError(f"weights sum to {w.sum()!r}, expected 1")
+        return super().__new__(cls, w.tolist())
+
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -169,19 +194,20 @@ class Rng:
         return u, replace(self, counter=self.counter + 1)
 
     def sample(self, weights: Sequence[float]) -> tuple[int, "Rng"]:
-        """Draw an index from a finite distribution given by ``weights``."""
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise InvalidDistributionError("weights must be a non-empty 1-D sequence")
-        if np.any(w < 0.0):
-            raise InvalidDistributionError(f"negative weight in {list(w)}")
-        # phrased so that a NaN weight, and hence a NaN sum, fails it
-        if not abs(w.sum() - 1.0) <= 1e-9:
-            raise InvalidDistributionError(f"weights sum to {w.sum()!r}, expected 1")
+        """Draw an index from a finite distribution given by ``weights``.
+
+        A ``Distribution`` was checked when it was built and is used as it
+        is.  Any other sequence is checked by building a ``Distribution``
+        from it on every call, since a list or array can change between
+        calls; either way invalid weights raise ``InvalidDistributionError``
+        before anything is drawn.
+        """
+        w = weights if isinstance(weights, Distribution) else Distribution(weights)
         u, nxt = self.next_uniform()
         acc = 0.0
-        for i in range(w.size - 1):
+        last = len(w) - 1
+        for i in range(last):
             acc += w[i]
             if u < acc:
                 return i, nxt
-        return int(w.size - 1), nxt
+        return last, nxt

@@ -77,6 +77,15 @@ class TestRunCommand:
         assert code == EXIT_ERROR
         assert "NO VERDICT" in capsys.readouterr().out
 
+    def test_no_declared_aborts_gives_no_verdict(self, tmp_path, capsys):
+        out = tmp_path / "t.qkdlog"
+        code = main(["run", "--rounds", "1", "--seed", "0", "--out", str(out), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_ERROR
+        assert payload["aborted"] == 0
+        assert payload["reports"] == []
+        assert payload["verdict"] == "insufficient_data"
+
     def test_single_frame_selection(self, tmp_path, capsys):
         out = tmp_path / "t.qkdlog"
         code = main(["run", "--rounds", "400", "--seed", "2", "--out", str(out),

@@ -104,6 +104,8 @@ class TestPolicies:
             AlicePolicy((0.1, 0.1, 0.1, 0.1))
         with pytest.raises(InvalidDistributionError):
             AlicePolicy((float("nan"), 0.0, 0.0, 1.0))
+        with pytest.raises(InvalidDistributionError):
+            AlicePolicy(((0.25, 0.25), (0.25, 0.25)))
 
     def test_family_domain(self):
         with pytest.raises(InvalidDistributionError):
@@ -232,6 +234,12 @@ def _drop_header_key(line: str, key: str) -> str:
     return json.dumps(head)
 
 
+def _edit_key(line: str, key: str, edit) -> str:
+    obj = json.loads(line)
+    obj[key] = edit(obj[key])
+    return json.dumps(obj)
+
+
 class TestSerialization:
     def _small(self, seed=21, n=60):
         return run_session(n_rounds=n, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=seed)
@@ -280,6 +288,16 @@ class TestSerialization:
              "line 1: header needs a config"),
             (lambda lines: [_drop_header_key(lines[0], "seed")] + lines[1:],
              "line 1: header needs an integer seed"),
+            (lambda lines: lines[:1] + ["[1,2]"] + lines[1:], "line 2"),
+            (lambda lines: lines[:1] + ["7"] + lines[1:], "line 2"),
+            (lambda lines: lines[:-1] + [_edit_key(lines[-1], "declarations",
+                                                   lambda ds: [[i, "psi"] for i, _ in ds])],
+             "line 10: footer declarations"),
+            (lambda lines: lines[:-1] + [_edit_key(lines[-1], "alice_key",
+                                                   lambda key: "7" + key[1:])],
+             "line 10: footer alice_key"),
+            (lambda lines: lines[:1] + [_edit_key(lines[1], "round_index", lambda i: 99999)]
+             + lines[2:], "line 2: round_index 99999"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pathspin import qmath
+from pathspin import optics, qmath
 from pathspin.errors import (
     DimensionError,
     InvalidDistributionError,
@@ -14,6 +14,7 @@ from pathspin.errors import (
     InvalidMeasurementError,
     InvalidStateError,
 )
+from pathspin.protocol import AlicePolicy
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -201,6 +202,22 @@ class TestRng:
             rng.sample([])
         with pytest.raises(InvalidDistributionError):
             rng.sample([float("nan"), 0.0, 1.0])
+        with pytest.raises(InvalidDistributionError):
+            rng.sample([[0.5, 0.5]])
+        with pytest.raises(InvalidDistributionError):
+            rng.sample([float("inf"), 0.0])
+
+    def test_checked_distribution_draws_like_plain_weights(self):
+        family = AlicePolicy.family(0.7).weights
+        q = (1.0 - 0.7) / 3.0
+        assert isinstance(family, qmath.Distribution)
+        assert family == (0.7, q, q, q)
+        rows = [row.distribution for row in optics._TABLE.values()]
+        for w in [family, (0.5, 0.5)] + rows:
+            checked = qmath.Distribution(w)
+            for stream in range(200):
+                rng = qmath.Rng(seed=5, stream=stream)
+                assert rng.sample(checked) == rng.sample(list(w))
 
     def test_sample_boundary_weights(self):
         rng = qmath.Rng(seed=17)
