@@ -84,6 +84,7 @@ from .security import (
     eta_rates,
     horodecki_m,
     is_violation,
+    require_aborts,
     security_decision,
     violation_threshold,
 )
@@ -145,6 +146,7 @@ __all__ = [
     "prepare",
     "qber",
     "replay_session",
+    "require_aborts",
     "run_round",
     "run_session",
     "save_transcript",

@@ -88,6 +88,9 @@ class InterceptResend:
     def from_config(cls, cfg: dict) -> "InterceptResend":
         if cfg.get("type") != "intercept_resend":
             raise ConfigError(f"unknown adversary type {cfg.get('type')!r}")
+        missing = [key for key in ("phi", "basis") if key not in cfg]
+        if missing:
+            raise ConfigError(f"intercept_resend adversary needs {' and '.join(missing)}")
         return cls(
             phi=PhaseChoice(cfg["phi"]),
             basis=SpinBasis(cfg["basis"]),

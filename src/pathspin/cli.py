@@ -42,7 +42,9 @@ from .security import (
     ensemble_from_aborts,
     eta_rates,
     horodecki_m,
-    security_decision,
+    is_violation,
+    require_aborts,
+    security_decision,  # not called here; perfbench/tracer.py wraps it by this module's name
 )
 
 EXIT_OK = 0
@@ -175,38 +177,45 @@ def _frames_for(name: str) -> list[Frame]:
 
 def _report_security(transcript: Transcript, frame_name: str, min_aborts: int,
                      out: list[str], payload: dict) -> int:
-    """Append the security summary to ``out``/``payload``; return exit code."""
+    """Append the security summary to ``out``/``payload``; return exit code.
+
+    The verdict is M of the first frame, as ``security_decision`` gives
+    it, read from the row already computed for that frame.
+    """
     ensemble = ensemble_from_aborts(transcript.declarations)
     frames = _frames_for(frame_name)
     payload["reports"] = []
     m_values = []
-    # an empty ensemble has no correlation matrix; security_decision reports it
-    for fr in frames if ensemble.total else []:
-        lam, mu, m = horodecki_m(correlation_matrix(ensemble, fr))
+    # an empty ensemble has no correlation matrix; require_aborts reports it
+    if ensemble.total:
         eta1, eta2 = eta_rates(ensemble)
-        m_values.append(m)
-        out.append(
-            f"frame={fr.value:13s} M={m:.6f} lambda={lam:.6f} mu={mu:.6f} "
-            f"eta1={eta1:.4f} eta2={eta2:.4f}"
-        )
-        payload["reports"].append(
-            {"frame": fr.value, "lambda": lam, "mu": mu, "m": m, "eta1": eta1, "eta2": eta2}
-        )
+        for fr in frames:
+            lam, mu, m = horodecki_m(correlation_matrix(ensemble, fr))
+            m_values.append(m)
+            out.append(
+                f"frame={fr.value:13s} M={m:.6f} lambda={lam:.6f} mu={mu:.6f} "
+                f"eta1={eta1:.4f} eta2={eta2:.4f}"
+            )
+            payload["reports"].append(
+                {"frame": fr.value, "lambda": lam, "mu": mu, "m": m, "eta1": eta1, "eta2": eta2}
+            )
     if len(m_values) == 2:
         gap = abs(m_values[0] - m_values[1])
         out.append(f"frame gap |dM|={gap:.3e}" + ("  (divergent)" if gap > 1e-6 else ""))
         payload["frame_gap"] = gap
     try:
-        report = security_decision(ensemble, frames[0], min_count=min_aborts)
+        require_aborts(ensemble, min_aborts)
     except InsufficientDataError as exc:
         out.append(f"verdict: NO VERDICT ({exc})")
         payload["verdict"] = "insufficient_data"
         return EXIT_ERROR
-    payload["verdict"] = "secure" if report.secure else "insecure"
-    if report.secure:
-        out.append(f"verdict: SECURE (M = {report.m_value:.6f} > 1)")
+    m = m_values[0]
+    secure = is_violation(m)
+    payload["verdict"] = "secure" if secure else "insecure"
+    if secure:
+        out.append(f"verdict: SECURE (M = {m:.6f} > 1)")
         return EXIT_OK
-    out.append(f"verdict: INSECURE (M = {report.m_value:.6f} <= 1)")
+    out.append(f"verdict: INSECURE (M = {m:.6f} <= 1)")
     return EXIT_INSECURE
 
 
@@ -281,8 +290,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     for p, *_ in REFERENCE_TABLE:
         _, _, m = closed_form_family(p)
-        w = AlicePolicy.family(p).weights
-        eta1, eta2 = 0.5 * (w[0] + w[1]), 0.5 * (w[2] + w[3])
+        eta1, eta2 = eta_rates(AlicePolicy.family(p).weights)
         rows.append((p, m, eta1, eta2))
     lines = ["p,m,eta1,eta2"] + [f"{p:.2f},{m:.6f},{e1:.6f},{e2:.6f}" for p, m, e1, e2 in rows]
     text = "\n".join(lines)

@@ -142,46 +142,68 @@ class RoundRecord:
     decode_failed: bool = False
 
 
+#: Labels, phases and bases in the order of the indices a round draws.
+_LABELS = tuple(StateLabel)
+_PHIS = (PhaseChoice.PHI_0, PhaseChoice.PHI_HALF_PI)
+_BASES = (SpinBasis.Z, SpinBasis.Y)
+_RADIANS = tuple(phi.radians for phi in _PHIS)
+_STATES = tuple(prepare(label) for label in _LABELS)
+
+
+def _sift_row(group: Group, phi: PhaseChoice, basis: SpinBasis) -> tuple[Verdict, tuple]:
+    """Verdict of a setting and, per outcome index, Bob's (bit, decode_failed)."""
+    verdict = sift(group, phi, basis)
+    if verdict is not Verdict.KEEP:
+        return verdict, ((None, False),) * len(OUTCOMES)
+    decoded = []
+    for outcome in OUTCOMES:
+        try:
+            decoded.append((decode_bit(group, phi, basis, outcome), False))
+        except DecodingError:
+            decoded.append((None, True))
+    return verdict, tuple(decoded)
+
+
+#: [label][phi][basis] -> ``_sift_row`` of the label's group: the 4x2x2x4
+#: lookup that replaces sifting and decoding once the draws are made.
+_SIFTED = tuple(
+    tuple(tuple(_sift_row(label.group, phi, basis) for basis in _BASES) for phi in _PHIS)
+    for label in _LABELS
+)
+
+
 def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
     """Simulate one round.
 
     ``eve`` is None or an adversary object exposing
     ``tap(state, rng) -> (state, rng)``.  Draw order within the round's
     stream: label, phi, basis (uniform mode only), adversary draws,
-    outcome.
+    outcome.  The verdict and Bob's bit are read from ``_SIFTED``, which
+    ``sift`` and ``decode_bit`` fill at import.
     """
     label_idx, rng = rng.sample(alice.weights)
-    label = tuple(StateLabel)[label_idx]
-
     phi_idx, rng = rng.sample(_HALF)
-    phi = PhaseChoice.PHI_0 if phi_idx == 0 else PhaseChoice.PHI_HALF_PI
     if bob.basis_mode is BasisMode.ALWAYS_Z:
-        basis = SpinBasis.Z
+        basis_idx = 0
     else:
         basis_idx, rng = rng.sample(_HALF)
-        basis = SpinBasis.Z if basis_idx == 0 else SpinBasis.Y
 
-    state = prepare(label)
+    state = _STATES[label_idx]
     if eve is not None:
         state, rng = eve.tap(state, rng)
 
-    outcome_idx, rng = rng.sample(receiver_distribution(state, phi.radians, basis))
-    outcome = OUTCOMES[outcome_idx]
+    basis = _BASES[basis_idx]
+    outcome_idx, rng = rng.sample(receiver_distribution(state, _RADIANS[phi_idx], basis))
 
-    verdict = sift(label.group, phi, basis)
-    bob_bit = None
-    decode_failed = False
-    if verdict is Verdict.KEEP:
-        try:
-            bob_bit = decode_bit(label.group, phi, basis, outcome)
-        except DecodingError:
-            decode_failed = True
+    verdict, decoded = _SIFTED[label_idx][phi_idx][basis_idx]
+    bob_bit, decode_failed = decoded[outcome_idx]
+    label = _LABELS[label_idx]
     return RoundRecord(
         round_index=index,
         label=label,
-        phi=phi,
+        phi=_PHIS[phi_idx],
         basis=basis,
-        outcome=outcome,
+        outcome=OUTCOMES[outcome_idx],
         verdict=verdict,
         alice_bit=label.bit,
         bob_bit=bob_bit,
@@ -337,8 +359,25 @@ def _footer_obj(
     }
 
 
+#: Every round line starts with these bytes and continues with its index.
+_ROUND_HEAD = '{"record":"round","round_index":'
+
+
+def _round_tail(r: RoundRecord) -> str:
+    """The part of a round's line after ``round_index``, newline included."""
+    obj = _round_to_obj(r)
+    del obj["record"], obj["round_index"]
+    return "," + json.dumps(obj, separators=(",", ":"))[1:] + "\n"
+
+
 def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
-    """Write a transcript as line-delimited JSON (.qkdlog)."""
+    """Write a transcript as line-delimited JSON (.qkdlog).
+
+    A round's line is ``_ROUND_HEAD``, its index and a tail holding every
+    other field.  Few field combinations occur, so each tail is rendered
+    by ``json.dumps`` once per call and reused; lines are written one at a
+    time, never joined.
+    """
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
     try:
@@ -349,8 +388,14 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
             "config": transcript.config,
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        tails: dict[tuple, str] = {}
         for r in transcript.rounds:
-            fh.write(json.dumps(_round_to_obj(r), separators=(",", ":")) + "\n")
+            key = (r.label, r.phi, r.basis, r.outcome, r.verdict, r.alice_bit, r.bob_bit,
+                   r.decode_failed)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = _round_tail(r)
+            fh.write(f"{_ROUND_HEAD}{r.round_index}{tail}")
         footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
         fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
     finally:
@@ -361,6 +406,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
+    Blank lines are skipped; the first other line must be the header.
     Raises ParseError (with the 1-based line number) on malformed JSON, a
     line that is not a JSON object, unknown record kinds, an unsupported
     version, truncation, a ``round_index`` that differs from the record's
@@ -387,20 +433,20 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                     f"expected a JSON object, got {type(obj).__name__}", line=line_no
                 )
             kind = obj.get("record")
-            if line_no == 1:
+            if header is None:
                 if kind != "header":
-                    raise ParseError(f"expected header record, got {kind!r}", line=1)
+                    raise ParseError(f"expected header record, got {kind!r}", line=line_no)
                 if obj.get("version") != TRANSCRIPT_VERSION:
                     raise ParseError(
-                        f"unsupported transcript version {obj.get('version')!r}", line=1
+                        f"unsupported transcript version {obj.get('version')!r}", line=line_no
                     )
                 if not isinstance(obj.get("seed"), int):
                     raise ParseError(
-                        f"header needs an integer seed, got {obj.get('seed')!r}", line=1
+                        f"header needs an integer seed, got {obj.get('seed')!r}", line=line_no
                     )
                 if not isinstance(obj.get("config"), dict):
                     raise ParseError(
-                        f"header needs a config object, got {obj.get('config')!r}", line=1
+                        f"header needs a config object, got {obj.get('config')!r}", line=line_no
                     )
                 header = obj
             elif kind == "round":

@@ -10,7 +10,7 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -178,20 +178,32 @@ class Rng:
     conventionally the round index so rounds can be generated in parallel.
     Draws advance functionally: every method returns the value together
     with the successor generator, the receiver is never mutated.
+
+    Draw ``k`` of a stream is one SplitMix64 finaliser applied to the
+    stream's root plus ``k`` golden-ratio steps.  The root depends on
+    (seed, stream) alone, so it is mixed once, when a generator is built,
+    and handed on to every successor.
     """
 
     seed: int
     stream: int = 0
     counter: int = 0
+    _root: int = field(init=False, repr=False, compare=False)
 
-    def _word(self) -> int:
+    def __post_init__(self) -> None:
         root = _mix64((_mix64(self.seed & _MASK) ^ (self.stream & _MASK) * _STREAM_SALT) & _MASK)
-        return _mix64((root + (self.counter + 1) * _GOLDEN) & _MASK)
+        object.__setattr__(self, "_root", root)
 
     def next_uniform(self) -> tuple[float, "Rng"]:
         """Draw u in [0, 1) with 53 random bits."""
-        u = (self._word() >> 11) * 2.0**-53
-        return u, replace(self, counter=self.counter + 1)
+        counter = self.counter + 1
+        u = (_mix64((self._root + counter * _GOLDEN) & _MASK) >> 11) * 2.0**-53
+        # the successor shares seed, stream and root; only the counter moves
+        nxt = object.__new__(type(self))
+        state = nxt.__dict__
+        state.update(self.__dict__)
+        state["counter"] = counter
+        return u, nxt
 
     def sample(self, weights: Sequence[float]) -> tuple[int, "Rng"]:
         """Draw an index from a finite distribution given by ``weights``.

@@ -192,13 +192,17 @@ def violation_threshold(tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def eta_rates(ensemble: AbortEnsemble) -> tuple[float, float]:
+def eta_rates(source: AbortEnsemble | Sequence[float]) -> tuple[float, float]:
     """Failure rates of the two groups: half their total source weight.
 
-    A group's states meet the unmatched phase setting half the time, so
+    ``source`` is an ensemble or four source weights.  A group's states
+    meet the unmatched phase setting half the time, so
     eta1 = (p1 + p2)/2 and eta2 = (p3 + p4)/2.
     """
-    p1, p2, p3, p4 = ensemble.weights()
+    w = source.weights() if isinstance(source, AbortEnsemble) else qmath.Distribution(source)
+    if len(w) != 4:
+        raise DimensionError(f"expected 4 weights, got {len(w)}")
+    p1, p2, p3, p4 = w
     return 0.5 * (p1 + p2), 0.5 * (p3 + p4)
 
 
@@ -226,17 +230,27 @@ class SecurityReport:
         }
 
 
+def require_aborts(ensemble: AbortEnsemble, min_count: int = DEFAULT_MIN_ABORTS) -> None:
+    """Raise ``InsufficientDataError`` unless ``ensemble`` can carry a verdict.
+
+    That takes at least ``min_count`` declared aborts, and weights, which
+    an empty ensemble does not have.
+    """
+    if ensemble.total < min_count:
+        raise InsufficientDataError(
+            f"only {ensemble.total} declared aborts, need at least {min_count}",
+            required=min_count,
+        )
+    ensemble.weights()  # raises for an empty ensemble
+
+
 def security_decision(
     ensemble: AbortEnsemble,
     frame: Frame = Frame.WEIGHTS,
     min_count: int = DEFAULT_MIN_ABORTS,
 ) -> SecurityReport:
     """Issue a security verdict from the declared-abort ensemble."""
-    if ensemble.total < min_count:
-        raise InsufficientDataError(
-            f"only {ensemble.total} declared aborts, need at least {min_count}",
-            required=min_count,
-        )
+    require_aborts(ensemble, min_count)
     lam, mu, m = horodecki_m(correlation_matrix(ensemble, frame))
     eta1, eta2 = eta_rates(ensemble)
     return SecurityReport(

@@ -156,6 +156,18 @@ class TestConfigFile:
         assert code == EXIT_INSECURE
         assert payload["qber"]["rate"] > 0.1
 
+    @pytest.mark.parametrize("eve, missing", [
+        ({"type": "intercept_resend", "basis": "y"}, "phi"),
+        ({"type": "intercept_resend", "phi": "0"}, "basis"),
+    ])
+    def test_config_eve_missing_setting_fails_cleanly(self, tmp_path, capsys, eve, missing):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rounds": 10, "eve": eve}))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.qkdlog")])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and missing in err
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2, 3]")

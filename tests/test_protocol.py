@@ -35,6 +35,7 @@ from pathspin.errors import (
     ParseError,
 )
 from pathspin.optics import OUTCOMES
+from pathspin.protocol import _SIFTED, _round_to_obj
 
 
 class TestSifting:
@@ -86,6 +87,22 @@ class TestDecoding:
                         continue
                     for outcome in OUTCOMES:
                         assert decode_bit(group, phi, basis, outcome) in (0, 1)
+
+
+class TestSiftTable:
+    def test_table_agrees_with_sift_and_decode_bit(self):
+        for label_idx, label in enumerate(StateLabel):
+            for phi_idx, phi in enumerate(PhaseChoice):
+                for basis_idx, basis in enumerate(SpinBasis):
+                    verdict, decoded = _SIFTED[label_idx][phi_idx][basis_idx]
+                    assert verdict is sift(label.group, phi, basis)
+                    assert len(decoded) == len(OUTCOMES) == 4
+                    for outcome, (bit, failed) in zip(OUTCOMES, decoded):
+                        if verdict is Verdict.ABORT:
+                            assert (bit, failed) == (None, False)
+                        else:
+                            assert not failed
+                            assert bit == decode_bit(label.group, phi, basis, outcome)
 
 
 class TestPolicies:
@@ -267,6 +284,34 @@ class TestSerialization:
         assert head["record"] == "header" and head["version"] == 1
         assert foot["record"] == "footer"
         assert all(json.loads(line)["record"] == "round" for line in lines[1:-1])
+
+    @pytest.mark.parametrize(
+        "alice, bob, eve",
+        [
+            (AlicePolicy.uniform(), BobPolicy(), None),
+            (AlicePolicy.family(0.8), BobPolicy(BasisMode.ALWAYS_Z),
+             InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)),
+        ],
+        ids=["uniform", "tapped-always-z"],
+    )
+    def test_round_lines_equal_their_json_objects(self, alice, bob, eve):
+        session = run_session(800, alice, bob, eve=eve, seed=41)
+        buf = io.StringIO()
+        save_transcript(session, buf)
+        lines = buf.getvalue().split("\n")
+        assert lines[-1] == "" and len(lines) == len(session.rounds) + 3
+        for r, line in zip(session.rounds, lines[1:-2]):
+            assert line == json.dumps(_round_to_obj(r), separators=(",", ":"))
+
+    def test_leading_blank_lines_before_header_are_skipped(self, tmp_path):
+        session = self._small(n=30)
+        path = tmp_path / "session.qkdlog"
+        save_transcript(session, path)
+        padded = tmp_path / "padded.qkdlog"
+        padded.write_text("\n \n" + path.read_text())
+        loaded = load_transcript(padded)
+        assert loaded.rounds == session.rounds
+        assert loaded.bob_key == session.bob_key
 
     def test_replay_of_loaded_transcript(self, tmp_path):
         session = self._small(seed=33)

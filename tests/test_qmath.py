@@ -219,6 +219,42 @@ class TestRng:
                 rng = qmath.Rng(seed=5, stream=stream)
                 assert rng.sample(checked) == rng.sample(list(w))
 
+    def test_successor_draws_like_a_fresh_generator(self):
+        # the root mixed once per generator must give the draws of the
+        # three-mix formula, from any (seed, stream, counter)
+        mask = (1 << 64) - 1
+
+        def reference_uniform(seed, stream, counter):
+            root = qmath._mix64(
+                (qmath._mix64(seed & mask) ^ (stream & mask) * 0xD1B54A32D192ED03) & mask
+            )
+            word = qmath._mix64((root + (counter + 1) * 0x9E3779B97F4A7C15) & mask)
+            return (word >> 11) * 2.0**-53
+
+        seeds = [0, 1, 7, -1, -(2**63), 2**63, 2**64, 2**64 + 5, 3**50]
+        streams = list(range(40)) + [2**32 + 1, 2**63, 2**64 - 1, 2**64, 5**40, -3]
+        for seed in seeds:
+            for stream in streams:
+                rng = qmath.Rng(seed, stream)
+                for counter in range(4):
+                    u, nxt = rng.next_uniform()
+                    fresh = qmath.Rng(seed, stream, counter + 1)
+                    assert u == reference_uniform(seed, stream, counter)
+                    assert nxt == fresh and hash(nxt) == hash(fresh)
+                    assert nxt.next_uniform() == fresh.next_uniform()
+                    assert nxt.sample((0.2, 0.3, 0.5)) == fresh.sample((0.2, 0.3, 0.5))
+                    rng = nxt
+
+    def test_generator_stays_a_frozen_three_field_value(self):
+        rng = qmath.Rng(seed=5, stream=3)
+        _, nxt = rng.next_uniform()
+        assert repr(nxt) == "Rng(seed=5, stream=3, counter=1)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nxt.counter = 0
+        jumped = dataclasses.replace(nxt, counter=9)
+        assert jumped == qmath.Rng(5, 3, 9)
+        assert jumped.next_uniform() == qmath.Rng(5, 3, 9).next_uniform()
+
     def test_sample_boundary_weights(self):
         rng = qmath.Rng(seed=17)
         for _ in range(50):

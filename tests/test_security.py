@@ -1,5 +1,7 @@
 """Correlation matrices, the violation functional and the closed-form family."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,15 @@ from pathspin import (
     eta_rates,
     horodecki_m,
     is_violation,
+    require_aborts,
     security_decision,
     violation_threshold,
 )
 from pathspin.errors import (
+    DimensionError,
     DomainError,
     InsufficientDataError,
+    InvalidDistributionError,
     InvalidStateError,
 )
 
@@ -187,8 +192,39 @@ class TestEtaRates:
         p, q = 80 / 140, 20 / 140
         np.testing.assert_allclose((eta1, eta2), (0.5 * (p + q), q), atol=1e-15)
 
+    @pytest.mark.parametrize("p", [0.0, 0.7, 0.9, 1.0])
+    def test_weights_give_the_rates_of_their_ensemble(self, p):
+        q = (1.0 - p) / 3.0
+        weights = (p, q, q, q)
+        assert eta_rates(weights) == (0.5 * (p + q), 0.5 * (q + q))
+        ens = AbortEnsemble((round(3000 * p), round(1000 * (1 - p)),
+                             round(1000 * (1 - p)), round(1000 * (1 - p))))
+        assert eta_rates(ens) == eta_rates(ens.weights())
+
+    def test_weights_must_be_four_and_a_distribution(self):
+        with pytest.raises(DimensionError):
+            eta_rates((0.5, 0.5))
+        with pytest.raises(InvalidDistributionError):
+            eta_rates((0.5, 0.5, 0.5, 0.5))
+
 
 class TestDecision:
+    def test_require_aborts_matches_security_decision(self):
+        for counts, min_count in [((10, 5, 5, 5), 100), ((0, 0, 0, 0), 1), ((0, 0, 0, 0), 0),
+                                  ((50, 50, 0, 0), 100), ((50, 50, 0, 0), 0)]:
+            ens = AbortEnsemble(counts)
+            try:
+                security_decision(ens, min_count=min_count)
+            except InsufficientDataError as exc:
+                with pytest.raises(InsufficientDataError, match=re.escape(str(exc))):
+                    require_aborts(ens, min_count)
+            else:
+                assert require_aborts(ens, min_count) is None
+
+    def test_empty_ensemble_never_passes(self):
+        with pytest.raises(InsufficientDataError, match="empty ensemble"):
+            require_aborts(AbortEnsemble((0, 0, 0, 0)), 0)
+
     def test_insufficient_data_reports_requirement(self):
         ens = AbortEnsemble((10, 5, 5, 5))
         with pytest.raises(InsufficientDataError) as err:
