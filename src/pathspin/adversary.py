@@ -86,15 +86,20 @@ class InterceptResend:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InterceptResend":
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"adversary config must be a mapping, got {cfg!r}")
         if cfg.get("type") != "intercept_resend":
             raise ConfigError(f"unknown adversary type {cfg.get('type')!r}")
         missing = [key for key in ("phi", "basis") if key not in cfg]
         if missing:
             raise ConfigError(f"intercept_resend adversary needs {' and '.join(missing)}")
+        fraction = cfg.get("fraction", 1.0)
+        if type(fraction) not in (int, float):
+            raise ConfigError(f"intercept_resend fraction must be a number, got {fraction!r}")
         return cls(
             phi=PhaseChoice(cfg["phi"]),
             basis=SpinBasis(cfg["basis"]),
-            fraction=float(cfg.get("fraction", 1.0)),
+            fraction=float(fraction),
         )
 
 

@@ -80,11 +80,15 @@ class SessionConfig:
 
 
 def parse_weights(value: str | list) -> tuple[float, float, float, float]:
-    """Accept 'uniform', 'family:P' or four comma-separated weights."""
+    """Accept 'uniform', 'family:P', four comma-separated weights or a list of four numbers."""
     if isinstance(value, (list, tuple)):
         if len(value) != 4:
             raise ValueError(f"need 4 weights, got {len(value)}")
+        if not all(type(x) in (int, float) for x in value):
+            raise ValueError(f"weights must be numbers, got {json.dumps(value)}")
         return tuple(float(x) for x in value)
+    if not isinstance(value, str):
+        raise ValueError(f"weights must be a string or a list, got {json.dumps(value)}")
     value = value.strip()
     if value == "uniform":
         return (0.25, 0.25, 0.25, 0.25)
@@ -109,7 +113,7 @@ def parse_eve(value: str | dict | None) -> InterceptResend | None:
     """Accept 'none', 'PHI,BASIS[,FRACTION]' or a config-file mapping."""
     if value is None:
         return None
-    if isinstance(value, dict):
+    if not isinstance(value, str):
         return InterceptResend.from_config(value)
     value = value.strip().lower()
     if value in ("", "none"):
@@ -131,21 +135,28 @@ def _check_frame(name: str) -> str:
 
 
 #: How a config-file value or a flag value becomes each SessionConfig field.
+#: A field parsed by ``int`` or ``str`` takes only a value of that JSON type.
 _PARSERS = {
     "rounds": int,
     "seed": int,
     "alice_weights": parse_weights,
     "basis_mode": BasisMode,
     "eve": parse_eve,
-    "frame": lambda v: _check_frame(str(v)),
+    "frame": _check_frame,
     "min_aborts": int,
     "out": str,
     "jobs": int,
 }
+_TYPE_NAMES = {int: "an integer", str: "a string"}
 _CONFIG_KEYS = tuple(f.name for f in fields(SessionConfig))
 
 
 def _apply(cfg: SessionConfig, values: dict) -> SessionConfig:
+    for key, value in values.items():
+        parse = _PARSERS[key]
+        # a bool is an int to Python, and int() would truncate a float
+        if parse in _TYPE_NAMES and type(value) is not parse:
+            raise ValueError(f"{key} must be {_TYPE_NAMES[parse]}, got {json.dumps(value)}")
     return replace(cfg, **{key: _PARSERS[key](value) for key, value in values.items()})
 
 

@@ -25,9 +25,7 @@ from .optics import (
     OUTCOMES,
     Group,
     OutcomePair,
-    Port,
     SpinBasis,
-    SpinOutcome,
     StateLabel,
     outcome_support,
     prepare,
@@ -171,6 +169,16 @@ _SIFTED = tuple(
     for label in _LABELS
 )
 
+#: [label][phi][basis][outcome] -> the fields after ``round_index`` of all 64 rounds.
+_KINDS = tuple(
+    tuple(
+        tuple(
+            tuple((label, phi, basis, outcome, verdict, label.bit, *bob)
+                  for outcome, bob in zip(OUTCOMES, decoded))
+            for basis, (verdict, decoded) in zip(_BASES, row))
+        for phi, row in zip(_PHIS, rows))
+    for label, rows in zip(_LABELS, _SIFTED))
+
 
 def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
     """Simulate one round.
@@ -178,8 +186,8 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     ``eve`` is None or an adversary object exposing
     ``tap(state, rng) -> (state, rng)``.  Draw order within the round's
     stream: label, phi, basis (uniform mode only), adversary draws,
-    outcome.  The verdict and Bob's bit are read from ``_SIFTED``, which
-    ``sift`` and ``decode_bit`` fill at import.
+    outcome.  The record is the drawn entry of ``_KINDS``, whose verdicts
+    and bits ``sift`` and ``decode_bit`` fill at import.
     """
     label_idx, rng = rng.sample(alice.weights)
     phi_idx, rng = rng.sample(_HALF)
@@ -195,20 +203,7 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     basis = _BASES[basis_idx]
     outcome_idx, rng = rng.sample(receiver_distribution(state, _RADIANS[phi_idx], basis))
 
-    verdict, decoded = _SIFTED[label_idx][phi_idx][basis_idx]
-    bob_bit, decode_failed = decoded[outcome_idx]
-    label = _LABELS[label_idx]
-    return RoundRecord(
-        round_index=index,
-        label=label,
-        phi=_PHIS[phi_idx],
-        basis=basis,
-        outcome=OUTCOMES[outcome_idx],
-        verdict=verdict,
-        alice_bit=label.bit,
-        bob_bit=bob_bit,
-        decode_failed=decode_failed,
-    )
+    return RoundRecord(index, *_KINDS[label_idx][phi_idx][basis_idx][outcome_idx])
 
 
 @dataclass
@@ -327,23 +322,6 @@ def _round_to_obj(r: RoundRecord) -> dict:
     }
 
 
-def _round_from_obj(obj: dict, line: int) -> RoundRecord:
-    try:
-        return RoundRecord(
-            round_index=int(obj["round_index"]),
-            label=StateLabel(obj["label"]),
-            phi=PhaseChoice(obj["phi"]),
-            basis=SpinBasis(obj["basis"]),
-            outcome=OutcomePair(Port(obj["port"]), SpinOutcome(obj["spin"])),
-            verdict=Verdict(obj["verdict"]),
-            alice_bit=int(obj["alice_bit"]),
-            bob_bit=None if obj["bob_bit"] is None else int(obj["bob_bit"]),
-            decode_failed=bool(obj.get("decode_failed", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad round record ({exc})", line=line) from exc
-
-
 def _bits_to_str(bits: Iterable[int]) -> str:
     return "".join("1" if b else "0" for b in bits)
 
@@ -370,13 +348,46 @@ def _round_tail(r: RoundRecord) -> str:
     return "," + json.dumps(obj, separators=(",", ":"))[1:] + "\n"
 
 
+#: Drawn fields as written -> (kind, its verdict and bits as written).
+_KIND_OF_TEXT = {
+    (l.value, p.value, b.value, o.port.value, o.spin.value):
+        ((l, p, b, o, v, *bits), (v.value, *bits))
+    for rows in _KINDS for row in rows for cell in row for l, p, b, o, v, *bits in cell
+}
+#: Kind -> the tail of its round line.
+_TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind, _ in _KIND_OF_TEXT.values()}
+
+
+def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
+    """Round ``index`` built from the kind ``obj`` draws, if ``obj`` declares its fields.
+
+    A line without ``decode_failed`` (as early files were written) declares False."""
+    if obj.get("round_index") != index:
+        raise ParseError(f"round_index {obj.get('round_index')!r}, expected {index}", line=line)
+    try:
+        drawn = (obj["label"], obj["phi"], obj["basis"], obj["port"], obj["spin"])
+        declared = (obj["verdict"], obj["alice_bit"], obj["bob_bit"],
+                    obj.get("decode_failed", False))
+    except KeyError as exc:
+        raise ParseError(f"round record without {exc}", line=line) from None
+    try:
+        kind, derived = _KIND_OF_TEXT[drawn]
+    except (KeyError, TypeError):
+        raise ParseError(f"no round draws {drawn!r}", line=line) from None
+    if declared != derived:
+        names = ("verdict", "alice_bit", "bob_bit", "decode_failed")
+        raise ParseError("; ".join(f"{k} {got!r}, expected {want!r}" for k, got, want in
+                                   zip(names, declared, derived) if got != want), line=line)
+    return RoundRecord(index, *kind)
+
+
 def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """Write a transcript as line-delimited JSON (.qkdlog).
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
-    other field.  Few field combinations occur, so each tail is rendered
-    by ``json.dumps`` once per call and reused; lines are written one at a
-    time, never joined.
+    other field: its kind's tail from ``_TAILS``, rendered at import, or
+    for a record that is no kind, one ``json.dumps``.  Lines are written
+    one at a time, never joined.
     """
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
@@ -388,14 +399,10 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
             "config": transcript.config,
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        tails: dict[tuple, str] = {}
         for r in transcript.rounds:
-            key = (r.label, r.phi, r.basis, r.outcome, r.verdict, r.alice_bit, r.bob_bit,
-                   r.decode_failed)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = _round_tail(r)
-            fh.write(f"{_ROUND_HEAD}{r.round_index}{tail}")
+            tail = _TAILS.get((r.label, r.phi, r.basis, r.outcome, r.verdict, r.alice_bit,
+                               r.bob_bit, r.decode_failed))
+            fh.write(f"{_ROUND_HEAD}{r.round_index}{tail or _round_tail(r)}")
         footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
         fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
     finally:
@@ -406,12 +413,11 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
-    Blank lines are skipped; the first other line must be the header.
+    Blank lines are skipped; the first other line must be the header.  Each
+    round is rebuilt from its draws (``_round_from_obj``), never trusted.
     Raises ParseError (with the 1-based line number) on malformed JSON, a
-    line that is not a JSON object, unknown record kinds, an unsupported
-    version, truncation, a ``round_index`` that differs from the record's
-    position, or a footer whose declarations or keys differ from those the
-    round records give.
+    non-object line, unknown record kinds, an unsupported version,
+    truncation, a rejected round line, or a footer that the rounds refute.
     """
     own = isinstance(src, (str, Path))
     fh = open(src, "r", encoding="utf-8") if own else src
@@ -452,13 +458,7 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             elif kind == "round":
                 if footer is not None:
                     raise ParseError("round record after footer", line=line_no)
-                record = _round_from_obj(obj, line_no)
-                if record.round_index != len(rounds):
-                    raise ParseError(
-                        f"round_index {record.round_index}, expected {len(rounds)}",
-                        line=line_no,
-                    )
-                rounds.append(record)
+                rounds.append(_round_from_obj(obj, len(rounds), line_no))
             elif kind == "footer":
                 if footer is not None:
                     raise ParseError("duplicate footer record", line=line_no)

@@ -103,9 +103,6 @@ class CorrelationMatrix:
     matrix: np.ndarray
     frame: Frame
 
-    def gram(self) -> np.ndarray:
-        return self.matrix.T @ self.matrix
-
 
 def _t_ab_initio(rho: np.ndarray) -> np.ndarray:
     t = np.empty((3, 3))

@@ -168,6 +168,27 @@ class TestConfigFile:
         assert code == EXIT_ERROR
         assert err.startswith("error:") and missing in err
 
+    @pytest.mark.parametrize("text, hint", [
+        ('{"rounds": Infinity}', "rounds"),
+        ('{"rounds": null}', "rounds"),
+        ('{"alice_weights": [null, 0, 0, 1]}', "weights"),
+        ('{"eve": {"type": "intercept_resend", "phi": "0", "basis": "y", "fraction": null}}',
+         "fraction"),
+        ('{"alice_weights": 5}', "weights"),
+        ('{"eve": 5}', "adversary"),
+        ('{"rounds": 2.7}', "rounds"),
+        ('{"rounds": true}', "rounds"),
+    ])
+    def test_config_value_of_wrong_type_fails_cleanly(self, tmp_path, capsys, text, hint):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "t.qkdlog"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and hint in err
+        assert not out.exists()
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2, 3]")
@@ -200,6 +221,26 @@ class TestCheckCommand:
         bad.write_text("not json\n")
         assert main(["check", str(bad)]) == EXIT_ERROR
         assert "parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, edit", [
+        ("verdict", lambda v: "abort" if v == "keep" else "keep"),
+        ("label", lambda label: {"psi": "phi", "psi_perp": "phi_perp",
+                                 "phi": "psi", "phi_perp": "psi_perp"}[label]),
+    ])
+    def test_check_rejects_a_round_its_draws_refute(self, tmp_path, capsys, field, edit):
+        out = tmp_path / "t.qkdlog"
+        main(["run", "--rounds", "400", "--seed", "5", "--out", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        n = next(i for i, line in enumerate(lines) if '"verdict":"keep"' in line)
+        obj = json.loads(lines[n])
+        obj[field] = edit(obj[field])
+        lines[n] = json.dumps(obj)
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"error: transcript parse failed: line {n + 1}: verdict"
+        )
 
 
 class TestTableCommand:

@@ -257,6 +257,15 @@ def _edit_key(line: str, key: str, edit) -> str:
     return json.dumps(obj)
 
 
+def _flip_verdict(verdict: str) -> str:
+    return "abort" if verdict == "keep" else "keep"
+
+
+def _other_group_label(label: str) -> str:
+    """The label of the other group that encodes the same bit."""
+    return {"psi": "phi", "psi_perp": "phi_perp", "phi": "psi", "phi_perp": "psi_perp"}[label]
+
+
 class TestSerialization:
     def _small(self, seed=21, n=60):
         return run_session(n_rounds=n, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=seed)
@@ -313,6 +322,18 @@ class TestSerialization:
         assert loaded.rounds == session.rounds
         assert loaded.bob_key == session.bob_key
 
+    def test_round_lines_without_decode_failed_load(self, tmp_path):
+        session = self._small(n=30)
+        path = tmp_path / "session.qkdlog"
+        save_transcript(session, path)
+        lines = path.read_text().splitlines()
+        legacy = [lines[0]] + [_drop_header_key(line, "decode_failed") for line in lines[1:-1]]
+        old = tmp_path / "legacy.qkdlog"
+        old.write_text("\n".join(legacy + [lines[-1]]) + "\n")
+        loaded = load_transcript(old)
+        assert loaded.rounds == session.rounds
+        assert loaded.bob_key == session.bob_key
+
     def test_replay_of_loaded_transcript(self, tmp_path):
         session = self._small(seed=33)
         path = tmp_path / "session.qkdlog"
@@ -343,6 +364,14 @@ class TestSerialization:
              "line 10: footer alice_key"),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "round_index", lambda i: 99999)]
              + lines[2:], "line 2: round_index 99999"),
+            (lambda lines: lines[:1] + [_edit_key(lines[1], "verdict", _flip_verdict)]
+             + lines[2:], "line 2: verdict"),
+            (lambda lines: lines[:1] + [_edit_key(lines[1], "label", _other_group_label)]
+             + lines[2:], "line 2"),
+            (lambda lines: lines[:1] + [_edit_key(lines[1], "alice_bit", lambda b: float("inf"))]
+             + lines[2:], "line 2"),
+            (lambda lines: lines[:1] + [_edit_key(lines[1], "round_index", lambda i: float("inf"))]
+             + lines[2:], "line 2: round_index inf"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
