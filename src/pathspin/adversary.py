@@ -96,10 +96,16 @@ class InterceptResend:
         fraction = cfg.get("fraction", 1.0)
         if type(fraction) not in (int, float):
             raise ConfigError(f"intercept_resend fraction must be a number, got {fraction!r}")
+        try:
+            fraction = float(fraction)
+        except OverflowError:
+            raise ConfigError(
+                "intercept_resend fraction is an integer too large for a float"
+            ) from None
         return cls(
             phi=PhaseChoice(cfg["phi"]),
             basis=SpinBasis(cfg["basis"]),
-            fraction=float(fraction),
+            fraction=fraction,
         )
 
 

@@ -86,7 +86,10 @@ def parse_weights(value: str | list) -> tuple[float, float, float, float]:
             raise ValueError(f"need 4 weights, got {len(value)}")
         if not all(type(x) in (int, float) for x in value):
             raise ValueError(f"weights must be numbers, got {json.dumps(value)}")
-        return tuple(float(x) for x in value)
+        try:
+            return tuple(float(x) for x in value)
+        except OverflowError:
+            raise ValueError("alice_weights has an integer too large for a float") from None
     if not isinstance(value, str):
         raise ValueError(f"weights must be a string or a list, got {json.dumps(value)}")
     value = value.strip()
@@ -167,6 +170,8 @@ def load_config(path: str) -> SessionConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(raw).difference(_CONFIG_KEYS)

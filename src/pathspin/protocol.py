@@ -356,6 +356,8 @@ _KIND_OF_TEXT = {
 }
 #: Kind -> the tail of its round line.
 _TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind, _ in _KIND_OF_TEXT.values()}
+#: The tail of a canonical round line, newline stripped -> its kind.
+_KIND_OF_TAIL = {tail[:-1]: kind for kind, tail in _TAILS.items()}
 
 
 def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
@@ -414,10 +416,16 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
     Blank lines are skipped; the first other line must be the header.  Each
-    round is rebuilt from its draws (``_round_from_obj``), never trusted.
-    Raises ParseError (with the 1-based line number) on malformed JSON, a
-    non-object line, unknown record kinds, an unsupported version,
-    truncation, a rejected round line, or a footer that the rounds refute.
+    round is rebuilt from its draws, never trusted.  A canonical round line
+    -- between header and footer, ``_ROUND_HEAD``, the next index and one of
+    the 64 tails in ``_TAILS`` -- is matched by text: it is exactly what
+    ``save_transcript`` writes for its kind, so ``_round_from_obj`` would
+    give the same kind.  Every other line, round lines of another spelling
+    included, is parsed as JSON and goes through the same checks.
+    Raises ParseError (with the 1-based line number) on malformed or too
+    deeply nested JSON, a non-object line, unknown record kinds, an
+    unsupported version, truncation, a rejected round line, or a footer
+    that the rounds refute.  The file is read one line at a time.
     """
     own = isinstance(src, (str, Path))
     fh = open(src, "r", encoding="utf-8") if own else src
@@ -430,10 +438,18 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             raw = raw.strip()
             if not raw:
                 continue
+            if header is not None and footer is None:
+                prefix = f"{_ROUND_HEAD}{len(rounds)}"
+                kind = raw.startswith(prefix) and _KIND_OF_TAIL.get(raw[len(prefix):])
+                if kind:
+                    rounds.append(RoundRecord(len(rounds), *kind))
+                    continue
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from exc
+            except RecursionError:
+                raise ParseError("invalid JSON (nested too deeply)", line=line_no) from None
             if not isinstance(obj, dict):
                 raise ParseError(
                     f"expected a JSON object, got {type(obj).__name__}", line=line_no

@@ -178,6 +178,11 @@ class TestConfigFile:
         ('{"eve": 5}', "adversary"),
         ('{"rounds": 2.7}', "rounds"),
         ('{"rounds": true}', "rounds"),
+        pytest.param('{"alice_weights": [%s, 0, 0, 0]}' % ("1" * 400), "alice_weights",
+                     id="weight-of-400-digits"),
+        pytest.param('{"eve": {"type": "intercept_resend", "phi": "0", "basis": "y",'
+                     ' "fraction": %s}}' % ("1" * 400), "fraction", id="fraction-of-400-digits"),
+        pytest.param("[" * 100000 + "]" * 100000, "invalid JSON", id="nested-100000-deep"),
     ])
     def test_config_value_of_wrong_type_fails_cleanly(self, tmp_path, capsys, text, hint):
         cfg = tmp_path / "cfg.json"

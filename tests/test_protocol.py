@@ -35,7 +35,16 @@ from pathspin.errors import (
     ParseError,
 )
 from pathspin.optics import OUTCOMES
-from pathspin.protocol import _SIFTED, _round_to_obj
+from pathspin.protocol import (
+    _KIND_OF_TAIL,
+    _KINDS,
+    _ROUND_HEAD,
+    _SIFTED,
+    _TAILS,
+    RoundRecord,
+    _round_from_obj,
+    _round_to_obj,
+)
 
 
 class TestSifting:
@@ -103,6 +112,18 @@ class TestSiftTable:
                         else:
                             assert not failed
                             assert bit == decode_bit(label.group, phi, basis, outcome)
+
+
+class TestCanonicalLines:
+    def test_text_lookup_agrees_with_json_for_every_kind(self):
+        kinds = {kind for rows in _KINDS for row in rows for cell in row for kind in cell}
+        assert len(_KIND_OF_TAIL) == 64 and set(_KIND_OF_TAIL.values()) == kinds
+        for i, kind in enumerate(sorted(kinds, key=repr)):
+            line = _ROUND_HEAD + str(i) + _TAILS[kind]
+            head = _ROUND_HEAD + str(i)
+            by_text = _KIND_OF_TAIL[line.strip()[len(head):]]
+            assert RoundRecord(i, *by_text) == _round_from_obj(json.loads(line), i, 1)
+            assert by_text == kind
 
 
 class TestPolicies:
@@ -372,6 +393,12 @@ class TestSerialization:
              + lines[2:], "line 2"),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "round_index", lambda i: float("inf"))]
              + lines[2:], "line 2: round_index inf"),
+            (lambda lines: lines + [lines[1].replace('"round_index":0,', '"round_index":8,')],
+             "line 11: round record after footer"),
+            (lambda lines: lines[:2] + [lines[1]] + lines[2:], "line 3: round_index 0, expected 1"),
+            (lambda lines: [lines[1]] + lines, "line 1: expected header record"),
+            (lambda lines: lines[:1] + ["[" * 100000 + "]" * 100000] + lines[1:],
+             "line 2: invalid JSON"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
@@ -384,6 +411,30 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_transcript(bad)
         assert hint in str(err.value)
+
+    @pytest.mark.parametrize(
+        "alice, bob, eve",
+        [
+            (AlicePolicy.uniform(), BobPolicy(), None),
+            (AlicePolicy.family(0.8), BobPolicy(BasisMode.ALWAYS_Z),
+             InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)),
+            (AlicePolicy.family(0.9), BobPolicy(),
+             InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z)),
+        ],
+        ids=["uniform", "tapped-always-z", "full-tap"],
+    )
+    def test_respelled_round_lines_load_like_canonical_ones(self, tmp_path, alice, bob, eve):
+        session = run_session(600, alice, bob, eve=eve, seed=17)
+        path = tmp_path / "session.qkdlog"
+        save_transcript(session, path)
+        lines = path.read_text().splitlines()
+        respelled = [json.dumps(dict(reversed(json.loads(line).items()))) for line in lines[1:-1]]
+        assert all(new != old for new, old in zip(respelled, lines[1:-1]))
+        other = tmp_path / "respelled.qkdlog"
+        other.write_text("\n".join([lines[0]] + respelled + [lines[-1]]) + "\n")
+        canonical = load_transcript(path)
+        assert canonical == session
+        assert load_transcript(other) == canonical
 
     def test_version_mismatch_rejected(self, tmp_path):
         session = self._small(n=4)
