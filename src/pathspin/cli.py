@@ -5,7 +5,7 @@ Commands
 run         simulate a session, write the transcript, report security
 table       emit the closed-form family table (p, M, eta1, eta2) as CSV
 sift-table  print the 16 (state, phi, basis) rows with supports and verdicts
-check       recompute the security verdict from a transcript file
+check       audit a transcript file: the same summary as run, from the file
 
 Exit codes: 0 success (and a secure verdict), 1 operational error,
 2 insecure verdict.
@@ -38,13 +38,12 @@ from .security import (
     DEFAULT_MIN_ABORTS,
     Frame,
     closed_form_family,
-    correlation_matrix,
+    correlation_matrix,  # this and horodecki_m are not called here;
+    horodecki_m,  # perfbench/tracer.py wraps both by this module's name
     ensemble_from_aborts,
     eta_rates,
-    horodecki_m,
-    is_violation,
     require_aborts,
-    security_decision,  # not called here; perfbench/tracer.py wraps it by this module's name
+    security_decision,
 )
 
 EXIT_OK = 0
@@ -137,8 +136,13 @@ def _check_frame(name: str) -> str:
     return name
 
 
+def _check_min_aborts(count: int) -> int:
+    if count < 0:
+        raise ValueError(f"min_aborts must be >= 0, got {count}")
+    return count
+
+
 #: How a config-file value or a flag value becomes each SessionConfig field.
-#: A field parsed by ``int`` or ``str`` takes only a value of that JSON type.
 _PARSERS = {
     "rounds": int,
     "seed": int,
@@ -146,20 +150,22 @@ _PARSERS = {
     "basis_mode": BasisMode,
     "eve": parse_eve,
     "frame": _check_frame,
-    "min_aborts": int,
+    "min_aborts": _check_min_aborts,
     "out": str,
     "jobs": int,
 }
+#: A field whose parser is a key here takes only a value of that JSON type.
+_JSON_TYPES = {int: int, _check_min_aborts: int, str: str}
 _TYPE_NAMES = {int: "an integer", str: "a string"}
 _CONFIG_KEYS = tuple(f.name for f in fields(SessionConfig))
 
 
 def _apply(cfg: SessionConfig, values: dict) -> SessionConfig:
     for key, value in values.items():
-        parse = _PARSERS[key]
+        json_type = _JSON_TYPES.get(_PARSERS[key])
         # a bool is an int to Python, and int() would truncate a float
-        if parse in _TYPE_NAMES and type(value) is not parse:
-            raise ValueError(f"{key} must be {_TYPE_NAMES[parse]}, got {json.dumps(value)}")
+        if json_type is not None and type(value) is not json_type:
+            raise ValueError(f"{key} must be {_TYPE_NAMES[json_type]}, got {json.dumps(value)}")
     return replace(cfg, **{key: _PARSERS[key](value) for key, value in values.items()})
 
 
@@ -172,6 +178,8 @@ def load_config(path: str) -> SessionConfig:
             raise ValueError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
         except RecursionError:
             raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
+        except ValueError:  # from int(), for a literal beyond the interpreter's digit limit
+            raise ValueError(f"{path}: invalid JSON (integer literal too long)") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(raw).difference(_CONFIG_KEYS)
@@ -180,8 +188,10 @@ def load_config(path: str) -> SessionConfig:
     return _apply(SessionConfig(), raw)
 
 
-def _merge_flags(cfg: SessionConfig, args: argparse.Namespace) -> SessionConfig:
-    flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
+def _merge_flags(cfg: SessionConfig, args: argparse.Namespace,
+                 keys: tuple[str, ...] = _CONFIG_KEYS) -> SessionConfig:
+    """``cfg`` with each flag of ``keys`` that was given; None means not given."""
+    flags = {key: getattr(args, key) for key in keys}
     return _apply(cfg, {key: value for key, value in flags.items() if value is not None})
 
 
@@ -191,32 +201,48 @@ def _frames_for(name: str) -> list[Frame]:
     return [Frame(name)]
 
 
-def _report_security(transcript: Transcript, frame_name: str, min_aborts: int,
-                     out: list[str], payload: dict) -> int:
-    """Append the security summary to ``out``/``payload``; return exit code.
+def _summarize(transcript: Transcript, path: str, frame_name: str,
+               min_aborts: int) -> tuple[int, list[str], dict]:
+    """Exit code, text lines and JSON payload of the summary of ``transcript``.
 
-    The verdict is M of the first frame, as ``security_decision`` gives
-    it, read from the row already computed for that frame.
+    Everything comes from the transcript.  Each frame's figures are
+    ``security_decision``'s; ``require_aborts`` decides NO VERDICT, and the
+    verdict is the first frame's.
     """
+    kept, aborted = len(transcript.alice_key), len(transcript.declarations)
+    keep_fraction = transcript.keep_fraction()
+    out = [f"rounds={len(transcript.rounds)} kept={kept} aborted={aborted} "
+           f"keep_fraction={keep_fraction:.4f}"]
+    payload = {"rounds": len(transcript.rounds), "seed": transcript.seed, "kept": kept,
+               "aborted": aborted, "keep_fraction": keep_fraction, "transcript": str(path),
+               "decode_failures": transcript.decode_failures()}
+    try:
+        est = qber(transcript)
+        out.append(
+            f"qber={est.rate:.6f} (mismatches={est.mismatches}/{est.kept}, "
+            f"3sigma={est.three_sigma:.6f})"
+        )
+        payload["qber"] = {"rate": est.rate, "mismatches": est.mismatches,
+                           "kept": est.kept, "three_sigma": est.three_sigma}
+    except InsufficientDataError:
+        out.append("qber=n/a (no kept rounds)")
+        payload["qber"] = None
     ensemble = ensemble_from_aborts(transcript.declarations)
-    frames = _frames_for(frame_name)
-    payload["reports"] = []
-    m_values = []
+    counts = dict(zip((label.value for label in StateLabel), ensemble.counts))
+    out.append("declared aborts: " + " ".join(f"{k}={n}" for k, n in counts.items()))
+    payload["abort_counts"] = counts
     # an empty ensemble has no correlation matrix; require_aborts reports it
-    if ensemble.total:
-        eta1, eta2 = eta_rates(ensemble)
-        for fr in frames:
-            lam, mu, m = horodecki_m(correlation_matrix(ensemble, fr))
-            m_values.append(m)
-            out.append(
-                f"frame={fr.value:13s} M={m:.6f} lambda={lam:.6f} mu={mu:.6f} "
-                f"eta1={eta1:.4f} eta2={eta2:.4f}"
-            )
-            payload["reports"].append(
-                {"frame": fr.value, "lambda": lam, "mu": mu, "m": m, "eta1": eta1, "eta2": eta2}
-            )
-    if len(m_values) == 2:
-        gap = abs(m_values[0] - m_values[1])
+    reports = [security_decision(ensemble, fr, min_count=1)
+               for fr in _frames_for(frame_name)] if ensemble.total else []
+    for r in reports:
+        out.append(
+            f"frame={r.frame.value:13s} M={r.m_value:.6f} lambda={r.lam:.6f} mu={r.mu:.6f} "
+            f"eta1={r.eta1:.4f} eta2={r.eta2:.4f}"
+        )
+    payload["reports"] = [{"frame": r.frame.value, "lambda": r.lam, "mu": r.mu,
+                           "m": r.m_value, "eta1": r.eta1, "eta2": r.eta2} for r in reports]
+    if len(reports) == 2:
+        gap = abs(reports[0].m_value - reports[1].m_value)
         out.append(f"frame gap |dM|={gap:.3e}" + ("  (divergent)" if gap > 1e-6 else ""))
         payload["frame_gap"] = gap
     try:
@@ -224,15 +250,14 @@ def _report_security(transcript: Transcript, frame_name: str, min_aborts: int,
     except InsufficientDataError as exc:
         out.append(f"verdict: NO VERDICT ({exc})")
         payload["verdict"] = "insufficient_data"
-        return EXIT_ERROR
-    m = m_values[0]
-    secure = is_violation(m)
+        return EXIT_ERROR, out, payload
+    m, secure = reports[0].m_value, reports[0].secure
     payload["verdict"] = "secure" if secure else "insecure"
     if secure:
         out.append(f"verdict: SECURE (M = {m:.6f} > 1)")
-        return EXIT_OK
+        return EXIT_OK, out, payload
     out.append(f"verdict: INSECURE (M = {m:.6f} <= 1)")
-    return EXIT_INSECURE
+    return EXIT_INSECURE, out, payload
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -247,57 +272,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         jobs=cfg.jobs,
     )
     save_transcript(transcript, cfg.out)
-
-    kept = len(transcript.alice_key)
-    out = [
-        f"rounds={cfg.rounds} kept={kept} aborted={len(transcript.declarations)} "
-        f"keep_fraction={transcript.keep_fraction():.4f}",
-    ]
-    payload: dict = {
-        "rounds": cfg.rounds,
-        "seed": cfg.seed,
-        "kept": kept,
-        "aborted": len(transcript.declarations),
-        "keep_fraction": transcript.keep_fraction(),
-        "transcript": str(cfg.out),
-        "decode_failures": transcript.decode_failures(),
-    }
-    try:
-        est = qber(transcript)
-        out.append(
-            f"qber={est.rate:.6f} (mismatches={est.mismatches}/{est.kept}, "
-            f"3sigma={est.three_sigma:.6f})"
-        )
-        payload["qber"] = {"rate": est.rate, "mismatches": est.mismatches,
-                           "kept": est.kept, "three_sigma": est.three_sigma}
-    except InsufficientDataError:
-        out.append("qber=n/a (no kept rounds)")
-        payload["qber"] = None
-    counts = transcript.abort_counts()
-    out.append("declared aborts: " + " ".join(f"{l.value}={counts[l]}" for l in StateLabel))
-    payload["abort_counts"] = {l.value: counts[l] for l in StateLabel}
-    code = _report_security(transcript, cfg.frame, cfg.min_aborts, out, payload)
+    code, out, payload = _summarize(transcript, cfg.out, cfg.frame, cfg.min_aborts)
     out.append(f"transcript written to {cfg.out}")
     _emit(args, out, payload)
     return code
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    cfg = _merge_flags(SessionConfig(), args, ("frame", "min_aborts"))
     transcript = load_transcript(args.transcript)
-    out = [
-        f"transcript {args.transcript}: {len(transcript.rounds)} rounds, "
-        f"{len(transcript.declarations)} declared aborts, "
-        f"{len(transcript.alice_key)} key bits",
-    ]
-    payload: dict = {
-        "transcript": args.transcript,
-        "rounds": len(transcript.rounds),
-        "aborted": len(transcript.declarations),
-        "kept": len(transcript.alice_key),
-    }
-    frame = _check_frame(args.frame) if args.frame else "both"
-    min_aborts = args.min_aborts if args.min_aborts is not None else DEFAULT_MIN_ABORTS
-    code = _report_security(transcript, frame, min_aborts, out, payload)
+    code, out, payload = _summarize(transcript, args.transcript, cfg.frame, cfg.min_aborts)
+    out.append(f"transcript read from {args.transcript}")
     _emit(args, out, payload)
     return code
 
@@ -354,14 +339,11 @@ def cmd_sift_table(args: argparse.Namespace) -> int:
                      "verdict": derived.value,
                      "support": [[o.port.value, o.spin.value] for o in support]}
                 )
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+    _emit(args, lines, payload)
     return EXIT_OK
 
 
-def _emit(args: argparse.Namespace, out: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, out: list[str], payload: dict | list) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
     else:

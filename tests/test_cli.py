@@ -183,6 +183,9 @@ class TestConfigFile:
         pytest.param('{"eve": {"type": "intercept_resend", "phi": "0", "basis": "y",'
                      ' "fraction": %s}}' % ("1" * 400), "fraction", id="fraction-of-400-digits"),
         pytest.param("[" * 100000 + "]" * 100000, "invalid JSON", id="nested-100000-deep"),
+        pytest.param('{"rounds": %s}' % ("1" * 5000), "invalid JSON (integer literal too long)",
+                     id="rounds-of-5000-digits"),
+        ('{"min_aborts": -1}', "min_aborts"),
     ])
     def test_config_value_of_wrong_type_fails_cleanly(self, tmp_path, capsys, text, hint):
         cfg = tmp_path / "cfg.json"
@@ -226,6 +229,45 @@ class TestCheckCommand:
         bad.write_text("not json\n")
         assert main(["check", str(bad)]) == EXIT_ERROR
         assert "parse" in capsys.readouterr().err
+
+    def test_check_rejects_negative_min_aborts_before_loading(self, tmp_path, capsys):
+        code = main(["check", str(tmp_path / "nope.qkdlog"), "--min-aborts", "-1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and "min_aborts" in err
+
+    @pytest.mark.parametrize("flags, audit", [
+        pytest.param(["--rounds", "3000", "--alice-weights", "family:0.9"], [], id="secure"),
+        pytest.param(["--rounds", "3000", "--alice-weights", "family:0.9", "--eve", "0,y,0.5"],
+                     [], id="tapped"),
+        pytest.param(["--rounds", "1500"], [], id="insecure"),
+        pytest.param(["--rounds", "300"], ["--min-aborts", "500"], id="too-few-aborts"),
+        pytest.param(["--rounds", "1"], [], id="no-aborts"),
+        pytest.param(["--rounds", "400"], ["--frame", "abinitio"], id="abinitio"),
+        pytest.param(["--rounds", "300"], ["--min-aborts", "0"], id="min-aborts-0"),
+    ])
+    def test_check_json_equals_run_json(self, tmp_path, capsys, flags, audit):
+        out = tmp_path / "t.qkdlog"
+        run_code = main(["run", "--seed", "3", "--out", str(out), "--json", *flags, *audit])
+        run = json.loads(capsys.readouterr().out)
+        check_code = main(["check", str(out), "--json", *audit])
+        check = json.loads(capsys.readouterr().out)
+        assert check == run
+        assert check_code == run_code
+        if "--eve" in flags:
+            assert check["qber"]["mismatches"] > 0
+
+    def test_check_of_zero_rounds_gives_no_verdict(self, tmp_path, capsys):
+        empty = tmp_path / "empty.qkdlog"
+        empty.write_text(
+            '{"record":"header","version":1,"seed":0,"config":{"n_rounds":0}}\n'
+            '{"record":"footer","declarations":[],"alice_key":"","bob_key":""}\n'
+        )
+        code = main(["check", str(empty)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert "verdict: NO VERDICT" in captured.out and "qber=n/a" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize("field, edit", [
         ("verdict", lambda v: "abort" if v == "keep" else "keep"),

@@ -399,6 +399,9 @@ class TestSerialization:
             (lambda lines: [lines[1]] + lines, "line 1: expected header record"),
             (lambda lines: lines[:1] + ["[" * 100000 + "]" * 100000] + lines[1:],
              "line 2: invalid JSON"),
+            (lambda lines: lines[:1]
+             + [lines[1].replace('"alice_bit":', '"alice_bit":' + "1" * 5000)] + lines[2:],
+             "line 2: invalid JSON (integer literal too long)"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
