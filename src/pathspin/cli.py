@@ -7,8 +7,8 @@ table       emit the closed-form family table (p, M, eta1, eta2) as CSV
 sift-table  print the 16 (state, phi, basis) rows with supports and verdicts
 check       audit a transcript file: the same summary as run, from the file
 
-Exit codes: 0 success (and a secure verdict), 1 operational error,
-2 insecure verdict.
+Exit codes: 0 success (and a secure verdict), 1 operational error
+(a malformed command line included), 2 insecure verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NoReturn
 
 from .adversary import InterceptResend, qber
 from .errors import InsufficientDataError, ParseError, PathSpinError
@@ -350,8 +351,20 @@ def _emit(args: argparse.Namespace, out: list[str], payload: dict | list) -> Non
         print("\n".join(out))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that rejects a command line with ``EXIT_ERROR``.
+
+    argparse exits 2 on a usage error, and 2 is ``EXIT_INSECURE`` here.
+    Subparsers are built from the same class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathspin",
         description="Path-spin single-particle entanglement QKD simulator and security checker.",
     )

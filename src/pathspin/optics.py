@@ -33,7 +33,19 @@ HALF_PI = math.pi / 2.0
 _RT2 = math.sqrt(2.0)
 
 
-class Group(Enum):
+class IdentityEnum(Enum):
+    """An enum whose members hash by identity.
+
+    Members are singletons and ``Enum`` compares them by identity, so
+    ``object.__hash__`` agrees with ``==``.  ``Enum.__hash__`` hashes the
+    member's name in Python code, a cost every dict or set lookup keyed by
+    a member would pay once per round.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Group(IdentityEnum):
     """The two conjugate signal groups."""
 
     G1 = "g1"
@@ -46,7 +58,7 @@ class Group(Enum):
         return (StateLabel.PHI, StateLabel.PHI_PERP)
 
 
-class StateLabel(Enum):
+class StateLabel(IdentityEnum):
     """The four signal states; each group holds an orthogonal pair."""
 
     PSI = "psi"
@@ -64,21 +76,21 @@ class StateLabel(Enum):
         return 0 if self in (StateLabel.PSI, StateLabel.PHI) else 1
 
 
-class SpinBasis(Enum):
+class SpinBasis(IdentityEnum):
     """Receiver spin bases: sigma_z eigenstates or sigma_y eigenstates."""
 
     Z = "z"
     Y = "y"
 
 
-class Port(Enum):
+class Port(IdentityEnum):
     """Output ports of the recombining beam splitter."""
 
     TPRIME = "tprime"
     RPRIME = "rprime"
 
 
-class SpinOutcome(Enum):
+class SpinOutcome(IdentityEnum):
     """First or second vector of the chosen spin basis."""
 
     S0 = "s0"

@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, IO, Iterable
+from typing import Callable, IO, Iterable, NamedTuple
 
 from .errors import ConfigError, DecodingError, InvalidDistributionError, ParseError
 from .optics import (
     OUTCOMES,
     Group,
+    IdentityEnum,
     OutcomePair,
     SpinBasis,
     StateLabel,
@@ -37,7 +38,7 @@ TRANSCRIPT_VERSION = 1
 _HALF = Distribution((0.5, 0.5))
 
 
-class PhaseChoice(Enum):
+class PhaseChoice(IdentityEnum):
     """Receiver phase setting; the protocol uses exactly two values."""
 
     PHI_0 = "0"
@@ -48,7 +49,7 @@ class PhaseChoice(Enum):
         return 0.0 if self is PhaseChoice.PHI_0 else math.pi / 2.0
 
 
-class Verdict(Enum):
+class Verdict(IdentityEnum):
     KEEP = "keep"
     ABORT = "abort"
 
@@ -127,8 +128,14 @@ class BobPolicy:
     basis_mode: BasisMode = BasisMode.INDEPENDENT_UNIFORM
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One simulated round: its index, then the eight fields of its kind.
+
+    A tuple, so ``record[1:]`` is the round's entry of ``_KINDS``, and
+    ``tuple.__new__(RoundRecord, fields)`` builds one without running
+    Python code.
+    """
+
     round_index: int
     label: StateLabel
     phi: PhaseChoice
@@ -203,7 +210,7 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     basis = _BASES[basis_idx]
     outcome_idx, rng = rng.sample(receiver_distribution(state, _RADIANS[phi_idx], basis))
 
-    return RoundRecord(index, *_KINDS[label_idx][phi_idx][basis_idx][outcome_idx])
+    return tuple.__new__(RoundRecord, (index, *_KINDS[label_idx][phi_idx][basis_idx][outcome_idx]))
 
 
 @dataclass
@@ -254,7 +261,8 @@ def run_session(
 ) -> Transcript:
     """Run ``n_rounds`` rounds and assemble keys and abort declarations.
 
-    Round ``i`` draws only from stream ``i`` of ``seed``.  ``jobs`` must be
+    Round ``i`` draws only from stream ``i`` of ``seed``, the ``i``-th
+    generator of ``Rng.streams``.  ``jobs`` must be
     >= 1 but selects no code path: rounds always run in order on the
     calling thread, so the transcript is the same for every ``jobs``.
     """
@@ -263,7 +271,8 @@ def run_session(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    rounds = [run_round(i, alice, bob, eve, Rng(seed=seed, stream=i)) for i in range(n_rounds)]
+    rounds = [run_round(i, alice, bob, eve, rng)
+              for i, rng in enumerate(Rng.streams(seed, n_rounds))]
     declarations, alice_key, bob_key = _announce(rounds)
     return Transcript(
         seed=seed,
@@ -390,9 +399,10 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """Write a transcript as line-delimited JSON (.qkdlog).
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
-    other field: its kind's tail from ``_TAILS``, rendered at import, or
-    for a record that is no kind, one ``json.dumps``.  Lines are written
-    one at a time, never joined.
+    other field.  The tail is looked up in ``_TAILS``, rendered at import,
+    by the record's slice ``r[1:]``, which is its kind; a record that is
+    no kind gets one ``json.dumps``.  Lines are written one at a time,
+    never joined.
     """
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
@@ -405,8 +415,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for r in transcript.rounds:
-            tail = _TAILS.get((r.label, r.phi, r.basis, r.outcome, r.verdict, r.alice_bit,
-                               r.bob_bit, r.decode_failed))
+            tail = _TAILS.get(r[1:])
             fh.write(f"{_ROUND_HEAD}{r.round_index}{tail or _round_tail(r)}")
         footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
         fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
@@ -420,11 +429,13 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
 
     Blank lines are skipped; the first other line must be the header.  Each
     round is rebuilt from its draws, never trusted.  A canonical round line
-    -- between header and footer, ``_ROUND_HEAD``, the next index and one of
-    the 64 tails in ``_TAILS`` -- is matched by text: it is exactly what
-    ``save_transcript`` writes for its kind, so ``_round_from_obj`` would
-    give the same kind.  Every other line, round lines of another spelling
-    included, is parsed as JSON and goes through the same checks.
+    -- between header and footer, ``_ROUND_HEAD``, the next index, one of
+    the 64 tails of ``_KIND_OF_TAIL`` and a newline -- is matched by text,
+    as read: it is exactly what ``save_transcript`` writes for its kind, so
+    ``_round_from_obj`` would give the same kind.  Only a line that misses
+    is stripped and parsed as JSON, and goes through the same checks: a
+    blank line, a CRLF line end, trailing spaces, a last line without a
+    newline and round lines of another spelling all take that path.
     Raises ParseError (with the 1-based line number) on malformed or too
     deeply nested JSON, a non-object line, unknown record kinds, an
     unsupported version, truncation, a rejected round line, or a footer
@@ -438,15 +449,16 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
         footer = None
         line_no = 0
         for line_no, raw in enumerate(fh, start=1):
+            if header is not None and footer is None:
+                prefix = f"{_ROUND_HEAD}{len(rounds)}"
+                kind = (raw.startswith(prefix) and raw.endswith("\n")
+                        and _KIND_OF_TAIL.get(raw[len(prefix):-1]))
+                if kind:
+                    rounds.append(tuple.__new__(RoundRecord, (len(rounds), *kind)))
+                    continue
             raw = raw.strip()
             if not raw:
                 continue
-            if header is not None and footer is None:
-                prefix = f"{_ROUND_HEAD}{len(rounds)}"
-                kind = raw.startswith(prefix) and _KIND_OF_TAIL.get(raw[len(prefix):])
-                if kind:
-                    rounds.append(RoundRecord(len(rounds), *kind))
-                    continue
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:

@@ -11,7 +11,7 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -170,6 +170,11 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _root(mixed_seed: int, stream: int) -> int:
+    """Root of a stream, from its seed as mixed by ``_mix64``."""
+    return _mix64((mixed_seed ^ (stream & _MASK) * _STREAM_SALT) & _MASK)
+
+
 @dataclass(frozen=True)
 class Rng:
     """Counter-based deterministic generator.
@@ -182,7 +187,8 @@ class Rng:
     Draw ``k`` of a stream is one SplitMix64 finaliser applied to the
     stream's root plus ``k`` golden-ratio steps.  The root depends on
     (seed, stream) alone, so it is mixed once, when a generator is built,
-    and handed on to every successor.
+    and handed on to every successor; ``streams`` mixes the seed once for
+    a whole run of streams.
     """
 
     seed: int
@@ -191,8 +197,20 @@ class Rng:
     _root: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        root = _mix64((_mix64(self.seed & _MASK) ^ (self.stream & _MASK) * _STREAM_SALT) & _MASK)
-        object.__setattr__(self, "_root", root)
+        object.__setattr__(self, "_root", _root(_mix64(self.seed & _MASK), self.stream))
+
+    @classmethod
+    def streams(cls, seed: int, n: int) -> Iterator["Rng"]:
+        """Yield ``Rng(seed, i)`` for ``i`` in ``0 .. n-1``, mixing ``seed`` once.
+
+        Each generator is built as ``next_uniform`` builds a successor, and
+        only when it is asked for, so the streams are never held at once.
+        """
+        mixed = _mix64(seed & _MASK)
+        for stream in range(n):
+            rng = object.__new__(cls)
+            rng.__dict__.update(seed=seed, stream=stream, counter=0, _root=_root(mixed, stream))
+            yield rng
 
     def next_uniform(self) -> tuple[float, "Rng"]:
         """Draw u in [0, 1) with 53 random bits."""

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathspin
 from pathspin import load_transcript
 from pathspin.cli import (
     EXIT_ERROR,
@@ -322,3 +327,44 @@ class TestSiftTableCommand:
         kept = [r for r in rows if r["verdict"] == "keep"]
         assert len(kept) == 8
         assert all(len(r["support"]) == 2 for r in kept)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--rounds", "abc"],
+        ["check"],
+        ["bogus"],
+        [],
+    ], ids=["bad-int", "check-without-path", "unknown-command", "no-command"])
+    def test_usage_errors_exit_1_not_the_insecure_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR != EXIT_INSECURE
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Enums hash by identity, so no output may follow the order of hashes."""
+    src = str(Path(pathspin.__file__).resolve().parent.parent)
+    results = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / hash_seed
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathspin.cli", "run", "--rounds", "2000", "--seed", "3",
+             "--alice-weights", "family:0.9", "--eve", "0,y,0.5", "--out", "t.qkdlog", "--json"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        results.append((proc.returncode, proc.stdout, (cwd / "t.qkdlog").read_bytes()))
+    assert results[0][0] in (EXIT_OK, EXIT_INSECURE)
+    assert json.loads(results[0][1])["rounds"] == 2000
+    assert results[0] == results[1]

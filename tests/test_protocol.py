@@ -1,8 +1,10 @@
 """Round simulation, sifting, keys, transcripts and replay."""
 
+import dataclasses
 import hashlib
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -34,7 +36,8 @@ from pathspin.errors import (
     InvalidDistributionError,
     ParseError,
 )
-from pathspin.optics import OUTCOMES
+from pathspin import protocol
+from pathspin.optics import OUTCOMES, Port, SpinOutcome
 from pathspin.protocol import (
     _KIND_OF_TAIL,
     _KINDS,
@@ -124,6 +127,50 @@ class TestCanonicalLines:
             by_text = _KIND_OF_TAIL[line.strip()[len(head):]]
             assert RoundRecord(i, *by_text) == _round_from_obj(json.loads(line), i, 1)
             assert by_text == kind
+
+
+class TestRecordTuples:
+    def _kinds(self):
+        return [kind for rows in _KINDS for row in rows for cell in row for kind in cell]
+
+    def test_fields_in_order_with_one_default(self):
+        assert RoundRecord._fields == ("round_index", "label", "phi", "basis", "outcome",
+                                       "verdict", "alice_bit", "bob_bit", "decode_failed")
+        assert RoundRecord._field_defaults == {"decode_failed": False}
+        assert not dataclasses.is_dataclass(RoundRecord)
+
+    def test_record_slice_is_its_kind(self):
+        kinds = self._kinds()
+        assert len(kinds) == len(set(kinds)) == 64
+        for i, kind in enumerate(kinds):
+            rec = RoundRecord(i, *kind)
+            assert rec[0] == rec.round_index == i
+            assert rec[1:] == kind
+            assert _TAILS.get(rec[1:]) is not None
+
+    def test_records_are_immutable(self):
+        rec = RoundRecord(0, *self._kinds()[0])
+        with pytest.raises(AttributeError):
+            rec.verdict = Verdict.ABORT
+
+    def test_saving_never_renders_a_tail(self, monkeypatch):
+        def render(r):
+            raise AssertionError(f"round {r.round_index} missed _TAILS")
+
+        session = run_session(2000, AlicePolicy.family(0.8), BobPolicy(), seed=8,
+                              eve=InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z, 0.5))
+        monkeypatch.setattr(protocol, "_round_tail", render)
+        save_transcript(session, io.StringIO())
+
+    @pytest.mark.parametrize("enum", [StateLabel, Group, SpinBasis, Port, SpinOutcome,
+                                      PhaseChoice, Verdict])
+    def test_round_enums_hash_by_identity(self, enum):
+        assert enum.__hash__ is object.__hash__
+        for member in enum:
+            assert hash(member) == object.__hash__(member)
+            assert enum(member.value) is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert {member: 1}[enum(member.value)] == 1
 
 
 class TestPolicies:
@@ -438,6 +485,37 @@ class TestSerialization:
         canonical = load_transcript(path)
         assert canonical == session
         assert load_transcript(other) == canonical
+
+    @pytest.mark.parametrize("edit", ["crlf", "trailing-spaces", "no-final-newline"])
+    def test_off_canonical_line_ends_load_like_canonical_ones(self, tmp_path, edit):
+        session = run_session(300, AlicePolicy.family(0.9), BobPolicy(), seed=12,
+                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
+        buf = io.StringIO()
+        save_transcript(session, buf)
+        text = buf.getvalue()
+        lines = text.splitlines(keepends=True)
+        if edit == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif edit == "trailing-spaces":
+            lines[5] = lines[5][:-1] + "  \n"
+            text = "".join(lines)
+        else:
+            text = text[:-1]
+        canonical = load_transcript(io.StringIO(buf.getvalue()))
+        assert canonical == session
+        assert load_transcript(io.StringIO(text)) == canonical
+        path = tmp_path / "edited.qkdlog"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_transcript(path) == canonical
+
+    def test_round_line_with_extra_text_at_end_of_file_is_invalid_json(self):
+        session = self._small(n=3)
+        buf = io.StringIO()
+        save_transcript(session, buf)
+        lines = buf.getvalue().splitlines()
+        # the last line is a canonical round line plus one character, without newline
+        with pytest.raises(ParseError, match="line 4: invalid JSON"):
+            load_transcript(io.StringIO("\n".join(lines[:3]) + "\n" + lines[3] + "x"))
 
     def test_version_mismatch_rejected(self, tmp_path):
         session = self._small(n=4)

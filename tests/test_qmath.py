@@ -1,6 +1,7 @@
 """Linear-algebra helpers, the 3x3 eigensolver and the deterministic RNG."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -244,6 +245,19 @@ class TestRng:
                     assert nxt.next_uniform() == fresh.next_uniform()
                     assert nxt.sample((0.2, 0.3, 0.5)) == fresh.sample((0.2, 0.3, 0.5))
                     rng = nxt
+
+    def test_streams_equal_fresh_generators(self):
+        seeds = [0, 1, 7, -1, -(2**63), 2**63, 2**64, 2**64 + 5, 3**50, 5**40]
+        for seed in seeds:
+            streams = qmath.Rng.streams(seed, 40)
+            assert inspect.isgenerator(streams)
+            for stream, rng in enumerate(streams):
+                fresh = qmath.Rng(seed, stream)
+                assert rng == fresh and rng._root == fresh._root
+                assert vars(rng) == vars(fresh)
+                assert rng.next_uniform() == fresh.next_uniform()
+            assert stream == 39
+        assert list(qmath.Rng.streams(3, 0)) == []
 
     def test_generator_stays_a_frozen_three_field_value(self):
         rng = qmath.Rng(seed=5, stream=3)
