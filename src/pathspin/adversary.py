@@ -17,6 +17,7 @@ labels the sender declares are untouched by what travels the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -86,13 +87,15 @@ class InterceptResend:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InterceptResend":
+        """The adversary of an ``eve`` mapping; every one from outside is built here.
+
+        ``{"type": "intercept_resend", "phi": "0" | "pi/2", "basis": "z" | "y"}``, with
+        an optional numeric ``fraction`` (default 1).  A ConfigError names the key at fault.
+        """
         if not isinstance(cfg, dict):
             raise ConfigError(f"adversary config must be a mapping, got {cfg!r}")
         if cfg.get("type") != "intercept_resend":
             raise ConfigError(f"unknown adversary type {cfg.get('type')!r}")
-        missing = [key for key in ("phi", "basis") if key not in cfg]
-        if missing:
-            raise ConfigError(f"intercept_resend adversary needs {' and '.join(missing)}")
         fraction = cfg.get("fraction", 1.0)
         if type(fraction) not in (int, float):
             raise ConfigError(f"intercept_resend fraction must be a number, got {fraction!r}")
@@ -102,11 +105,18 @@ class InterceptResend:
             raise ConfigError(
                 "intercept_resend fraction is an integer too large for a float"
             ) from None
-        return cls(
-            phi=PhaseChoice(cfg["phi"]),
-            basis=SpinBasis(cfg["basis"]),
-            fraction=fraction,
-        )
+        return cls(phi=_setting(cfg, "phi", PhaseChoice),
+                   basis=_setting(cfg, "basis", SpinBasis), fraction=fraction)
+
+
+def _setting(cfg: dict, key: str, setting: type[Enum]) -> Enum:
+    """``cfg[key]`` as a member of ``setting``; a missing key reads as None."""
+    value = cfg.get(key)
+    try:
+        return setting(value)
+    except ValueError:
+        accepted = " or ".join(repr(member.value) for member in setting)
+        raise ConfigError(f"intercept_resend {key} must be {accepted}, got {value!r}") from None
 
 
 @dataclass(frozen=True)

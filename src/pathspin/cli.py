@@ -64,6 +64,11 @@ REFERENCE_TABLE = (
 )
 
 
+#: ``--frame`` or ``frame`` name -> the frames reported, the verdict's first.
+_FRAMES = {**{frame.value: (frame,) for frame in Frame},
+           "both": (Frame.WEIGHTS, Frame.AB_INITIO)}
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Fully resolved run configuration (defaults, file, then flags)."""
@@ -73,7 +78,7 @@ class SessionConfig:
     alice_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     basis_mode: BasisMode = BasisMode.INDEPENDENT_UNIFORM
     eve: InterceptResend | None = None
-    frame: str = "both"
+    frame: tuple[Frame, ...] = _FRAMES["both"]
     min_aborts: int = DEFAULT_MIN_ABORTS
     out: str = "session.qkdlog"
     jobs: int = 1
@@ -103,38 +108,28 @@ def parse_weights(value: str | list) -> tuple[float, float, float, float]:
     return tuple(float(x) for x in parts)
 
 
-def _parse_phase(token: str) -> PhaseChoice:
-    token = token.strip().lower()
-    if token in ("0", "zero"):
-        return PhaseChoice.PHI_0
-    if token in ("pi/2", "pi2", "half"):
-        return PhaseChoice.PHI_HALF_PI
-    raise ValueError(f"phase must be '0' or 'pi/2', got {token!r}")
-
-
 def parse_eve(value: str | dict | None) -> InterceptResend | None:
-    """Accept 'none', 'PHI,BASIS[,FRACTION]' or a config-file mapping."""
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        return InterceptResend.from_config(value)
-    value = value.strip().lower()
-    if value in ("", "none"):
-        return None
-    parts = value.split(",")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"adversary must be 'PHI,BASIS[,FRACTION]', got {value!r}")
-    return InterceptResend(
-        phi=_parse_phase(parts[0]),
-        basis=SpinBasis(parts[1].strip()),
-        fraction=float(parts[2]) if len(parts) == 3 else 1.0,
-    )
+    """Accept None, 'none', 'PHI,BASIS[,FRACTION]' or a config-file mapping.
+
+    A string is shorthand for the mapping ``InterceptResend.from_config``
+    reads, so ``--eve`` takes exactly the values a config file does."""
+    if isinstance(value, str):
+        parts = [part.strip() for part in value.split(",")]
+        if parts in ([""], ["none"]):
+            return None
+        if len(parts) not in (2, 3):
+            raise ValueError(f"adversary must be 'PHI,BASIS[,FRACTION]', got {value!r}")
+        value = {"type": "intercept_resend", "phi": parts[0], "basis": parts[1],
+                 "fraction": float(parts[2]) if len(parts) == 3 else 1.0}
+    return None if value is None else InterceptResend.from_config(value)
 
 
-def _check_frame(name: str) -> str:
-    if name not in ("abinitio", "weights", "both"):
-        raise ValueError(f"frame must be abinitio, weights or both, got {name!r}")
-    return name
+def _parse_frames(name: str) -> tuple[Frame, ...]:
+    """The frames a ``--frame`` or ``frame`` name selects."""
+    if not isinstance(name, str) or name not in _FRAMES:
+        *names, last = _FRAMES
+        raise ValueError(f"frame must be {', '.join(names)} or {last}, got {name!r}")
+    return _FRAMES[name]
 
 
 def _check_min_aborts(count: int) -> int:
@@ -150,7 +145,7 @@ _PARSERS = {
     "alice_weights": parse_weights,
     "basis_mode": BasisMode,
     "eve": parse_eve,
-    "frame": _check_frame,
+    "frame": _parse_frames,
     "min_aborts": _check_min_aborts,
     "out": str,
     "jobs": int,
@@ -196,13 +191,7 @@ def _merge_flags(cfg: SessionConfig, args: argparse.Namespace,
     return _apply(cfg, {key: value for key, value in flags.items() if value is not None})
 
 
-def _frames_for(name: str) -> list[Frame]:
-    if name == "both":
-        return [Frame.WEIGHTS, Frame.AB_INITIO]
-    return [Frame(name)]
-
-
-def _summarize(transcript: Transcript, path: str, frame_name: str,
+def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
                min_aborts: int) -> tuple[int, list[str], dict]:
     """Exit code, text lines and JSON payload of the summary of ``transcript``.
 
@@ -234,7 +223,7 @@ def _summarize(transcript: Transcript, path: str, frame_name: str,
     payload["abort_counts"] = counts
     # an empty ensemble has no correlation matrix; require_aborts reports it
     reports = [security_decision(ensemble, fr, min_count=1)
-               for fr in _frames_for(frame_name)] if ensemble.total else []
+               for fr in frames] if ensemble.total else []
     for r in reports:
         out.append(
             f"frame={r.frame.value:13s} M={r.m_value:.6f} lambda={r.lam:.6f} mu={r.mu:.6f} "

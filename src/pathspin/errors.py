@@ -27,8 +27,8 @@ class InvalidDistributionError(PathSpinError):
     """Sampling weights are negative or do not sum to one."""
 
 
-class ConfigError(PathSpinError):
-    """A session or replay was configured with unusable parameters."""
+class ConfigError(PathSpinError, ValueError):
+    """A session or replay was configured with unusable parameters (a bad value)."""
 
 
 class DecodingError(PathSpinError):

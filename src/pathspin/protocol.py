@@ -296,7 +296,14 @@ def _announce(
 
 
 def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
-    """Re-run a session from a transcript's header configuration."""
+    """Re-run a session from a transcript's header configuration.
+
+    ``load_transcript`` checks only the header's ``n_rounds``; the other
+    keys are read here, and a missing or unusable one raises
+    ``ConfigError`` naming it.  ``eve_factory`` builds the adversary of the
+    header's ``eve``; ``InterceptResend.from_config`` is the one for
+    transcripts this package writes.
+    """
     cfg = transcript.config
     eve_cfg = cfg.get("eve")
     eve = None
@@ -306,31 +313,44 @@ def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object]
         eve = eve_factory(eve_cfg)
     return run_session(
         n_rounds=cfg["n_rounds"],
-        alice=AlicePolicy(tuple(cfg["alice_weights"])),
-        bob=BobPolicy(BasisMode(cfg["basis_mode"])),
+        alice=_header_value(cfg, "alice_weights", lambda w: AlicePolicy(tuple(w))),
+        bob=_header_value(cfg, "basis_mode", lambda mode: BobPolicy(BasisMode(mode))),
         eve=eve,
         seed=transcript.seed,
     )
+
+
+def _header_value(cfg: dict, key: str, parse: Callable):
+    """``parse(cfg[key])``, or a ConfigError naming ``key``."""
+    if key not in cfg:
+        raise ConfigError(f"transcript config has no {key}")
+    try:
+        return parse(cfg[key])
+    except (TypeError, ValueError, InvalidDistributionError) as exc:
+        raise ConfigError(f"transcript config {key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # transcript serialization: one JSON object per line, header / rounds / footer
 
 
+#: The keys of a round line after ``round_index``: the first ``_DRAWN``
+#: name what the round drew, the rest what follows from it.
+_ROUND_KEYS = ("label", "phi", "basis", "port", "spin",
+               "verdict", "alice_bit", "bob_bit", "decode_failed")
+_DRAWN = 5
+
+
+def _as_written(kind: tuple) -> tuple:
+    """A kind's values as its round line writes them, in ``_ROUND_KEYS`` order."""
+    label, phi, basis, outcome, verdict, *bits = kind
+    return (label.value, phi.value, basis.value, outcome.port.value, outcome.spin.value,
+            verdict.value, *bits)
+
+
 def _round_to_obj(r: RoundRecord) -> dict:
-    return {
-        "record": "round",
-        "round_index": r.round_index,
-        "label": r.label.value,
-        "phi": r.phi.value,
-        "basis": r.basis.value,
-        "port": r.outcome.port.value,
-        "spin": r.outcome.spin.value,
-        "verdict": r.verdict.value,
-        "alice_bit": r.alice_bit,
-        "bob_bit": r.bob_bit,
-        "decode_failed": r.decode_failed,
-    }
+    return {"record": "round", "round_index": r.round_index,
+            **dict(zip(_ROUND_KEYS, _as_written(r[1:])))}
 
 
 def _bits_to_str(bits: Iterable[int]) -> str:
@@ -355,17 +375,13 @@ _ROUND_HEAD = '{"record":"round","round_index":'
 
 def _round_tail(r: RoundRecord) -> str:
     """The part of a round's line after ``round_index``, newline included."""
-    obj = _round_to_obj(r)
-    del obj["record"], obj["round_index"]
-    return "," + json.dumps(obj, separators=(",", ":"))[1:] + "\n"
+    tail = json.dumps(dict(zip(_ROUND_KEYS, _as_written(r[1:]))), separators=(",", ":"))
+    return f",{tail[1:]}\n"
 
 
-#: Drawn fields as written -> (kind, its verdict and bits as written).
-_KIND_OF_TEXT = {
-    (l.value, p.value, b.value, o.port.value, o.spin.value):
-        ((l, p, b, o, v, *bits), (v.value, *bits))
-    for rows in _KINDS for row in rows for cell in row for l, p, b, o, v, *bits in cell
-}
+#: Drawn values as written -> (kind, the values that follow from it as written).
+_KIND_OF_TEXT = {text[:_DRAWN]: (kind, text[_DRAWN:]) for kind, text in (
+    (kind, _as_written(kind)) for rows in _KINDS for row in rows for cell in row for kind in cell)}
 #: Kind -> the tail of its round line.
 _TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind, _ in _KIND_OF_TEXT.values()}
 #: The tail of a canonical round line, newline stripped -> its kind.
@@ -378,20 +394,20 @@ def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
     A line without ``decode_failed`` (as early files were written) declares False."""
     if obj.get("round_index") != index:
         raise ParseError(f"round_index {obj.get('round_index')!r}, expected {index}", line=line)
+    *keys, last = _ROUND_KEYS
     try:
-        drawn = (obj["label"], obj["phi"], obj["basis"], obj["port"], obj["spin"])
-        declared = (obj["verdict"], obj["alice_bit"], obj["bob_bit"],
-                    obj.get("decode_failed", False))
+        values = (*(obj[key] for key in keys), obj.get(last, False))
     except KeyError as exc:
         raise ParseError(f"round record without {exc}", line=line) from None
+    drawn, declared = values[:_DRAWN], values[_DRAWN:]
     try:
         kind, derived = _KIND_OF_TEXT[drawn]
     except (KeyError, TypeError):
         raise ParseError(f"no round draws {drawn!r}", line=line) from None
     if declared != derived:
-        names = ("verdict", "alice_bit", "bob_bit", "decode_failed")
         raise ParseError("; ".join(f"{k} {got!r}, expected {want!r}" for k, got, want in
-                                   zip(names, declared, derived) if got != want), line=line)
+                                   zip(_ROUND_KEYS[_DRAWN:], declared, derived) if got != want),
+                         line=line)
     return RoundRecord(index, *kind)
 
 
@@ -475,17 +491,22 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             if header is None:
                 if kind != "header":
                     raise ParseError(f"expected header record, got {kind!r}", line=line_no)
-                if obj.get("version") != TRANSCRIPT_VERSION:
-                    raise ParseError(
-                        f"unsupported transcript version {obj.get('version')!r}", line=line_no
-                    )
-                if not isinstance(obj.get("seed"), int):
+                # JSON integers only: True and 1.0 compare equal to 1
+                version = obj.get("version")
+                if type(version) is not int or version != TRANSCRIPT_VERSION:
+                    raise ParseError(f"unsupported transcript version {version!r}", line=line_no)
+                if type(obj.get("seed")) is not int:
                     raise ParseError(
                         f"header needs an integer seed, got {obj.get('seed')!r}", line=line_no
                     )
                 if not isinstance(obj.get("config"), dict):
                     raise ParseError(
                         f"header needs a config object, got {obj.get('config')!r}", line=line_no
+                    )
+                n_rounds = obj["config"].get("n_rounds")
+                if type(n_rounds) is not int:
+                    raise ParseError(
+                        f"header needs an integer n_rounds, got {n_rounds!r}", line=line_no
                     )
                 header = obj
             elif kind == "round":
@@ -517,13 +538,13 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                     f"footer {key} does not match the round records", line=footer_line
                 )
         return Transcript(
-            seed=int(header["seed"]),
+            seed=header["seed"],
             config=header["config"],
             rounds=rounds,
             declarations=declarations,
             alice_key=alice_key,
             bob_key=bob_key,
-            version=int(header["version"]),
+            version=header["version"],
         )
     finally:
         if own:

@@ -368,3 +368,55 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert results[0][0] in (EXIT_OK, EXIT_INSECURE)
     assert json.loads(results[0][1])["rounds"] == 2000
     assert results[0] == results[1]
+
+
+class TestOneAdversaryGrammar:
+    @pytest.mark.parametrize("text, mapping", [
+        ("0,y", {"type": "intercept_resend", "phi": "0", "basis": "y"}),
+        ("pi/2,z,0.25", {"type": "intercept_resend", "phi": "pi/2", "basis": "z",
+                         "fraction": 0.25}),
+        (" pi/2 , z ", {"type": "intercept_resend", "phi": "pi/2", "basis": "z"}),
+    ])
+    def test_flag_is_shorthand_for_the_mapping(self, text, mapping):
+        assert parse_eve(text) == parse_eve(mapping)
+
+    @pytest.mark.parametrize("text, key", [
+        ("half,y", "phi"),
+        ("zero,y", "phi"),
+        ("PI/2,Z", "phi"),
+        ("1.57,z", "phi"),
+        ("0,Y", "basis"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_and_config_refuse_the_same_spellings(self, tmp_path, capsys, text, key,
+                                                       source):
+        out = tmp_path / "t.qkdlog"
+        if source == "flag":
+            argv = ["run", "--rounds", "10", "--eve", text]
+        else:
+            phi, basis = text.split(",")
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"rounds": 10, "eve": {
+                "type": "intercept_resend", "phi": phi, "basis": basis}}))
+            argv = ["run", "--config", str(cfg)]
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and f"intercept_resend {key} must be" in err
+        assert not out.exists()
+
+
+class TestFrameFromConfig:
+    @pytest.mark.parametrize("frame", ["abinitio", "weights", "both"])
+    def test_config_frame_selects_the_reports_the_flag_does(self, tmp_path, capsys, frame):
+        out = str(tmp_path / "t.qkdlog")
+        flag_code = main(["run", "--rounds", "400", "--seed", "3", "--frame", frame,
+                          "--out", out, "--json"])
+        by_flag = json.loads(capsys.readouterr().out)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rounds": 400, "seed": 3, "frame": frame, "out": out}))
+        config_code = main(["run", "--config", str(cfg), "--json"])
+        by_config = json.loads(capsys.readouterr().out)
+        assert config_code == flag_code
+        assert by_config == by_flag
+        assert len(by_config["reports"]) == (2 if frame == "both" else 1)

@@ -42,6 +42,7 @@ from pathspin.protocol import (
     _KIND_OF_TAIL,
     _KINDS,
     _ROUND_HEAD,
+    _ROUND_KEYS,
     _SIFTED,
     _TAILS,
     RoundRecord,
@@ -449,6 +450,14 @@ class TestSerialization:
             (lambda lines: lines[:1]
              + [lines[1].replace('"alice_bit":', '"alice_bit":' + "1" * 5000)] + lines[2:],
              "line 2: invalid JSON (integer literal too long)"),
+            (lambda lines: [_edit_key(lines[0], "seed", lambda seed: True)] + lines[1:],
+             "line 1: header needs an integer seed, got True"),
+            (lambda lines: [_edit_key(lines[0], "version", lambda version: True)] + lines[1:],
+             "line 1: unsupported transcript version True"),
+            (lambda lines: [_edit_key(lines[0], "version", float)] + lines[1:],
+             "line 1: unsupported transcript version 1.0"),
+            (lambda lines: [_edit_key(lines[0], "config", lambda cfg: {**cfg, "n_rounds": 8.0})]
+             + lines[1:], "line 1: header needs an integer n_rounds, got 8.0"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
@@ -533,3 +542,40 @@ class TestSerialization:
         empty = Transcript(seed=0, config={}, rounds=[], declarations=[],
                            alice_key=[], bob_key=[])
         assert empty.keep_fraction() == 0.0
+
+
+class TestOneSpellingPerKey:
+    def test_round_objects_have_the_keys_in_order(self):
+        eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)
+        session = run_session(n_rounds=64, alice=AlicePolicy.uniform(), bob=BobPolicy(),
+                              eve=eve, seed=4)
+        for r in session.rounds:
+            assert tuple(_round_to_obj(r)) == ("record", "round_index", *_ROUND_KEYS)
+
+
+class TestReplayOfAMalformedHeader:
+    @pytest.mark.parametrize("edit, key", [
+        pytest.param(lambda cfg: cfg.pop("alice_weights"), "alice_weights", id="no-weights"),
+        pytest.param(lambda cfg: cfg.pop("basis_mode"), "basis_mode", id="no-basis-mode"),
+        pytest.param(lambda cfg: cfg.update(basis_mode="sideways"), "basis_mode",
+                     id="basis-mode-sideways"),
+        pytest.param(lambda cfg: cfg.update(alice_weights="abcd"), "alice_weights",
+                     id="weights-abcd"),
+        pytest.param(lambda cfg: cfg.update(alice_weights=5), "alice_weights",
+                     id="weights-not-a-list"),
+        pytest.param(lambda cfg: cfg.update(alice_weights=[0.5] * 4), "alice_weights",
+                     id="weights-not-summing-to-1"),
+        pytest.param(lambda cfg: cfg.update(eve={"type": "intercept_resend", "phi": "half",
+                                                 "basis": "y"}), "phi", id="eve-phi-half"),
+    ])
+    def test_replay_raises_a_config_error_naming_the_key(self, tmp_path, edit, key):
+        session = run_session(n_rounds=8, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=2)
+        path = tmp_path / "session.qkdlog"
+        save_transcript(session, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header["config"])
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        loaded = load_transcript(path)
+        with pytest.raises(ConfigError, match=key):
+            replay_session(loaded, eve_factory=InterceptResend.from_config)
