@@ -17,11 +17,11 @@ labels the sender declares are untouched by what travels the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, InvalidDistributionError
+from .errors import (ConfigError, InsufficientDataError, InvalidDistributionError, json_choice,
+                     json_number)
 from .optics import (
     OUTCOMES,
     OutcomePair,
@@ -96,27 +96,9 @@ class InterceptResend:
             raise ConfigError(f"adversary config must be a mapping, got {cfg!r}")
         if cfg.get("type") != "intercept_resend":
             raise ConfigError(f"unknown adversary type {cfg.get('type')!r}")
-        fraction = cfg.get("fraction", 1.0)
-        if type(fraction) not in (int, float):
-            raise ConfigError(f"intercept_resend fraction must be a number, got {fraction!r}")
-        try:
-            fraction = float(fraction)
-        except OverflowError:
-            raise ConfigError(
-                "intercept_resend fraction is an integer too large for a float"
-            ) from None
-        return cls(phi=_setting(cfg, "phi", PhaseChoice),
-                   basis=_setting(cfg, "basis", SpinBasis), fraction=fraction)
-
-
-def _setting(cfg: dict, key: str, setting: type[Enum]) -> Enum:
-    """``cfg[key]`` as a member of ``setting``; a missing key reads as None."""
-    value = cfg.get(key)
-    try:
-        return setting(value)
-    except ValueError:
-        accepted = " or ".join(repr(member.value) for member in setting)
-        raise ConfigError(f"intercept_resend {key} must be {accepted}, got {value!r}") from None
+        return cls(phi=json_choice(cfg.get("phi"), PhaseChoice, "intercept_resend phi"),
+                   basis=json_choice(cfg.get("basis"), SpinBasis, "intercept_resend basis"),
+                   fraction=json_number(cfg.get("fraction", 1.0), "intercept_resend fraction"))
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
 from .adversary import InterceptResend, qber
-from .errors import InsufficientDataError, ParseError, PathSpinError
+from .errors import (InsufficientDataError, ParseError, PathSpinError, is_json_int, json_choice,
+                     read_json)
 from .optics import SpinBasis, StateLabel, outcome_support
 from .protocol import (
     AlicePolicy,
@@ -85,27 +87,19 @@ class SessionConfig:
 
 
 def parse_weights(value: str | list) -> tuple[float, float, float, float]:
-    """Accept 'uniform', 'family:P', four comma-separated weights or a list of four numbers."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 4:
-            raise ValueError(f"need 4 weights, got {len(value)}")
-        if not all(type(x) in (int, float) for x in value):
-            raise ValueError(f"weights must be numbers, got {json.dumps(value)}")
-        try:
-            return tuple(float(x) for x in value)
-        except OverflowError:
-            raise ValueError("alice_weights has an integer too large for a float") from None
-    if not isinstance(value, str):
-        raise ValueError(f"weights must be a string or a list, got {json.dumps(value)}")
-    value = value.strip()
-    if value == "uniform":
-        return (0.25, 0.25, 0.25, 0.25)
-    if value.startswith("family:"):
-        return AlicePolicy.family(float(value.split(":", 1)[1])).weights
-    parts = value.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"need 4 comma-separated weights, got {value!r}")
-    return tuple(float(x) for x in parts)
+    """The weights of a list of four numbers, read by ``AlicePolicy.from_config``.
+
+    A string is shorthand for such a list: 'uniform', 'family:P' or four
+    comma-separated weights."""
+    if isinstance(value, str):
+        value = value.strip()
+        if value == "uniform":
+            value = [0.25] * 4
+        elif value.startswith("family:"):
+            value = list(AlicePolicy.family(float(value.split(":", 1)[1])).weights)
+        else:
+            value = [float(x) for x in value.split(",")]
+    return AlicePolicy.from_config(value).weights
 
 
 def parse_eve(value: str | dict | None) -> InterceptResend | None:
@@ -132,52 +126,46 @@ def _parse_frames(name: str) -> tuple[Frame, ...]:
     return _FRAMES[name]
 
 
-def _check_min_aborts(count: int) -> int:
-    if count < 0:
-        raise ValueError(f"min_aborts must be >= 0, got {count}")
-    return count
+def _integer(value: object, key: str, least: int | None = None) -> int:
+    """The value of ``key``: a JSON integer (a flag's is one), at least ``least`` if given."""
+    if not is_json_int(value):
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _check_out(path: object) -> str:
+    if not isinstance(path, str):
+        raise ValueError(f"out must be a string, got {json.dumps(path)}")
+    return path
 
 
 #: How a config-file value or a flag value becomes each SessionConfig field.
 _PARSERS = {
-    "rounds": int,
-    "seed": int,
+    "rounds": partial(_integer, key="rounds"),
+    "seed": partial(_integer, key="seed"),
     "alice_weights": parse_weights,
-    "basis_mode": BasisMode,
+    "basis_mode": lambda mode: json_choice(mode, BasisMode, "basis_mode"),
     "eve": parse_eve,
     "frame": _parse_frames,
-    "min_aborts": _check_min_aborts,
-    "out": str,
-    "jobs": int,
+    "min_aborts": partial(_integer, key="min_aborts", least=0),
+    "out": _check_out,
+    "jobs": partial(_integer, key="jobs"),
 }
-#: A field whose parser is a key here takes only a value of that JSON type.
-_JSON_TYPES = {int: int, _check_min_aborts: int, str: str}
-_TYPE_NAMES = {int: "an integer", str: "a string"}
 _CONFIG_KEYS = tuple(f.name for f in fields(SessionConfig))
 
 
 def _apply(cfg: SessionConfig, values: dict) -> SessionConfig:
-    for key, value in values.items():
-        json_type = _JSON_TYPES.get(_PARSERS[key])
-        # a bool is an int to Python, and int() would truncate a float
-        if json_type is not None and type(value) is not json_type:
-            raise ValueError(f"{key} must be {_TYPE_NAMES[json_type]}, got {json.dumps(value)}")
     return replace(cfg, **{key: _PARSERS[key](value) for key, value in values.items()})
 
 
 def load_config(path: str) -> SessionConfig:
     """Read a JSON config file and validate it against the known keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
-        except RecursionError:
-            raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
-        except ValueError:  # from int(), for a literal beyond the interpreter's digit limit
-            raise ValueError(f"{path}: invalid JSON (integer literal too long)") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    try:
+        raw = read_json(Path(path).read_text(encoding="utf-8"))
+    except ParseError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     unknown = set(raw).difference(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")

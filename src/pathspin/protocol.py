@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, IO, Iterable, NamedTuple
 
-from .errors import ConfigError, DecodingError, InvalidDistributionError, ParseError
+from .errors import (ConfigError, DecodingError, InvalidDistributionError, ParseError,
+                     is_json_bool, is_json_int, json_choice, json_number, read_json)
 from .optics import (
     OUTCOMES,
     Group,
@@ -119,6 +121,19 @@ class AlicePolicy:
             raise InvalidDistributionError(f"family parameter must lie in [0, 1], got {p!r}")
         q = (1.0 - p) / 3.0
         return cls((p, q, q, q))
+
+    @classmethod
+    def from_config(cls, weights: list) -> "AlicePolicy":
+        """The source of an ``alice_weights`` list of four JSON numbers.
+
+        Every such list from outside is read here: a config file's, a flag's
+        as ``cli.parse_weights`` expands it, or a transcript header's."""
+        if not isinstance(weights, list) or len(weights) != 4:
+            raise ConfigError(f"alice_weights must be a list of 4 numbers, got {weights!r}")
+        try:
+            return cls(tuple(json_number(w, "alice_weights") for w in weights))
+        except InvalidDistributionError as exc:
+            raise ConfigError(f"alice_weights: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -299,35 +314,23 @@ def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object]
     """Re-run a session from a transcript's header configuration.
 
     ``load_transcript`` checks only the header's ``n_rounds``; the other
-    keys are read here, and a missing or unusable one raises
-    ``ConfigError`` naming it.  ``eve_factory`` builds the adversary of the
+    keys are read here as a config file's are, and a missing or unusable
+    one raises ``ConfigError`` naming it (``alice_weights`` must be a list
+    of four JSON numbers).  ``eve_factory`` builds the adversary of the
     header's ``eve``; ``InterceptResend.from_config`` is the one for
     transcripts this package writes.
     """
     cfg = transcript.config
-    eve_cfg = cfg.get("eve")
-    eve = None
-    if eve_cfg is not None:
-        if eve_factory is None:
-            raise ConfigError("transcript has an adversary; supply eve_factory")
-        eve = eve_factory(eve_cfg)
+    eve = cfg.get("eve")
+    if eve is not None and eve_factory is None:
+        raise ConfigError("transcript has an adversary; supply eve_factory")
     return run_session(
         n_rounds=cfg["n_rounds"],
-        alice=_header_value(cfg, "alice_weights", lambda w: AlicePolicy(tuple(w))),
-        bob=_header_value(cfg, "basis_mode", lambda mode: BobPolicy(BasisMode(mode))),
-        eve=eve,
+        alice=AlicePolicy.from_config(cfg.get("alice_weights")),
+        bob=BobPolicy(json_choice(cfg.get("basis_mode"), BasisMode, "basis_mode")),
+        eve=None if eve is None else eve_factory(eve),
         seed=transcript.seed,
     )
-
-
-def _header_value(cfg: dict, key: str, parse: Callable):
-    """``parse(cfg[key])``, or a ConfigError naming ``key``."""
-    if key not in cfg:
-        raise ConfigError(f"transcript config has no {key}")
-    try:
-        return parse(cfg[key])
-    except (TypeError, ValueError, InvalidDistributionError) as exc:
-        raise ConfigError(f"transcript config {key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +391,17 @@ _TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind, _ in _KIND_OF_TEXT.
 _KIND_OF_TAIL = {tail[:-1]: kind for kind, tail in _TAILS.items()}
 
 
+def _typed(value: object) -> tuple:
+    """``value`` with its JSON type, so that ``true``, ``1.0`` and ``1`` differ as on a line."""
+    return is_json_int(value), is_json_bool(value), value
+
+
 def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
     """Round ``index`` built from the kind ``obj`` draws, if ``obj`` declares its fields.
 
-    A line without ``decode_failed`` (as early files were written) declares False."""
-    if obj.get("round_index") != index:
+    Each declared field must be the kind's value with its JSON type.  A line
+    without ``decode_failed`` (as early files were written) declares False."""
+    if _typed(obj.get("round_index")) != _typed(index):
         raise ParseError(f"round_index {obj.get('round_index')!r}, expected {index}", line=line)
     *keys, last = _ROUND_KEYS
     try:
@@ -404,10 +413,10 @@ def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
         kind, derived = _KIND_OF_TEXT[drawn]
     except (KeyError, TypeError):
         raise ParseError(f"no round draws {drawn!r}", line=line) from None
-    if declared != derived:
-        raise ParseError("; ".join(f"{k} {got!r}, expected {want!r}" for k, got, want in
-                                   zip(_ROUND_KEYS[_DRAWN:], declared, derived) if got != want),
-                         line=line)
+    wrong = [f"{k} {got!r}, expected {want!r}" for k, got, want in
+             zip(_ROUND_KEYS[_DRAWN:], declared, derived) if _typed(got) != _typed(want)]
+    if wrong:
+        raise ParseError("; ".join(wrong), line=line)
     return RoundRecord(index, *kind)
 
 
@@ -416,13 +425,12 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
     other field.  The tail is looked up in ``_TAILS``, rendered at import,
-    by the record's slice ``r[1:]``, which is its kind; a record that is
-    no kind gets one ``json.dumps``.  Lines are written one at a time,
-    never joined.
+    by the record's slice ``r[1:]``, which is its kind; a record of none of
+    the 64 kinds raises a ValueError naming its round, and the file is left
+    without a footer.  Lines are written one at a time, never joined.
     """
-    own = isinstance(dest, (str, Path))
-    fh = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with (open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path))
+          else nullcontext(dest)) as fh:
         header = {
             "record": "header",
             "version": transcript.version,
@@ -430,14 +438,13 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
             "config": transcript.config,
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for r in transcript.rounds:
-            tail = _TAILS.get(r[1:])
-            fh.write(f"{_ROUND_HEAD}{r.round_index}{tail or _round_tail(r)}")
+        try:
+            for r in transcript.rounds:
+                fh.write(f"{_ROUND_HEAD}{r.round_index}{_TAILS[r[1:]]}")
+        except (KeyError, TypeError):
+            raise ValueError(f"round {r.round_index} is none of the 64 kinds: {r!r}") from None
         footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
         fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
@@ -449,17 +456,18 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     the 64 tails of ``_KIND_OF_TAIL`` and a newline -- is matched by text,
     as read: it is exactly what ``save_transcript`` writes for its kind, so
     ``_round_from_obj`` would give the same kind.  Only a line that misses
-    is stripped and parsed as JSON, and goes through the same checks: a
-    blank line, a CRLF line end, trailing spaces, a last line without a
-    newline and round lines of another spelling all take that path.
-    Raises ParseError (with the 1-based line number) on malformed or too
-    deeply nested JSON, a non-object line, unknown record kinds, an
-    unsupported version, truncation, a rejected round line, or a footer
-    that the rounds refute.  The file is read one line at a time.
+    is stripped and parsed by ``read_json``, and goes through the same
+    checks: a blank line, a CRLF line end, trailing spaces, a last line
+    without a newline and round lines of another spelling all take that
+    path.  Every field of such a line, and the header's ``version``,
+    ``seed`` and ``n_rounds``, must have the JSON type ``save_transcript``
+    writes: ``"alice_bit": 0.0`` is refused.  Raises ParseError (with the
+    1-based line number) on malformed or too deeply nested JSON, a
+    non-object line, unknown record kinds, an unsupported version,
+    truncation, a rejected round line, or a footer that the rounds refute.
+    The file is read one line at a time.
     """
-    own = isinstance(src, (str, Path))
-    fh = open(src, "r", encoding="utf-8") if own else src
-    try:
+    with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         header = None
         rounds: list[RoundRecord] = []
         footer = None
@@ -475,39 +483,20 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             raw = raw.strip()
             if not raw:
                 continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line=line_no) from exc
-            except RecursionError:
-                raise ParseError("invalid JSON (nested too deeply)", line=line_no) from None
-            except ValueError:  # from int(), for a literal beyond the interpreter's digit limit
-                raise ParseError("invalid JSON (integer literal too long)", line=line_no) from None
-            if not isinstance(obj, dict):
-                raise ParseError(
-                    f"expected a JSON object, got {type(obj).__name__}", line=line_no
-                )
+            obj = read_json(raw, line_no)
             kind = obj.get("record")
             if header is None:
                 if kind != "header":
                     raise ParseError(f"expected header record, got {kind!r}", line=line_no)
                 # JSON integers only: True and 1.0 compare equal to 1
-                version = obj.get("version")
-                if type(version) is not int or version != TRANSCRIPT_VERSION:
+                version, config = obj.get("version"), obj.get("config")
+                if not is_json_int(version) or version != TRANSCRIPT_VERSION:
                     raise ParseError(f"unsupported transcript version {version!r}", line=line_no)
-                if type(obj.get("seed")) is not int:
-                    raise ParseError(
-                        f"header needs an integer seed, got {obj.get('seed')!r}", line=line_no
-                    )
-                if not isinstance(obj.get("config"), dict):
-                    raise ParseError(
-                        f"header needs a config object, got {obj.get('config')!r}", line=line_no
-                    )
-                n_rounds = obj["config"].get("n_rounds")
-                if type(n_rounds) is not int:
-                    raise ParseError(
-                        f"header needs an integer n_rounds, got {n_rounds!r}", line=line_no
-                    )
+                if not isinstance(config, dict):
+                    raise ParseError(f"header needs a config object, got {config!r}", line_no)
+                for key, value in (("seed", obj.get("seed")), ("n_rounds", config.get("n_rounds"))):
+                    if not is_json_int(value):
+                        raise ParseError(f"header needs an integer {key}, got {value!r}", line_no)
                 header = obj
             elif kind == "round":
                 if footer is not None:
@@ -527,25 +516,12 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             raise ParseError("transcript ended before footer record", line=line_no + 1)
         expected = header["config"].get("n_rounds")
         if expected != len(rounds):
-            raise ParseError(
-                f"header announces {expected} rounds, found {len(rounds)}", line=line_no
-            )
+            raise ParseError(f"header announces {expected} rounds, found {len(rounds)}", line_no)
         declarations, alice_key, bob_key = _announce(rounds)
         derived = _footer_obj(declarations, alice_key, bob_key)
         for key in ("declarations", "alice_key", "bob_key"):
             if footer.get(key) != derived[key]:
-                raise ParseError(
-                    f"footer {key} does not match the round records", line=footer_line
-                )
-        return Transcript(
-            seed=header["seed"],
-            config=header["config"],
-            rounds=rounds,
-            declarations=declarations,
-            alice_key=alice_key,
-            bob_key=bob_key,
-            version=header["version"],
-        )
-    finally:
-        if own:
-            fh.close()
+                raise ParseError(f"footer {key} does not match the round records", footer_line)
+        return Transcript(seed=header["seed"], config=header["config"], rounds=rounds,
+                          declarations=declarations, alice_key=alice_key, bob_key=bob_key,
+                          version=header["version"])

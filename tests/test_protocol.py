@@ -458,6 +458,15 @@ class TestSerialization:
              "line 1: unsupported transcript version 1.0"),
             (lambda lines: [_edit_key(lines[0], "config", lambda cfg: {**cfg, "n_rounds": 8.0})]
              + lines[1:], "line 1: header needs an integer n_rounds, got 8.0"),
+            (lambda lines: lines[:1] + [lines[1].replace('"alice_bit":0,', '"alice_bit":0.0,')]
+             + lines[2:], "line 2: alice_bit 0.0, expected 0"),
+            (lambda lines: lines[:1] + [lines[1].replace('"decode_failed":false',
+                                                         '"decode_failed":0')]
+             + lines[2:], "line 2: decode_failed 0, expected False"),
+            (lambda lines: lines[:1] + [lines[1].replace('"round_index":0,', '"round_index":0.0,')]
+             + lines[2:], "line 2: round_index 0.0, expected 0"),
+            (lambda lines: lines[:3] + [lines[3].replace('"bob_bit":1,', '"bob_bit":true,')]
+             + lines[4:], "line 4: bob_bit True, expected 1"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
@@ -470,6 +479,13 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             load_transcript(bad)
         assert hint in str(err.value)
+
+    def test_saving_refuses_a_record_of_no_kind(self):
+        session = self._small(n=8)
+        index = next(r.round_index for r in session.rounds if r.verdict is Verdict.ABORT)
+        session.rounds[index] = session.rounds[index]._replace(verdict=Verdict.KEEP)
+        with pytest.raises(ValueError, match=f"round {index} is none of the 64 kinds"):
+            save_transcript(session, io.StringIO())
 
     @pytest.mark.parametrize(
         "alice, bob, eve",
@@ -565,6 +581,10 @@ class TestReplayOfAMalformedHeader:
                      id="weights-not-a-list"),
         pytest.param(lambda cfg: cfg.update(alice_weights=[0.5] * 4), "alice_weights",
                      id="weights-not-summing-to-1"),
+        pytest.param(lambda cfg: cfg.update(alice_weights=[True, False, False, False]),
+                     "alice_weights", id="weights-of-booleans"),
+        pytest.param(lambda cfg: cfg.update(alice_weights="0001"), "alice_weights",
+                     id="weights-0001"),
         pytest.param(lambda cfg: cfg.update(eve={"type": "intercept_resend", "phi": "half",
                                                  "basis": "y"}), "phi", id="eve-phi-half"),
     ])
