@@ -31,7 +31,7 @@ from .optics import (
     prepare,
     receiver_distribution,
 )
-from .protocol import PhaseChoice, Transcript, Verdict, keep_group
+from .protocol import _ALICE_BIT, _BOB_BIT, PhaseChoice, Transcript, keep_group
 from .qmath import Rng
 
 
@@ -112,15 +112,10 @@ class QberEstimate:
 
 
 def qber(transcript: Transcript) -> QberEstimate:
-    """Mismatch rate between the two keys over decodable kept rounds."""
-    kept = 0
-    mismatches = 0
-    keep = Verdict.KEEP  # a local: reading the class attribute per round costs ~9x
-    for r in transcript.rounds:
-        if r.verdict is not keep or r.bob_bit is None:
-            continue
-        kept += 1
-        mismatches += r.bob_bit != r.alice_bit
+    """Mismatch rate between the two keys over decodable kept rounds, from the kind counts."""
+    decoded = _BOB_BIT >= 0
+    kept = int(transcript.kind_counts[decoded].sum())
+    mismatches = int(transcript.kind_counts[decoded & (_BOB_BIT != _ALICE_BIT)].sum())
     if kept == 0:
         raise InsufficientDataError("no kept rounds to compare", required=1)
     rate = mismatches / kept

@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, IO, Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (ConfigError, DecodingError, InvalidDistributionError, ParseError,
                      is_json_bool, is_json_int, json_choice, json_number, read_json)
@@ -200,6 +202,15 @@ _KINDS = tuple(
             for basis, (verdict, decoded) in zip(_BASES, row))
         for phi, row in zip(_PHIS, rows))
     for label, rows in zip(_LABELS, _SIFTED))
+#: The 64 kinds by kind index ``((label*2 + phi)*2 + basis)*4 + outcome``, the order
+#: ``run_round`` draws in; ``_KIND_INDEX`` maps a record's slice ``r[1:]`` to its index.
+_FLAT_KINDS = tuple(kind for rows in _KINDS for row in rows for cell in row for kind in cell)
+_KIND_INDEX = {kind: i for i, kind in enumerate(_FLAT_KINDS)}
+#: One column per fact, by kind index: kept, the declared label's index, Alice's
+#: bit, Bob's bit (-1 where he has none) and decode_failed.
+_KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT, _DECODE_FAILED = (np.array(column) for column in zip(*(
+    (verdict is Verdict.KEEP, _LABELS.index(label), alice, -1 if bob is None else bob, failed)
+    for label, _, _, _, verdict, alice, bob, failed in _FLAT_KINDS)))
 
 
 def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
@@ -230,7 +241,9 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
 
 @dataclass
 class Transcript:
-    """Complete record of a session plus the publicly announced data."""
+    """Complete record of a session plus the publicly announced data.
+
+    Every summary figure is a masked sum of ``kind_counts``, the rounds per kind index."""
 
     seed: int
     config: dict
@@ -239,22 +252,21 @@ class Transcript:
     alice_key: list[int]
     bob_key: list[int]
     version: int = TRANSCRIPT_VERSION
+    kind_counts: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.kind_counts is None:  # counted from the records
+            self.kind_counts = _announce(self.rounds)[3]
 
     def keep_fraction(self) -> float:
-        if not self.rounds:
-            return 0.0
-        keep = Verdict.KEEP  # a local: reading the class attribute per round costs ~9x
-        kept = sum(r.verdict is keep for r in self.rounds)
-        return kept / len(self.rounds)
+        return int(self.kind_counts[_KEPT].sum()) / max(int(self.kind_counts.sum()), 1)
 
     def abort_counts(self) -> dict[StateLabel, int]:
-        counts = {label: 0 for label in StateLabel}
-        for _, label in self.declarations:
-            counts[label] += 1
-        return counts
+        return {label: int(self.kind_counts[~_KEPT & (_LABEL_INDEX == i)].sum())
+                for i, label in enumerate(_LABELS)}
 
     def decode_failures(self) -> int:
-        return sum(r.decode_failed for r in self.rounds)
+        return int(self.kind_counts[_DECODE_FAILED].sum())
 
 
 def _config_snapshot(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve) -> dict:
@@ -288,7 +300,7 @@ def run_session(
 
     rounds = [run_round(i, alice, bob, eve, rng)
               for i, rng in enumerate(Rng.streams(seed, n_rounds))]
-    declarations, alice_key, bob_key = _announce(rounds)
+    declarations, alice_key, bob_key, kind_counts = _announce(rounds)
     return Transcript(
         seed=seed,
         config=_config_snapshot(n_rounds, alice, bob, eve),
@@ -296,18 +308,17 @@ def run_session(
         declarations=declarations,
         alice_key=alice_key,
         bob_key=bob_key,
+        kind_counts=kind_counts,
     )
 
 
-def _announce(
-    rounds: list[RoundRecord],
-) -> tuple[list[tuple[int, StateLabel]], list[int], list[int]]:
-    """Abort declarations and the two keys that follow from the round records."""
-    keep, abort = Verdict.KEEP, Verdict.ABORT  # locals: class attribute reads cost ~9x
-    declarations = [(r.round_index, r.label) for r in rounds if r.verdict is abort]
-    alice_key = [r.alice_bit for r in rounds if r.verdict is keep]
-    bob_key = [r.bob_bit for r in rounds if r.verdict is keep and r.bob_bit is not None]
-    return declarations, alice_key, bob_key
+def _announce(rounds: list[RoundRecord]) -> tuple[list, list[int], list[int], np.ndarray]:
+    """Declarations, keys and kind counts: the one pass maps each record to its kind index."""
+    kinds = np.fromiter((_KIND_INDEX[r[1:]] for r in rounds), np.uint8, len(rounds))
+    kept, bob_bits = _KEPT[kinds], _BOB_BIT[kinds]
+    declarations = [rounds[i][:2] for i in np.flatnonzero(~kept).tolist()]
+    return (declarations, _ALICE_BIT[kinds[kept]].tolist(), bob_bits[bob_bits >= 0].tolist(),
+            np.bincount(kinds, minlength=len(_FLAT_KINDS)))
 
 
 def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
@@ -383,10 +394,9 @@ def _round_tail(r: RoundRecord) -> str:
 
 
 #: Drawn values as written -> (kind, the values that follow from it as written).
-_KIND_OF_TEXT = {text[:_DRAWN]: (kind, text[_DRAWN:]) for kind, text in (
-    (kind, _as_written(kind)) for rows in _KINDS for row in rows for cell in row for kind in cell)}
+_KIND_OF_TEXT = {_as_written(k)[:_DRAWN]: (k, _as_written(k)[_DRAWN:]) for k in _FLAT_KINDS}
 #: Kind -> the tail of its round line.
-_TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind, _ in _KIND_OF_TEXT.values()}
+_TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind in _FLAT_KINDS}
 #: The tail of a canonical round line, newline stripped -> its kind.
 _KIND_OF_TAIL = {tail[:-1]: kind for kind, tail in _TAILS.items()}
 
@@ -517,11 +527,11 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
         expected = header["config"].get("n_rounds")
         if expected != len(rounds):
             raise ParseError(f"header announces {expected} rounds, found {len(rounds)}", line_no)
-        declarations, alice_key, bob_key = _announce(rounds)
+        declarations, alice_key, bob_key, kind_counts = _announce(rounds)
         derived = _footer_obj(declarations, alice_key, bob_key)
         for key in ("declarations", "alice_key", "bob_key"):
             if footer.get(key) != derived[key]:
                 raise ParseError(f"footer {key} does not match the round records", footer_line)
         return Transcript(seed=header["seed"], config=header["config"], rounds=rounds,
                           declarations=declarations, alice_key=alice_key, bob_key=bob_key,
-                          version=header["version"])
+                          version=header["version"], kind_counts=kind_counts)

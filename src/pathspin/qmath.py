@@ -37,7 +37,7 @@ def as_state(v: Sequence[complex] | np.ndarray, dim: int | None = None) -> np.nd
         raise DimensionError(f"expected dimension {dim}, got {arr.shape[0]}")
     nrm = np.linalg.norm(arr)
     if abs(nrm - 1.0) > NORM_ATOL:
-        raise InvalidStateError(f"state is not normalized (|v| = {nrm!r})")
+        raise InvalidStateError(f"state is not normalized (|v| = {float(nrm)!r})")
     return arr
 
 
@@ -109,7 +109,7 @@ def born(v: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarray:
         raise InvalidMeasurementError(f"negative probability {probs.min():.3e}")
     probs[probs < 0.0] = 0.0
     if abs(probs.sum() - 1.0) > 1e-12:
-        raise InvalidMeasurementError(f"probabilities sum to {probs.sum()!r}")
+        raise InvalidMeasurementError(f"probabilities sum to {float(probs.sum())!r}")
     return probs
 
 
@@ -152,10 +152,10 @@ class Distribution(tuple):
         if w.ndim != 1 or w.size == 0:
             raise InvalidDistributionError("weights must be a non-empty 1-D sequence")
         if np.any(w < 0.0):
-            raise InvalidDistributionError(f"negative weight in {list(w)}")
+            raise InvalidDistributionError(f"negative weight in {w.tolist()}")
         # phrased so that a NaN weight, and hence a NaN sum, fails it
         if not abs(w.sum() - 1.0) <= 1e-9:
-            raise InvalidDistributionError(f"weights sum to {w.sum()!r}, expected 1")
+            raise InvalidDistributionError(f"weights sum to {float(w.sum())!r}, expected 1")
         return super().__new__(cls, w.tolist())
 
 

@@ -17,6 +17,7 @@ spectrum, so M never depends on the choice.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -76,13 +77,12 @@ class AbortEnsemble:
 
 
 def ensemble_from_aborts(labels: Iterable[StateLabel]) -> AbortEnsemble:
-    """Tally declared labels (accepts labels or (round_index, label) pairs)."""
-    order = tuple(StateLabel)
-    counts = [0, 0, 0, 0]
-    for item in labels:
-        label = item[1] if isinstance(item, tuple) else item
-        counts[order.index(label)] += 1
-    return AbortEnsemble(tuple(counts))
+    """Tally declared labels (labels or (round_index, label) pairs; anything else raises)."""
+    tally = Counter(item[1] if isinstance(item, tuple) else item for item in labels)
+    counts = tuple(tally.pop(label, 0) for label in StateLabel)
+    if tally:
+        raise ValueError(f"not a signal label: {next(iter(tally))!r}")
+    return AbortEnsemble(counts)
 
 
 def density_from_ensemble(ensemble: AbortEnsemble) -> np.ndarray:
@@ -139,7 +139,7 @@ def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> Corr
             raise DimensionError(f"density operator must be 4x4, got {rho.shape}")
         t = _t_ab_initio(rho)
     if np.max(np.abs(t)) > 1.0 + 1e-12:
-        raise InvalidStateError(f"correlation entries exceed unit magnitude: {np.max(np.abs(t))!r}")
+        raise InvalidStateError(f"correlation entries exceed unit magnitude: {float(np.max(np.abs(t)))!r}")
     return CorrelationMatrix(matrix=t, frame=frame)
 
 

@@ -420,3 +420,40 @@ class TestFrameFromConfig:
         assert config_code == flag_code
         assert by_config == by_flag
         assert len(by_config["reports"]) == (2 if frame == "both" else 1)
+
+
+class TestNumpyScalarsInMessages:
+    @pytest.mark.parametrize("weights, message", [
+        ("0.5,0.5,0.5,0.5", "weights sum to 2.0, expected 1"),
+        ("-0.5,0.5,0.5,0.5", "negative weight in [-0.5, 0.5, 0.5, 0.5]"),
+    ])
+    def test_weight_errors_print_plain_floats(self, tmp_path, capsys, weights, message):
+        out = tmp_path / "t.qkdlog"
+        code = main(["run", f"--alice-weights={weights}", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err == f"error: alice_weights: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+
+class TestPinnedSummaryCounts:
+    #: ``run --json`` of this session before the summary became a sum over kind counts.
+    PINNED = {
+        "kept": 1011,
+        "aborted": 989,
+        "keep_fraction": 0.5055,
+        "decode_failures": 0,
+        "qber": {"rate": 0.019782393669634024, "mismatches": 20, "kept": 1011,
+                 "three_sigma": 0.013138516971962805},
+        "abort_counts": {"psi": 896, "psi_perp": 31, "phi": 30, "phi_perp": 32},
+    }
+
+    def test_run_and_check_report_the_pinned_counts(self, tmp_path, capsys):
+        out = tmp_path / "t.qkdlog"
+        main(["run", "--rounds", "2000", "--seed", "5", "--alice-weights", "family:0.9",
+              "--eve", "0,y,0.5", "--out", str(out), "--json"])
+        run = json.loads(capsys.readouterr().out)
+        main(["check", str(out), "--json"])
+        check = json.loads(capsys.readouterr().out)
+        for payload in (run, check):
+            assert {key: payload[key] for key in self.PINNED} == self.PINNED

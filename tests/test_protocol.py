@@ -24,6 +24,7 @@ from pathspin import (
     decode_bit,
     keep_group,
     load_transcript,
+    qber,
     replay_session,
     run_round,
     run_session,
@@ -599,3 +600,95 @@ class TestReplayOfAMalformedHeader:
         loaded = load_transcript(path)
         with pytest.raises(ConfigError, match=key):
             replay_session(loaded, eve_factory=InterceptResend.from_config)
+
+
+def _recount(rounds: list) -> dict:
+    """The summary figures by a walk over the records, one field read at a time.
+
+    The oracle for ``Transcript.kind_counts``: it finds each record's kind
+    index from its draws, and never looks at ``protocol._KIND_INDEX`` or the
+    per-kind columns.
+    """
+    kept = [r for r in rounds if r.verdict is Verdict.KEEP]
+    decoded = [r for r in kept if r.bob_bit is not None]
+    counts = [0] * 64
+    for r in rounds:
+        label = list(StateLabel).index(r.label)
+        phi = (PhaseChoice.PHI_0, PhaseChoice.PHI_HALF_PI).index(r.phi)
+        basis = (SpinBasis.Z, SpinBasis.Y).index(r.basis)
+        outcome = OUTCOMES.index(r.outcome)
+        assert _KINDS[label][phi][basis][outcome] == r[1:]
+        counts[((label * 2 + phi) * 2 + basis) * 4 + outcome] += 1
+    return {
+        "kind_counts": counts,
+        "keep_fraction": len(kept) / len(rounds) if rounds else 0.0,
+        "decode_failures": sum(r.decode_failed for r in rounds),
+        "abort_counts": {label: sum(r.verdict is Verdict.ABORT and r.label is label
+                                    for r in rounds) for label in StateLabel},
+        "qber": (sum(r.bob_bit != r.alice_bit for r in decoded), len(decoded)),
+        "declarations": [(r.round_index, r.label) for r in rounds if r.verdict is Verdict.ABORT],
+        "alice_key": [r.alice_bit for r in kept],
+        "bob_key": [r.bob_bit for r in decoded],
+    }
+
+
+def _figures(transcript: Transcript) -> dict:
+    """The same figures as the transcript reports them."""
+    est = qber(transcript)
+    return {
+        "kind_counts": transcript.kind_counts.tolist(),
+        "keep_fraction": transcript.keep_fraction(),
+        "decode_failures": transcript.decode_failures(),
+        "abort_counts": transcript.abort_counts(),
+        "qber": (est.mismatches, est.kept),
+        "declarations": transcript.declarations,
+        "alice_key": transcript.alice_key,
+        "bob_key": transcript.bob_key,
+    }
+
+
+class TestKindCounts:
+    @pytest.fixture(scope="class", params=["uniform", "always-z-tapped", "full-tap-2**70"])
+    def session(self, request):
+        return {
+            "uniform": lambda: run_session(4000, AlicePolicy.uniform(), BobPolicy(), seed=31),
+            "always-z-tapped": lambda: run_session(
+                4000, AlicePolicy.family(0.8), BobPolicy(BasisMode.ALWAYS_Z),
+                eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5), seed=32),
+            "full-tap-2**70": lambda: run_session(
+                4000, AlicePolicy.family(0.9), BobPolicy(),
+                eve=InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z), seed=2**70),
+        }[request.param]()
+
+    def test_figures_from_kind_counts_equal_the_recount(self, session):
+        assert _figures(session) == _recount(session.rounds)
+        assert sum(session.kind_counts) == len(session.rounds)
+
+    def test_every_session_sees_aborts_and_mismatches_where_tapped(self, session):
+        figures = _figures(session)
+        assert sum(figures["abort_counts"].values()) > 0 and figures["qber"][1] > 0
+        if session.config["eve"] is not None:
+            assert figures["qber"][0] > 0
+
+    def test_load_and_replay_count_the_same_kinds(self, session):
+        buf = io.StringIO()
+        save_transcript(session, buf)
+        loaded = load_transcript(io.StringIO(buf.getvalue()))
+        replayed = replay_session(session, eve_factory=InterceptResend.from_config)
+        for other in (loaded, replayed):
+            assert other.kind_counts.tolist() == session.kind_counts.tolist()
+            assert _figures(other) == _figures(session)
+
+    def test_a_transcript_built_by_hand_counts_its_rounds(self, session):
+        by_hand = Transcript(seed=session.seed, config=session.config,
+                             rounds=list(session.rounds), declarations=session.declarations,
+                             alice_key=session.alice_key, bob_key=session.bob_key)
+        assert _figures(by_hand) == _recount(session.rounds)
+        assert by_hand.keep_fraction() > 0.0 and by_hand == session
+
+    def test_an_empty_transcript_has_zero_counts(self):
+        empty = Transcript(seed=0, config={}, rounds=[], declarations=[],
+                           alice_key=[], bob_key=[])
+        assert empty.kind_counts.tolist() == [0] * 64
+        assert empty.abort_counts() == {label: 0 for label in StateLabel}
+        assert empty.decode_failures() == 0

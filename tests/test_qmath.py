@@ -274,3 +274,15 @@ class TestRng:
         for _ in range(50):
             idx, rng = rng.sample([0.0, 1.0, 0.0])
             assert idx == 1
+
+
+class TestMessagesPrintPlainFloats:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: qmath.as_state([2.0, 0.0]), "state is not normalized (|v| = 2.0)"),
+        (lambda: qmath.Distribution(np.array([0.5, 0.5, 0.5])), "weights sum to 1.5, expected 1"),
+        (lambda: qmath.Distribution(np.array([-0.5, 1.5])), "negative weight in [-0.5, 1.5]"),
+    ])
+    def test_no_numpy_scalar_repr(self, build, message):
+        with pytest.raises((InvalidStateError, InvalidDistributionError)) as err:
+            build()
+        assert str(err.value) == message

@@ -254,3 +254,14 @@ class TestDecision:
             report = security_decision(AbortEnsemble((900, 33, 33, 34)),
                                        frame=frame, min_count=10)
             assert report.frame is frame
+
+
+class TestPlainMessages:
+    def test_oversized_correlation_prints_a_plain_float(self):
+        with pytest.raises(InvalidStateError) as err:
+            correlation_matrix(np.diag([4.0, 0.0, 0.0, 0.0]), Frame.AB_INITIO)
+        assert str(err.value) == "correlation entries exceed unit magnitude: 4.0"
+
+    def test_tally_refuses_what_is_no_signal_label(self):
+        with pytest.raises(ValueError, match="not a signal label: 'psi'"):
+            ensemble_from_aborts([StateLabel.PSI, (1, "psi")])
