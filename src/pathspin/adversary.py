@@ -35,6 +35,19 @@ from .protocol import _ALICE_BIT, _BOB_BIT, PhaseChoice, Transcript, keep_group
 from .qmath import Rng
 
 
+def _inference(phi: PhaseChoice, basis: SpinBasis) -> dict[OutcomePair, StateLabel]:
+    """Outcome -> the guessed-group label whose support holds it, the lower label on a tie."""
+    inferred: dict[OutcomePair, StateLabel] = {}
+    for label in keep_group(phi, basis).labels:
+        for outcome in outcome_support(label, phi.radians, basis):
+            inferred.setdefault(outcome, label)
+    return inferred
+
+
+#: (phi, basis) -> outcome -> label: ``InterceptResend.infer_label`` for every setting.
+_INFERRED = {(phi, basis): _inference(phi, basis) for phi in PhaseChoice for basis in SpinBasis}
+
+
 @dataclass(frozen=True)
 class InterceptResend:
     """Fixed-setting intercept-resend attack on a fraction of rounds."""
@@ -59,13 +72,13 @@ class InterceptResend:
 
         Under a uniform prior the winner is always the guessed-group
         label whose outcome support contains the observation (likelihood
-        1/2 against 1/4 for the other group); iteration order breaks
-        impossible ties toward the lower label index.
+        1/2 against 1/4 for the other group); impossible ties go toward
+        the lower label index.  Read from ``_INFERRED``, filled at import.
         """
-        for label in self.guessed_group.labels:
-            if outcome in outcome_support(label, self.phi.radians, self.basis):
-                return label
-        raise InvalidDistributionError(f"outcome {outcome} outside every support")
+        label = _INFERRED[self.phi, self.basis].get(outcome)
+        if label is None:
+            raise InvalidDistributionError(f"outcome {outcome} outside every support")
+        return label
 
     def tap(self, state: np.ndarray, rng: Rng) -> tuple[np.ndarray, Rng]:
         """Possibly intercept a state in flight and substitute her resend."""

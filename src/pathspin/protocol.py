@@ -213,14 +213,23 @@ _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT, _DECODE_FAILED = (np.array(column) fo
     for label, _, _, _, verdict, alice, bob, failed in _FLAT_KINDS)))
 
 
+#: [label][phi][basis] -> Bob's outcome distribution for the signal state as sent.
+_RECEIVED = tuple(
+    tuple(tuple(receiver_distribution(state, radians, basis) for basis in _BASES)
+          for radians in _RADIANS)
+    for state in _STATES)
+
+
 def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
     """Simulate one round.
 
     ``eve`` is None or an adversary object exposing
     ``tap(state, rng) -> (state, rng)``.  Draw order within the round's
     stream: label, phi, basis (uniform mode only), adversary draws,
-    outcome.  The record is the drawn entry of ``_KINDS``, whose verdicts
-    and bits ``sift`` and ``decode_bit`` fill at import.
+    outcome.  An untapped round reads its outcome distribution from
+    ``_RECEIVED``; a tapped one runs ``receiver_distribution`` on the state
+    the tap forwards.  The record is the drawn entry of ``_KINDS``, whose
+    verdicts and bits ``sift`` and ``decode_bit`` fill at import.
     """
     label_idx, rng = rng.sample(alice.weights)
     phi_idx, rng = rng.sample(_HALF)
@@ -229,12 +238,12 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     else:
         basis_idx, rng = rng.sample(_HALF)
 
-    state = _STATES[label_idx]
-    if eve is not None:
-        state, rng = eve.tap(state, rng)
-
-    basis = _BASES[basis_idx]
-    outcome_idx, rng = rng.sample(receiver_distribution(state, _RADIANS[phi_idx], basis))
+    if eve is None:
+        received = _RECEIVED[label_idx][phi_idx][basis_idx]
+    else:
+        state, rng = eve.tap(_STATES[label_idx], rng)
+        received = receiver_distribution(state, _RADIANS[phi_idx], _BASES[basis_idx])
+    outcome_idx, rng = rng.sample(received)
 
     return tuple.__new__(RoundRecord, (index, *_KINDS[label_idx][phi_idx][basis_idx][outcome_idx]))
 
@@ -312,9 +321,26 @@ def run_session(
     )
 
 
+def _no_kind(rounds: list[RoundRecord]) -> ValueError:
+    """The error for the first of ``rounds`` that is none of the 64 kinds, naming its round."""
+    for r in rounds:
+        try:
+            if r[1:] in _KIND_INDEX:
+                continue
+        except TypeError:  # a field that cannot be hashed
+            pass
+        return ValueError(f"round {r[0]} is none of the 64 kinds: {r!r}")
+    raise AssertionError("every record is one of the 64 kinds")
+
+
 def _announce(rounds: list[RoundRecord]) -> tuple[list, list[int], list[int], np.ndarray]:
-    """Declarations, keys and kind counts: the one pass maps each record to its kind index."""
-    kinds = np.fromiter((_KIND_INDEX[r[1:]] for r in rounds), np.uint8, len(rounds))
+    """Declarations, keys and kind counts: the one pass maps each record to its kind index.
+
+    A record of none of the 64 kinds raises the ValueError of ``_no_kind``."""
+    try:
+        kinds = np.fromiter((_KIND_INDEX[r[1:]] for r in rounds), np.uint8, len(rounds))
+    except (KeyError, TypeError):
+        raise _no_kind(rounds) from None
     kept, bob_bits = _KEPT[kinds], _BOB_BIT[kinds]
     declarations = [rounds[i][:2] for i in np.flatnonzero(~kept).tolist()]
     return (declarations, _ALICE_BIT[kinds[kept]].tolist(), bob_bits[bob_bits >= 0].tolist(),
@@ -452,7 +478,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
             for r in transcript.rounds:
                 fh.write(f"{_ROUND_HEAD}{r.round_index}{_TAILS[r[1:]]}")
         except (KeyError, TypeError):
-            raise ValueError(f"round {r.round_index} is none of the 64 kinds: {r!r}") from None
+            raise _no_kind(transcript.rounds) from None
         footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
         fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
 

@@ -162,6 +162,11 @@ class Distribution(tuple):
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
+#: Draws held on a generator's tape: counters 1..6, the most one protocol
+#: round makes (label, phi, basis, tap gate, the tap's sample, outcome).
+TAPE = 6
+#: Streams whose roots and tapes ``Rng.streams`` computes in one numpy batch.
+STREAM_BATCH = 4096
 
 
 def _mix64(z: int) -> int:
@@ -173,6 +178,34 @@ def _mix64(z: int) -> int:
 def _root(mixed_seed: int, stream: int) -> int:
     """Root of a stream, from its seed as mixed by ``_mix64``."""
     return _mix64((mixed_seed ^ (stream & _MASK) * _STREAM_SALT) & _MASK)
+
+
+def _uniform(root: int, counter: int) -> float:
+    """Draw ``counter`` of the stream with this root: 53 bits of one mix, in [0, 1)."""
+    return (_mix64((root + counter * _GOLDEN) & _MASK) >> 11) * 2.0**-53
+
+
+# ``_mix64``, ``_root`` and ``_uniform`` over uint64 arrays, which wrap mod 2**64
+# as the ``& _MASK`` above does.  Every operand is uint64: numpy 1.x turns a
+# uint64/int64 mix into float64.
+_U64 = np.uint64
+_TAPE_STEPS = np.arange(1, TAPE + 1, dtype=np.uint64) * _U64(_GOLDEN)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+def _batch(mixed_seed: int, start: int, stop: int) -> tuple[list[int], list[list[float]]]:
+    """Roots and tapes of streams ``start .. stop-1``, as Python ints and floats."""
+    with np.errstate(over="ignore"):
+        streams = np.arange(start, stop, dtype=np.uint64)
+        roots = _mix64_array(_U64(mixed_seed) ^ streams * _U64(_STREAM_SALT))
+        words = _mix64_array(roots[:, None] + _TAPE_STEPS)
+        tapes = (words >> _U64(11)).astype(np.float64) * 2.0**-53
+    return roots.tolist(), tapes.tolist()
 
 
 @dataclass(frozen=True)
@@ -187,40 +220,52 @@ class Rng:
     Draw ``k`` of a stream is one SplitMix64 finaliser applied to the
     stream's root plus ``k`` golden-ratio steps.  The root depends on
     (seed, stream) alone, so it is mixed once, when a generator is built,
-    and handed on to every successor; ``streams`` mixes the seed once for
-    a whole run of streams.
+    and handed on to every successor together with the stream's tape: its
+    draws 1..``TAPE``, so a round reads its draws instead of mixing them.
+    A draw past the tape is mixed when it is made.  ``streams`` mixes the
+    seed once for a whole run of streams and their tapes in numpy batches;
+    a generator built directly mixes its own with ``_mix64``, and both give
+    equal fields.
     """
 
     seed: int
     stream: int = 0
     counter: int = 0
     _root: int = field(init=False, repr=False, compare=False)
+    _tape: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_root", _root(_mix64(self.seed & _MASK), self.stream))
+        root = _root(_mix64(self.seed & _MASK), self.stream)
+        object.__setattr__(self, "_root", root)
+        object.__setattr__(self, "_tape", tuple(_uniform(root, k) for k in range(1, TAPE + 1)))
 
     @classmethod
     def streams(cls, seed: int, n: int) -> Iterator["Rng"]:
         """Yield ``Rng(seed, i)`` for ``i`` in ``0 .. n-1``, mixing ``seed`` once.
 
-        Each generator is built as ``next_uniform`` builds a successor, and
-        only when it is asked for, so the streams are never held at once.
+        Roots and tapes are computed with numpy for one batch of
+        ``STREAM_BATCH`` streams at a time, and each generator is built as
+        ``next_uniform`` builds a successor, when it is asked for.
         """
         mixed = _mix64(seed & _MASK)
-        for stream in range(n):
-            rng = object.__new__(cls)
-            rng.__dict__.update(seed=seed, stream=stream, counter=0, _root=_root(mixed, stream))
-            yield rng
+        for start in range(0, n, STREAM_BATCH):
+            stop = min(start + STREAM_BATCH, n)
+            roots, tapes = _batch(mixed, start, stop)
+            for stream, root, tape in zip(range(start, stop), roots, tapes):
+                rng = object.__new__(cls)
+                rng.__dict__.update(seed=seed, stream=stream, counter=0, _root=root,
+                                    _tape=tuple(tape))
+                yield rng
 
     def next_uniform(self) -> tuple[float, "Rng"]:
         """Draw u in [0, 1) with 53 random bits."""
-        counter = self.counter + 1
-        u = (_mix64((self._root + counter * _GOLDEN) & _MASK) >> 11) * 2.0**-53
-        # the successor shares seed, stream and root; only the counter moves
+        state = self.__dict__
+        counter = state["counter"] + 1
+        u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
+             else _uniform(state["_root"], counter))
+        # the successor shares seed, stream, root and tape; only the counter moves
         nxt = object.__new__(type(self))
-        state = nxt.__dict__
-        state.update(self.__dict__)
-        state["counter"] = counter
+        nxt.__dict__.update(state, counter=counter)
         return u, nxt
 
     def sample(self, weights: Sequence[float]) -> tuple[int, "Rng"]:
@@ -233,7 +278,14 @@ class Rng:
         before anything is drawn.
         """
         w = weights if isinstance(weights, Distribution) else Distribution(weights)
-        u, nxt = self.next_uniform()
+        # the draw of ``next_uniform``, inline: a round's draws are mostly samples,
+        # and the saved call is about a tenth of one
+        state = self.__dict__
+        counter = state["counter"] + 1
+        u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
+             else _uniform(state["_root"], counter))
+        nxt = object.__new__(type(self))
+        nxt.__dict__.update(state, counter=counter)
         acc = 0.0
         last = len(w) - 1
         for i in range(last):

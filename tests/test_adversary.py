@@ -23,7 +23,7 @@ from pathspin import (
     run_session,
 )
 from pathspin.errors import ConfigError, InsufficientDataError, InvalidDistributionError
-from pathspin.optics import outcome_support
+from pathspin.optics import OUTCOMES, outcome_support
 
 
 class TestConstruction:
@@ -64,6 +64,21 @@ class TestInference:
         for label in eve.guessed_group.labels:
             for outcome in outcome_support(label, eve.phi.radians, eve.basis):
                 assert eve.infer_label(outcome) is label
+
+    @pytest.mark.parametrize("phi", list(PhaseChoice))
+    @pytest.mark.parametrize("basis", list(SpinBasis))
+    def test_inference_table_equals_the_support_scan(self, phi, basis):
+        # the first guessed-group label, in label order, whose support holds the outcome
+        eve = InterceptResend(phi, basis)
+        for outcome in OUTCOMES:
+            scan = [label for label in eve.guessed_group.labels
+                    if outcome in outcome_support(label, phi.radians, basis)]
+            assert eve.infer_label(outcome) is scan[0]
+
+    def test_outcome_outside_every_support_is_refused(self):
+        eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y)
+        with pytest.raises(InvalidDistributionError, match="outside every support"):
+            eve.infer_label(("t", "s0"))
 
     def test_matched_group_resend_is_transparent(self):
         # her setting resolves the sent group perfectly, so the resent

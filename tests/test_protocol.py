@@ -37,7 +37,7 @@ from pathspin.errors import (
     InvalidDistributionError,
     ParseError,
 )
-from pathspin import protocol
+from pathspin import optics, protocol
 from pathspin.optics import OUTCOMES, Port, SpinOutcome
 from pathspin.protocol import (
     _KIND_OF_TAIL,
@@ -227,6 +227,30 @@ class TestRounds:
         session = run_session(n_rounds=100, alice=AlicePolicy.uniform(),
                               bob=BobPolicy(BasisMode.ALWAYS_Z), seed=6)
         assert all(rec.basis is SpinBasis.Z for rec in session.rounds)
+
+
+class TestDrawTape:
+    @pytest.mark.parametrize("bob", [BobPolicy(), BobPolicy(BasisMode.ALWAYS_Z)],
+                             ids=["uniform", "always-z"])
+    @pytest.mark.parametrize("eve", [
+        None,
+        InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5),
+        InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z),
+    ], ids=["untapped", "0,y,0.5", "pi/2,z"])
+    def test_session_equals_its_rounds_on_scalar_generators(self, bob, eve):
+        # 4200 rounds cross the 4096-stream batch of Rng.streams; each round on a
+        # generator built with the scalar mix must give the record the session did
+        alice, seed = AlicePolicy.family(0.7), 41
+        session = run_session(4200, alice, bob, eve=eve, seed=seed)
+        assert session.rounds == [run_round(i, alice, bob, eve, Rng(seed, i))
+                                  for i in range(4200)]
+
+    def test_untapped_outcome_table_is_the_receiver_chain(self):
+        for label_idx, label in enumerate(StateLabel):
+            for phi_idx, phi in enumerate(PhaseChoice):
+                for basis_idx, basis in enumerate((SpinBasis.Z, SpinBasis.Y)):
+                    chain = optics._chain_row(optics.prepare(label), phi.radians, basis)
+                    assert protocol._RECEIVED[label_idx][phi_idx][basis_idx] == chain.distribution
 
 
 class TestSessions:
@@ -487,6 +511,21 @@ class TestSerialization:
         session.rounds[index] = session.rounds[index]._replace(verdict=Verdict.KEEP)
         with pytest.raises(ValueError, match=f"round {index} is none of the 64 kinds"):
             save_transcript(session, io.StringIO())
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r._replace(verdict=Verdict.KEEP),
+        lambda r: r._replace(outcome=[r.outcome.port, r.outcome.spin]),
+    ], ids=["wrong-verdict", "unhashable-outcome"])
+    def test_building_refuses_a_record_of_no_kind(self, edit):
+        # the error save_transcript gives, raised when the kinds are counted
+        session = self._small(n=8)
+        rounds = list(session.rounds)
+        index = next(r.round_index for r in rounds if r.verdict is Verdict.ABORT)
+        rounds[index] = edit(rounds[index])
+        with pytest.raises(ValueError, match=f"^round {index} is none of the 64 kinds: "):
+            Transcript(seed=session.seed, config=session.config, rounds=rounds,
+                       declarations=session.declarations, alice_key=session.alice_key,
+                       bob_key=session.bob_key)
 
     @pytest.mark.parametrize(
         "alice, bob, eve",

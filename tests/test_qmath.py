@@ -18,6 +18,16 @@ from pathspin.errors import (
 from pathspin.protocol import AlicePolicy
 
 RT2 = 1.0 / math.sqrt(2.0)
+MASK = (1 << 64) - 1
+
+
+def reference_uniform(seed, stream, counter):
+    """Draw ``counter + 1`` of (seed, stream) by the three-mix formula, every mix in Python."""
+    root = qmath._mix64(
+        (qmath._mix64(seed & MASK) ^ (stream & MASK) * 0xD1B54A32D192ED03) & MASK
+    )
+    word = qmath._mix64((root + (counter + 1) * 0x9E3779B97F4A7C15) & MASK)
+    return (word >> 11) * 2.0**-53
 
 
 class TestStates:
@@ -223,15 +233,6 @@ class TestRng:
     def test_successor_draws_like_a_fresh_generator(self):
         # the root mixed once per generator must give the draws of the
         # three-mix formula, from any (seed, stream, counter)
-        mask = (1 << 64) - 1
-
-        def reference_uniform(seed, stream, counter):
-            root = qmath._mix64(
-                (qmath._mix64(seed & mask) ^ (stream & mask) * 0xD1B54A32D192ED03) & mask
-            )
-            word = qmath._mix64((root + (counter + 1) * 0x9E3779B97F4A7C15) & mask)
-            return (word >> 11) * 2.0**-53
-
         seeds = [0, 1, 7, -1, -(2**63), 2**63, 2**64, 2**64 + 5, 3**50]
         streams = list(range(40)) + [2**32 + 1, 2**63, 2**64 - 1, 2**64, 5**40, -3]
         for seed in seeds:
@@ -258,6 +259,36 @@ class TestRng:
                 assert rng.next_uniform() == fresh.next_uniform()
             assert stream == 39
         assert list(qmath.Rng.streams(3, 0)) == []
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5, 3**50])
+    def test_batched_streams_are_bit_exact(self, seed):
+        # batches of 4096 streams are mixed in numpy uint64; every generator must
+        # equal the scalar one, tape included, and draw the three-mix values,
+        # past the end of its tape too, wherever the batches split the run
+        assert qmath.STREAM_BATCH == 4096 and qmath.TAPE < 9
+        sizes = (1, 4095, 4096, 4097, 8195)
+        expected = [(vars(qmath.Rng(seed, stream)),
+                     [reference_uniform(seed, stream, counter) for counter in range(9)])
+                    for stream in range(max(sizes))]
+        for n in sizes:
+            streams = list(qmath.Rng.streams(seed, n))
+            assert len(streams) == n
+            for rng, (fields, draws) in zip(streams, expected):
+                assert vars(rng) == fields
+                for want in draws:
+                    u, rng = rng.next_uniform()
+                    assert u == want
+
+    def test_sample_draws_what_next_uniform_draws_past_the_tape(self):
+        weights = qmath.Distribution((0.2, 0.3, 0.5))
+        for stream in range(50):
+            rng = qmath.Rng(11, stream)
+            for _ in range(qmath.TAPE + 3):
+                u, after = rng.next_uniform()
+                idx, nxt = rng.sample(weights)
+                assert vars(nxt) == vars(after)
+                assert idx == (0 if u < 0.2 else 1 if u < 0.2 + 0.3 else 2)
+                rng = nxt
 
     def test_generator_stays_a_frozen_three_field_value(self):
         rng = qmath.Rng(seed=5, stream=3)
