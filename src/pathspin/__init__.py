@@ -2,6 +2,8 @@
 
 The package is organised in layers:
 
+``errors``
+    The ``PathSpinError`` family and the one reader of outside JSON, ``read_json``.
 ``qmath``
     State/operator helpers, symmetric 3x3 eigenvalues, checked finite
     distributions and a counter-based deterministic random generator.

@@ -90,11 +90,6 @@ def is_json_int(value: object) -> bool:
     return type(value) is int
 
 
-def is_json_bool(value: object) -> bool:
-    """Whether ``value`` is JSON ``true`` or ``false``; 0 and 1 are not."""
-    return type(value) is bool
-
-
 def json_number(value: object, name: str) -> float:
     """``value`` as a float if it is a JSON number (a bool is none) in range, else a ConfigError."""
     if type(value) not in (int, float):

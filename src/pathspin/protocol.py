@@ -24,7 +24,7 @@ from typing import Callable, IO, Iterable, NamedTuple
 import numpy as np
 
 from .errors import (ConfigError, DecodingError, InvalidDistributionError, ParseError,
-                     is_json_bool, is_json_int, json_choice, json_number, read_json)
+                     is_json_int, json_choice, json_number, read_json)
 from .optics import (
     OUTCOMES,
     Group,
@@ -419,40 +419,43 @@ def _round_tail(r: RoundRecord) -> str:
     return f",{tail[1:]}\n"
 
 
-#: Drawn values as written -> (kind, the values that follow from it as written).
-_KIND_OF_TEXT = {_as_written(k)[:_DRAWN]: (k, _as_written(k)[_DRAWN:]) for k in _FLAT_KINDS}
+#: Drawn values as written -> kind.
+_KIND_OF_DRAWN = {_as_written(k)[:_DRAWN]: k for k in _FLAT_KINDS}
 #: Kind -> the tail of its round line.
 _TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind in _FLAT_KINDS}
 #: The tail of a canonical round line, newline stripped -> its kind.
 _KIND_OF_TAIL = {tail[:-1]: kind for kind, tail in _TAILS.items()}
 
 
-def _typed(value: object) -> tuple:
-    """``value`` with its JSON type, so that ``true``, ``1.0`` and ``1`` differ as on a line."""
-    return is_json_int(value), is_json_bool(value), value
+def _differing_keys(got: dict, want: dict) -> list[str]:
+    """The keys ``got`` lacks or holds as another JSON value than ``want``, then those only it has.
+
+    ``1``, ``1.0`` and ``true`` all differ.  A list is the footer's ``[index, label]`` pairs."""
+    return [key for key in {**want, **got} if key not in got or key not in want
+            or type(got[key]) is not type(want[key]) or got[key] != want[key]
+            or type(want[key]) is list and {type(i) for i, _ in got[key]} - {int}]
 
 
 def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
-    """Round ``index`` built from the kind ``obj`` draws, if ``obj`` declares its fields.
+    """Round ``index`` built from the kind ``obj`` draws, if ``obj`` is its ``_round_to_obj``.
 
-    Each declared field must be the kind's value with its JSON type.  A line
-    without ``decode_failed`` (as early files were written) declares False."""
-    if _typed(obj.get("round_index")) != _typed(index):
-        raise ParseError(f"round_index {obj.get('round_index')!r}, expected {index}", line=line)
-    *keys, last = _ROUND_KEYS
+    A line without ``decode_failed`` (as early files were written) reads it as False.  Each
+    missing, differing or extra key is named, with the JSON types of ``_differing_keys``."""
     try:
-        values = (*(obj[key] for key in keys), obj.get(last, False))
+        drawn = tuple(obj[key] for key in _ROUND_KEYS[:_DRAWN])
     except KeyError as exc:
         raise ParseError(f"round record without {exc}", line=line) from None
-    drawn, declared = values[:_DRAWN], values[_DRAWN:]
     try:
-        kind, derived = _KIND_OF_TEXT[drawn]
+        kind = _KIND_OF_DRAWN[drawn]
     except (KeyError, TypeError):
         raise ParseError(f"no round draws {drawn!r}", line=line) from None
-    wrong = [f"{k} {got!r}, expected {want!r}" for k, got, want in
-             zip(_ROUND_KEYS[_DRAWN:], declared, derived) if _typed(got) != _typed(want)]
+    got, want = {"decode_failed": False, **obj}, _round_to_obj(RoundRecord(index, *kind))
+    wrong = _differing_keys(got, want)
     if wrong:
-        raise ParseError("; ".join(wrong), line=line)
+        raise ParseError("; ".join(
+            f"round record without {key!r}" if key not in got
+            else f"{key} {got[key]!r}, expected {want[key]!r}" if key in want
+            else f"round record with unknown key {key!r}" for key in wrong), line=line)
     return RoundRecord(index, *kind)
 
 
@@ -491,17 +494,17 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     -- between header and footer, ``_ROUND_HEAD``, the next index, one of
     the 64 tails of ``_KIND_OF_TAIL`` and a newline -- is matched by text,
     as read: it is exactly what ``save_transcript`` writes for its kind, so
-    ``_round_from_obj`` would give the same kind.  Only a line that misses
-    is stripped and parsed by ``read_json``, and goes through the same
-    checks: a blank line, a CRLF line end, trailing spaces, a last line
-    without a newline and round lines of another spelling all take that
-    path.  Every field of such a line, and the header's ``version``,
-    ``seed`` and ``n_rounds``, must have the JSON type ``save_transcript``
-    writes: ``"alice_bit": 0.0`` is refused.  Raises ParseError (with the
-    1-based line number) on malformed or too deeply nested JSON, a
-    non-object line, unknown record kinds, an unsupported version,
-    truncation, a rejected round line, or a footer that the rounds refute.
-    The file is read one line at a time.
+    ``_round_from_obj`` would accept it.  Only a line that misses is
+    stripped and parsed by ``read_json``: a blank line, a CRLF line end,
+    trailing spaces, a last line without a newline and round lines of
+    another spelling all take that path.  Such a round line, and the
+    footer, must have the keys and JSON-typed values of the object
+    ``save_transcript`` writes for it, compared by ``_differing_keys``;
+    the header's ``version``, ``seed`` and ``n_rounds`` must be JSON
+    integers.  Raises ParseError (with the 1-based line number) on malformed
+    or too deeply nested JSON, a non-object line, unknown record kinds, an
+    unsupported version, truncation, a rejected round line, or a footer
+    that differs from the one the rounds give.  Read one line at a time.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         header = None
@@ -554,10 +557,9 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
         if expected != len(rounds):
             raise ParseError(f"header announces {expected} rounds, found {len(rounds)}", line_no)
         declarations, alice_key, bob_key, kind_counts = _announce(rounds)
-        derived = _footer_obj(declarations, alice_key, bob_key)
-        for key in ("declarations", "alice_key", "bob_key"):
-            if footer.get(key) != derived[key]:
-                raise ParseError(f"footer {key} does not match the round records", footer_line)
+        wrong = ", ".join(_differing_keys(footer, _footer_obj(declarations, alice_key, bob_key)))
+        if wrong:
+            raise ParseError(f"footer {wrong} does not match the round records", footer_line)
         return Transcript(seed=header["seed"], config=header["config"], rounds=rounds,
                           declarations=declarations, alice_key=alice_key, bob_key=bob_key,
                           version=header["version"], kind_counts=kind_counts)

@@ -492,6 +492,18 @@ class TestSerialization:
              + lines[2:], "line 2: round_index 0.0, expected 0"),
             (lambda lines: lines[:3] + [lines[3].replace('"bob_bit":1,', '"bob_bit":true,')]
              + lines[4:], "line 4: bob_bit True, expected 1"),
+            (lambda lines: lines[:-1] + [_edit_key(lines[-1], "declarations",
+                                                   lambda ds: [[1.0, ds[0][1]]] + ds[1:])],
+             "line 10: footer declarations"),
+            (lambda lines: lines[:-1] + [_edit_key(lines[-1], "declarations",
+                                                   lambda ds: [[True, ds[0][1]]] + ds[1:])],
+             "line 10: footer declarations"),
+            (lambda lines: lines[:-1] + [lines[-1][:-1] + ',"extra":1}'],
+             "line 10: footer extra does not match"),
+            (lambda lines: lines[:1] + [lines[1][:-1] + ',"extra":1}'] + lines[2:],
+             "line 2: round record with unknown key 'extra'"),
+            (lambda lines: lines[:2] + [_drop_header_key(lines[2], "bob_bit")] + lines[3:],
+             "line 3: round record without 'bob_bit'"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
