@@ -28,8 +28,7 @@ from .optics import (
     SpinBasis,
     StateLabel,
     outcome_support,
-    prepare,
-    receiver_distribution,
+    pipeline_distribution,
 )
 from .protocol import _ALICE_BIT, _BOB_BIT, PhaseChoice, Transcript, keep_group
 from .qmath import Rng
@@ -80,15 +79,18 @@ class InterceptResend:
             raise InvalidDistributionError(f"outcome {outcome} outside every support")
         return label
 
-    def tap(self, state: np.ndarray, rng: Rng) -> tuple[np.ndarray, Rng]:
-        """Possibly intercept a state in flight and substitute her resend."""
+    def tap(self, label: StateLabel, rng: Rng) -> tuple[StateLabel, Rng]:
+        """Possibly intercept the signal label in flight; return the label that travels on.
+
+        An intercepted label is measured through her setting's row of the
+        outcome table and replaced by ``infer_label`` of her outcome.
+        """
         if self.fraction < 1.0:
             u, rng = rng.next_uniform()
             if u >= self.fraction:
-                return state, rng
-        dist = receiver_distribution(state, self.phi.radians, self.basis)
-        idx, rng = rng.sample(dist)
-        return prepare(self.infer_label(OUTCOMES[idx])), rng
+                return label, rng
+        idx, rng = rng.sample(pipeline_distribution(label, self.phi.radians, self.basis))
+        return self.infer_label(OUTCOMES[idx]), rng
 
     def to_config(self) -> dict:
         return {

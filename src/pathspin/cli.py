@@ -39,10 +39,11 @@ from .protocol import (
 )
 from .security import (
     DEFAULT_MIN_ABORTS,
+    AbortEnsemble,
     Frame,
     closed_form_family,
-    correlation_matrix,  # this and horodecki_m are not called here;
-    horodecki_m,  # perfbench/tracer.py wraps both by this module's name
+    correlation_matrix,  # this, horodecki_m and ensemble_from_aborts are not called here;
+    horodecki_m,  # perfbench/tracer.py wraps all three by this module's name
     ensemble_from_aborts,
     eta_rates,
     require_aborts,
@@ -205,7 +206,7 @@ def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
     except InsufficientDataError:
         out.append("qber=n/a (no kept rounds)")
         payload["qber"] = None
-    ensemble = ensemble_from_aborts(transcript.declarations)
+    ensemble = AbortEnsemble(tuple(transcript.abort_counts().values()))
     counts = dict(zip((label.value for label in StateLabel), ensemble.counts))
     out.append("declared aborts: " + " ".join(f"{k}={n}" for k, n in counts.items()))
     payload["abort_counts"] = counts

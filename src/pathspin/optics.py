@@ -268,39 +268,37 @@ def _chain_row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
     return _Row(dist, frozenset(o for o, p in zip(OUTCOMES, dist) if p > 1e-9))
 
 
-#: (state bytes, phi, basis) -> row for the four signal states under the four
-#: protocol settings, computed once from the chain above.  Keyed by the state
-#: vector's bytes because the channel carries vectors, not labels.
+#: (label, phi, basis) -> row for the four signal states under the four
+#: protocol settings, computed once from the chain above.
 _TABLE = MappingProxyType({
-    (prepare(label).tobytes(), phi, basis): _chain_row(prepare(label), phi, basis)
+    (label, phi, basis): _chain_row(prepare(label), phi, basis)
     for label in StateLabel
     for phi in (0.0, HALF_PI)
     for basis in SpinBasis
 })
 
 
-def _row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
-    state = np.asarray(state, dtype=complex)
-    phi = float(phi)
-    row = _TABLE.get((state.tobytes(), phi, basis))
-    return row if row is not None else _chain_row(state, phi, basis)
+def _row(label: StateLabel, phi: float, basis: SpinBasis) -> _Row:
+    row = _TABLE.get((label, phi, basis))
+    return row if row is not None else _chain_row(prepare(label), phi, basis)
 
 
 def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> Distribution:
     """Outcome distribution of the full receiver chain on an arbitrary state.
 
-    Signal states under protocol settings are read from the outcome table;
-    any other state (e.g. an unequal splitter's ``source_state``) runs the
-    chain.
+    Always runs the chain; a signal state under a protocol setting gives
+    the row of ``pipeline_distribution`` for its label.  The channel carries
+    labels, so no round calls this: it serves states that are not signal
+    states, such as an unequal splitter's ``source_state``.
     """
-    return _row(state, phi, basis).distribution
+    return _chain_row(state, phi, basis).distribution
 
 
 def pipeline_distribution(label: StateLabel, phi: float, basis: SpinBasis) -> Distribution:
     """Outcome distribution of a signal state under one receiver setting."""
-    return _row(prepare(label), phi, basis).distribution
+    return _row(label, phi, basis).distribution
 
 
 def outcome_support(label: StateLabel, phi: float, basis: SpinBasis) -> frozenset[OutcomePair]:
     """Outcomes with non-negligible probability under a receiver setting."""
-    return _row(prepare(label), phi, basis).support
+    return _row(label, phi, basis).support

@@ -33,8 +33,8 @@ from .optics import (
     SpinBasis,
     StateLabel,
     outcome_support,
-    prepare,
-    receiver_distribution,
+    pipeline_distribution,
+    receiver_distribution,  # not called here; perfbench/warmup.py imports it from this module
 )
 from .qmath import Distribution, Rng
 
@@ -168,67 +168,47 @@ class RoundRecord(NamedTuple):
 _LABELS = tuple(StateLabel)
 _PHIS = (PhaseChoice.PHI_0, PhaseChoice.PHI_HALF_PI)
 _BASES = (SpinBasis.Z, SpinBasis.Y)
-_RADIANS = tuple(phi.radians for phi in _PHIS)
-_STATES = tuple(prepare(label) for label in _LABELS)
 
 
-def _sift_row(group: Group, phi: PhaseChoice, basis: SpinBasis) -> tuple[Verdict, tuple]:
-    """Verdict of a setting and, per outcome index, Bob's (bit, decode_failed)."""
-    verdict = sift(group, phi, basis)
-    if verdict is not Verdict.KEEP:
-        return verdict, ((None, False),) * len(OUTCOMES)
-    decoded = []
-    for outcome in OUTCOMES:
+def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: OutcomePair) -> tuple:
+    """The fields after ``round_index`` of a round that draws these four values."""
+    verdict = sift(label.group, phi, basis)
+    bob, failed = None, False
+    if verdict is Verdict.KEEP:
         try:
-            decoded.append((decode_bit(group, phi, basis, outcome), False))
+            bob = decode_bit(label.group, phi, basis, outcome)
         except DecodingError:
-            decoded.append((None, True))
-    return verdict, tuple(decoded)
+            failed = True
+    return (label, phi, basis, outcome, verdict, label.bit, bob, failed)
 
 
-#: [label][phi][basis] -> ``_sift_row`` of the label's group: the 4x2x2x4
-#: lookup that replaces sifting and decoding once the draws are made.
-_SIFTED = tuple(
-    tuple(tuple(_sift_row(label.group, phi, basis) for basis in _BASES) for phi in _PHIS)
-    for label in _LABELS
-)
-
-#: [label][phi][basis][outcome] -> the fields after ``round_index`` of all 64 rounds.
-_KINDS = tuple(
-    tuple(
-        tuple(
-            tuple((label, phi, basis, outcome, verdict, label.bit, *bob)
-                  for outcome, bob in zip(OUTCOMES, decoded))
-            for basis, (verdict, decoded) in zip(_BASES, row))
-        for phi, row in zip(_PHIS, rows))
-    for label, rows in zip(_LABELS, _SIFTED))
 #: The 64 kinds by kind index ``((label*2 + phi)*2 + basis)*4 + outcome``, the order
 #: ``run_round`` draws in; ``_KIND_INDEX`` maps a record's slice ``r[1:]`` to its index.
-_FLAT_KINDS = tuple(kind for rows in _KINDS for row in rows for cell in row for kind in cell)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_FLAT_KINDS)}
+_KINDS = tuple(_kind(label, phi, basis, outcome)
+               for label in _LABELS for phi in _PHIS for basis in _BASES for outcome in OUTCOMES)
+_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 #: One column per fact, by kind index: kept, the declared label's index, Alice's
 #: bit, Bob's bit (-1 where he has none) and decode_failed.
 _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT, _DECODE_FAILED = (np.array(column) for column in zip(*(
     (verdict is Verdict.KEEP, _LABELS.index(label), alice, -1 if bob is None else bob, failed)
-    for label, _, _, _, verdict, alice, bob, failed in _FLAT_KINDS)))
+    for label, _, _, _, verdict, alice, bob, failed in _KINDS)))
 
 
-#: [label][phi][basis] -> Bob's outcome distribution for the signal state as sent.
-_RECEIVED = tuple(
-    tuple(tuple(receiver_distribution(state, radians, basis) for basis in _BASES)
-          for radians in _RADIANS)
-    for state in _STATES)
+#: Label on the channel -> [phi][basis] -> Bob's outcome distribution.
+_RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
+                                for basis in _BASES) for phi in _PHIS)
+             for label in _LABELS}
 
 
 def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
     """Simulate one round.
 
     ``eve`` is None or an adversary object exposing
-    ``tap(state, rng) -> (state, rng)``.  Draw order within the round's
-    stream: label, phi, basis (uniform mode only), adversary draws,
-    outcome.  An untapped round reads its outcome distribution from
-    ``_RECEIVED``; a tapped one runs ``receiver_distribution`` on the state
-    the tap forwards.  The record is the drawn entry of ``_KINDS``, whose
+    ``tap(label, rng) -> (label, rng)``: the channel carries a signal label.
+    Draw order within the round's stream: label, phi, basis (uniform mode
+    only), adversary draws, outcome.  Every round reads its outcome
+    distribution from ``_RECEIVED`` by the label that reaches Bob.  The
+    record is the drawn entry of ``_KINDS``, by the label Alice sent, whose
     verdicts and bits ``sift`` and ``decode_bit`` fill at import.
     """
     label_idx, rng = rng.sample(alice.weights)
@@ -238,14 +218,13 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     else:
         basis_idx, rng = rng.sample(_HALF)
 
-    if eve is None:
-        received = _RECEIVED[label_idx][phi_idx][basis_idx]
-    else:
-        state, rng = eve.tap(_STATES[label_idx], rng)
-        received = receiver_distribution(state, _RADIANS[phi_idx], _BASES[basis_idx])
-    outcome_idx, rng = rng.sample(received)
+    label = _LABELS[label_idx]
+    if eve is not None:
+        label, rng = eve.tap(label, rng)
+    outcome_idx, rng = rng.sample(_RECEIVED[label][phi_idx][basis_idx])
 
-    return tuple.__new__(RoundRecord, (index, *_KINDS[label_idx][phi_idx][basis_idx][outcome_idx]))
+    kind = ((label_idx * 2 + phi_idx) * 2 + basis_idx) * 4 + outcome_idx
+    return tuple.__new__(RoundRecord, (index, *_KINDS[kind]))
 
 
 @dataclass
@@ -344,7 +323,7 @@ def _announce(rounds: list[RoundRecord]) -> tuple[list, list[int], list[int], np
     kept, bob_bits = _KEPT[kinds], _BOB_BIT[kinds]
     declarations = [rounds[i][:2] for i in np.flatnonzero(~kept).tolist()]
     return (declarations, _ALICE_BIT[kinds[kept]].tolist(), bob_bits[bob_bits >= 0].tolist(),
-            np.bincount(kinds, minlength=len(_FLAT_KINDS)))
+            np.bincount(kinds, minlength=len(_KINDS)))
 
 
 def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
@@ -420,9 +399,9 @@ def _round_tail(r: RoundRecord) -> str:
 
 
 #: Drawn values as written -> kind.
-_KIND_OF_DRAWN = {_as_written(k)[:_DRAWN]: k for k in _FLAT_KINDS}
+_KIND_OF_DRAWN = {_as_written(k)[:_DRAWN]: k for k in _KINDS}
 #: Kind -> the tail of its round line.
-_TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind in _FLAT_KINDS}
+_TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind in _KINDS}
 #: The tail of a canonical round line, newline stripped -> its kind.
 _KIND_OF_TAIL = {tail[:-1]: kind for kind, tail in _TAILS.items()}
 

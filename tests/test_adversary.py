@@ -86,8 +86,8 @@ class TestInference:
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y)
         rng = Rng(seed=1)
         for label in (StateLabel.PSI, StateLabel.PSI_PERP):
-            resent, rng = eve.tap(prepare(label), rng)
-            np.testing.assert_allclose(resent, prepare(label), atol=0.0)
+            resent, rng = eve.tap(label, rng)
+            assert resent is label
 
     def test_mismatched_group_resend_overlap_one_quarter(self):
         # wrong-group interception forwards a cross-group state whose
@@ -95,16 +95,15 @@ class TestInference:
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Z)  # guesses the other group
         rng = Rng(seed=2)
         for _ in range(20):
-            resent, rng = eve.tap(prepare(StateLabel.PSI), rng)
-            overlap = abs(np.vdot(prepare(StateLabel.PSI), resent)) ** 2
+            resent, rng = eve.tap(StateLabel.PSI, rng)
+            overlap = abs(np.vdot(prepare(StateLabel.PSI), prepare(resent))) ** 2
             np.testing.assert_allclose(overlap, 0.25, atol=1e-12)
 
     def test_zero_fraction_never_touches_the_state(self):
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Z, fraction=0.0)
         rng = Rng(seed=3)
-        state = prepare(StateLabel.PSI)
-        out, rng2 = eve.tap(state, rng)
-        assert out is state
+        out, rng2 = eve.tap(StateLabel.PSI, rng)
+        assert out is StateLabel.PSI
         assert rng2.counter == rng.counter + 1  # the pass/intercept coin
 
 

@@ -26,6 +26,7 @@ from pathspin.optics import (
     path_observable,
     pipeline_distribution,
     prepare,
+    receiver_distribution,
     source_state,
 )
 
@@ -144,6 +145,19 @@ class TestReceiverChain:
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(obs)), [-1.0, 1.0], atol=1e-12)
         plus = np.array([1.0, 1j * np.exp(1j * phi)]) * RT2
         np.testing.assert_allclose(obs @ plus, plus, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", list(SpinBasis))
+    @pytest.mark.parametrize("phi", [0.0, HALF_PI])
+    def test_receiver_distribution_runs_the_chain(self, phi, basis):
+        # an unequal splitter emits no signal state, so only the chain can serve it
+        state = source_state(BeamSplitterSpec(0.8, 0.6))
+        got = receiver_distribution(state, phi, basis)
+        chain = measure_distribution(hadamard_stage(bob_transform(state, phi), phi), basis)
+        assert isinstance(got, qmath.Distribution)
+        assert got == tuple(chain.tolist())
+        for label in StateLabel:
+            assert receiver_distribution(prepare(label), phi, basis) == \
+                pipeline_distribution(label, phi, basis)
 
 
 class TestOutcomeStatistics:

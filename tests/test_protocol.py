@@ -44,7 +44,6 @@ from pathspin.protocol import (
     _KINDS,
     _ROUND_HEAD,
     _ROUND_KEYS,
-    _SIFTED,
     _TAILS,
     RoundRecord,
     _round_from_obj,
@@ -108,10 +107,12 @@ class TestSiftTable:
         for label_idx, label in enumerate(StateLabel):
             for phi_idx, phi in enumerate(PhaseChoice):
                 for basis_idx, basis in enumerate(SpinBasis):
-                    verdict, decoded = _SIFTED[label_idx][phi_idx][basis_idx]
-                    assert verdict is sift(label.group, phi, basis)
-                    assert len(decoded) == len(OUTCOMES) == 4
-                    for outcome, (bit, failed) in zip(OUTCOMES, decoded):
+                    verdict = sift(label.group, phi, basis)
+                    assert len(OUTCOMES) == 4
+                    for outcome_idx, outcome in enumerate(OUTCOMES):
+                        kind = _KINDS[((label_idx * 2 + phi_idx) * 2 + basis_idx) * 4 + outcome_idx]
+                        assert kind[:6] == (label, phi, basis, outcome, verdict, label.bit)
+                        bit, failed = kind[6:]
                         if verdict is Verdict.ABORT:
                             assert (bit, failed) == (None, False)
                         else:
@@ -121,7 +122,7 @@ class TestSiftTable:
 
 class TestCanonicalLines:
     def test_text_lookup_agrees_with_json_for_every_kind(self):
-        kinds = {kind for rows in _KINDS for row in rows for cell in row for kind in cell}
+        kinds = set(_KINDS)
         assert len(_KIND_OF_TAIL) == 64 and set(_KIND_OF_TAIL.values()) == kinds
         for i, kind in enumerate(sorted(kinds, key=repr)):
             line = _ROUND_HEAD + str(i) + _TAILS[kind]
@@ -133,7 +134,7 @@ class TestCanonicalLines:
 
 class TestRecordTuples:
     def _kinds(self):
-        return [kind for rows in _KINDS for row in rows for cell in row for kind in cell]
+        return list(_KINDS)
 
     def test_fields_in_order_with_one_default(self):
         assert RoundRecord._fields == ("round_index", "label", "phi", "basis", "outcome",
@@ -163,6 +164,17 @@ class TestRecordTuples:
                               eve=InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z, 0.5))
         monkeypatch.setattr(protocol, "_round_tail", render)
         save_transcript(session, io.StringIO())
+
+    def test_tapped_rounds_never_run_the_receiver_chain(self, monkeypatch):
+        def chain(*args):
+            raise AssertionError("a round ran the receiver chain")
+
+        monkeypatch.setattr(optics, "_chain_row", chain)
+        monkeypatch.setattr(protocol, "receiver_distribution", chain)
+        session = run_session(2000, AlicePolicy.family(0.9), BobPolicy(), seed=9,
+                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
+        replay = replay_session(session, eve_factory=InterceptResend.from_config)
+        assert replay == session and qber(session).mismatches > 0
 
     @pytest.mark.parametrize("enum", [StateLabel, Group, SpinBasis, Port, SpinOutcome,
                                       PhaseChoice, Verdict])
@@ -246,11 +258,11 @@ class TestDrawTape:
                                   for i in range(4200)]
 
     def test_untapped_outcome_table_is_the_receiver_chain(self):
-        for label_idx, label in enumerate(StateLabel):
+        for label in StateLabel:
             for phi_idx, phi in enumerate(PhaseChoice):
                 for basis_idx, basis in enumerate((SpinBasis.Z, SpinBasis.Y)):
                     chain = optics._chain_row(optics.prepare(label), phi.radians, basis)
-                    assert protocol._RECEIVED[label_idx][phi_idx][basis_idx] == chain.distribution
+                    assert protocol._RECEIVED[label][phi_idx][basis_idx] == chain.distribution
 
 
 class TestSessions:
@@ -668,8 +680,9 @@ def _recount(rounds: list) -> dict:
         phi = (PhaseChoice.PHI_0, PhaseChoice.PHI_HALF_PI).index(r.phi)
         basis = (SpinBasis.Z, SpinBasis.Y).index(r.basis)
         outcome = OUTCOMES.index(r.outcome)
-        assert _KINDS[label][phi][basis][outcome] == r[1:]
-        counts[((label * 2 + phi) * 2 + basis) * 4 + outcome] += 1
+        kind = ((label * 2 + phi) * 2 + basis) * 4 + outcome
+        assert _KINDS[kind] == r[1:]
+        counts[kind] += 1
     return {
         "kind_counts": counts,
         "keep_fraction": len(kept) / len(rounds) if rounds else 0.0,
