@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -383,8 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call (``build_parser`` builds a fresh one)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

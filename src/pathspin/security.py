@@ -43,6 +43,10 @@ _PAULIS = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
+#: The nine products sigma_i (x) sigma_j, row-major in (i, j), built once and read-only.
+_PAULI_PAIRS = np.array([np.kron(si, sj) for si in _PAULIS for sj in _PAULIS])
+_PAULI_PAIRS.flags.writeable = False
+
 
 class Frame(Enum):
     """How the correlation matrix is obtained from the ensemble."""
@@ -105,11 +109,8 @@ class CorrelationMatrix:
 
 
 def _t_ab_initio(rho: np.ndarray) -> np.ndarray:
-    t = np.empty((3, 3))
-    for i, si in enumerate(_PAULIS):
-        for j, sj in enumerate(_PAULIS):
-            t[i, j] = np.real(np.trace(rho @ np.kron(si, sj)))
-    return t
+    t = np.array([np.real(np.trace(rho @ op)) for op in _PAULI_PAIRS], dtype=float)
+    return t.reshape(3, 3)
 
 
 def _t_from_weights(weights: Sequence[float]) -> np.ndarray:

@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import pathspin
-from pathspin import load_transcript
+from pathspin import cli, load_transcript
 from pathspin.cli import (
     EXIT_ERROR,
     EXIT_INSECURE,
     EXIT_OK,
+    build_parser,
     main,
     parse_eve,
     parse_weights,
@@ -457,3 +458,38 @@ class TestPinnedSummaryCounts:
         check = json.loads(capsys.readouterr().out)
         for payload in (run, check):
             assert {key: payload[key] for key in self.PINNED} == self.PINNED
+
+
+class TestOneParserPerProcess:
+    """``main`` parses every command line with one parser; no call may see another's flags."""
+
+    def test_main_reuses_one_parser_and_build_parser_makes_a_new_one(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_json_flag_does_not_outlive_its_command(self, tmp_path, capsys):
+        out = str(tmp_path / "t.qkdlog")
+        assert main(["run", "--rounds", "300", "--out", out, "--json"]) != EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["rounds"] == 300
+        assert main(["run", "--rounds", "300", "--out", out]) != EXIT_ERROR
+        text = capsys.readouterr().out
+        assert text.startswith("rounds=300 ") and text.rstrip().endswith(f"written to {out}")
+
+    def test_frame_flag_does_not_outlive_its_command(self, tmp_path, capsys):
+        out = str(tmp_path / "t.qkdlog")
+        main(["run", "--rounds", "300", "--out", out])
+        capsys.readouterr()
+        main(["check", out, "--frame", "weights", "--json"])
+        assert [r["frame"] for r in json.loads(capsys.readouterr().out)["reports"]] == ["weights"]
+        main(["check", out, "--json"])
+        frames = [r["frame"] for r in json.loads(capsys.readouterr().out)["reports"]]
+        assert frames == ["weights", "abinitio"]
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--rounds", "abc"])
+        assert exc.value.code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        out = str(tmp_path / "t.qkdlog")
+        assert main(["run", "--rounds", "300", "--out", out]) != EXIT_ERROR
+        assert load_transcript(out).rounds and capsys.readouterr().err == ""

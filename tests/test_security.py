@@ -27,6 +27,10 @@ from pathspin.errors import (
     InvalidDistributionError,
     InvalidStateError,
 )
+from pathspin.cli import REFERENCE_TABLE
+from pathspin.optics import prepare
+from pathspin.protocol import AlicePolicy
+from pathspin.security import _PAULI_PAIRS, _PAULIS, _t_ab_initio
 
 # frozen cross-check for the (0.4, 0.2, 0.2, 0.2) ensemble, derived in
 # test_worked_example_matches_dense_solver with a dense eigensolver
@@ -265,3 +269,38 @@ class TestPlainMessages:
     def test_tally_refuses_what_is_no_signal_label(self):
         with pytest.raises(ValueError, match="not a signal label: 'psi'"):
             ensemble_from_aborts([StateLabel.PSI, (1, "psi")])
+
+
+class TestPauliPairs:
+    """The ab-initio frame reads nine products built once; its T is the per-call one, bit for bit."""
+
+    @staticmethod
+    def _t_per_call_kron(rho):
+        t = np.empty((3, 3))
+        for i, si in enumerate(_PAULIS):
+            for j, sj in enumerate(_PAULIS):
+                t[i, j] = np.real(np.trace(rho @ np.kron(si, sj)))
+        return t
+
+    @staticmethod
+    def _states():
+        """The uniform ensemble, each reference family p, and 20 seeded random ensembles."""
+        yield density_from_ensemble(AbortEnsemble((1, 1, 1, 1)))
+        for p, *_ in REFERENCE_TABLE:
+            yield sum(w * np.outer(prepare(label), prepare(label).conj())
+                      for w, label in zip(AlicePolicy.family(p).weights, StateLabel))
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            counts = tuple(int(c) for c in rng.integers(0, 1000, size=4))
+            yield density_from_ensemble(AbortEnsemble(counts))
+
+    def test_products_equal_a_per_call_kron_reference(self):
+        for rho in self._states():
+            assert np.array_equal(_t_ab_initio(rho), self._t_per_call_kron(rho))
+
+    def test_products_are_read_only(self):
+        assert len(_PAULI_PAIRS) == 9
+        for op in _PAULI_PAIRS:
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
