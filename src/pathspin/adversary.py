@@ -30,7 +30,7 @@ from .optics import (
     outcome_support,
     pipeline_distribution,
 )
-from .protocol import _ALICE_BIT, _BOB_BIT, PhaseChoice, Transcript, keep_group
+from .protocol import PhaseChoice, Transcript, keep_group
 from .qmath import Rng
 
 
@@ -127,10 +127,8 @@ class QberEstimate:
 
 
 def qber(transcript: Transcript) -> QberEstimate:
-    """Mismatch rate between the two keys over decodable kept rounds, from the kind counts."""
-    decoded = _BOB_BIT >= 0
-    kept = int(transcript.kind_counts[decoded].sum())
-    mismatches = int(transcript.kind_counts[decoded & (_BOB_BIT != _ALICE_BIT)].sum())
+    """Mismatch rate between the two keys over decodable kept rounds, from ``key_errors``."""
+    mismatches, kept = transcript.key_errors()
     if kept == 0:
         raise InsufficientDataError("no kept rounds to compare", required=1)
     rate = mismatches / kept

@@ -188,11 +188,11 @@ def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
     ``security_decision``'s; ``require_aborts`` decides NO VERDICT, and the
     verdict is the first frame's.
     """
-    kept, aborted = len(transcript.alice_key), len(transcript.declarations)
-    keep_fraction = transcript.keep_fraction()
-    out = [f"rounds={len(transcript.rounds)} kept={kept} aborted={aborted} "
-           f"keep_fraction={keep_fraction:.4f}"]
-    payload = {"rounds": len(transcript.rounds), "seed": transcript.seed, "kept": kept,
+    ensemble = AbortEnsemble(tuple(transcript.abort_counts().values()))
+    n, aborted = len(transcript.kinds), ensemble.total
+    kept, keep_fraction = n - aborted, transcript.keep_fraction()
+    out = [f"rounds={n} kept={kept} aborted={aborted} keep_fraction={keep_fraction:.4f}"]
+    payload = {"rounds": n, "seed": transcript.seed, "kept": kept,
                "aborted": aborted, "keep_fraction": keep_fraction, "transcript": str(path),
                "decode_failures": transcript.decode_failures()}
     try:
@@ -206,7 +206,6 @@ def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
     except InsufficientDataError:
         out.append("qber=n/a (no kept rounds)")
         payload["qber"] = None
-    ensemble = AbortEnsemble(tuple(transcript.abort_counts().values()))
     counts = dict(zip((label.value for label in StateLabel), ensemble.counts))
     out.append("declared aborts: " + " ".join(f"{k}={n}" for k, n in counts.items()))
     payload["abort_counts"] = counts

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, IO, Iterable, NamedTuple
@@ -146,7 +146,7 @@ class BobPolicy:
 
 
 class RoundRecord(NamedTuple):
-    """One simulated round: its index, then the eight fields of its kind.
+    """One round, as ``Transcript.rounds`` derives it: its index, then the eight fields of its kind.
 
     A tuple, so ``record[1:]`` is the round's entry of ``_KINDS``, and
     ``tuple.__new__(RoundRecord, fields)`` builds one without running
@@ -227,34 +227,82 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
     return tuple.__new__(RoundRecord, (index, *_KINDS[kind]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    """Complete record of a session plus the publicly announced data.
+    """A session: its seed, its config and the kind index of each round, one byte per round.
 
-    Every summary figure is a masked sum of ``kind_counts``, the rounds per kind index."""
+    ``kinds`` is the only per-round state: records, declarations, both keys and every summary
+    figure (a masked sum of ``kind_counts``) derive from it, through the per-kind columns."""
 
     seed: int
     config: dict
-    rounds: list[RoundRecord]
-    declarations: list[tuple[int, StateLabel]]
-    alice_key: list[int]
-    bob_key: list[int]
+    kinds: bytes
     version: int = TRANSCRIPT_VERSION
-    kind_counts: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind_counts is None:  # counted from the records
-            self.kind_counts = _announce(self.rounds)[3]
+        if type(self.kinds) is not bytes or np.frombuffer(self.kinds, np.uint8).max(initial=0) > 63:
+            raise ValueError("kinds must be bytes of kind indices below 64, "
+                             f"got a {type(self.kinds).__name__}")
+
+    @classmethod
+    def from_rounds(cls, seed: int, config: dict, rounds: Iterable[RoundRecord]) -> "Transcript":
+        """The transcript of ``rounds``, the one place records become kind indices.
+
+        Round ``i`` must be a record of one of the 64 kinds with ``round_index``
+        ``i``; the first that is not raises a ValueError naming it."""
+        kinds = bytearray()
+        for i, r in enumerate(rounds):
+            try:
+                kind = _KIND_INDEX.get(r[1:]) if r[0] == i else None
+            except TypeError:  # a field that cannot be hashed
+                kind = None
+            if kind is None:
+                raise ValueError(f"round {i} is none of the 64 kinds: {r!r}")
+            kinds.append(kind)
+        return cls(seed, config, bytes(kinds))
+
+    @property
+    def kind_counts(self) -> np.ndarray:
+        """The rounds of each kind index, 64 counts."""
+        return np.bincount(np.frombuffer(self.kinds, np.uint8), minlength=len(_KINDS))
+
+    @property
+    def rounds(self) -> list[RoundRecord]:
+        return [tuple.__new__(RoundRecord, (i, *_KINDS[kind])) for i, kind in enumerate(self.kinds)]
+
+    @property
+    def declarations(self) -> list[tuple[int, StateLabel]]:
+        """(round index, label) of every aborted round, in round order."""
+        kinds = np.frombuffer(self.kinds, np.uint8)
+        aborted = np.flatnonzero(~_KEPT[kinds])
+        labels = _LABEL_INDEX[kinds[aborted]].tolist()
+        return list(zip(aborted.tolist(), [_LABELS[label] for label in labels]))
+
+    @property
+    def alice_key(self) -> list[int]:
+        kinds = np.frombuffer(self.kinds, np.uint8)
+        return _ALICE_BIT[kinds[_KEPT[kinds]]].tolist()
+
+    @property
+    def bob_key(self) -> list[int]:
+        bits = _BOB_BIT[np.frombuffer(self.kinds, np.uint8)]
+        return bits[bits >= 0].tolist()
 
     def keep_fraction(self) -> float:
-        return int(self.kind_counts[_KEPT].sum()) / max(int(self.kind_counts.sum()), 1)
+        return int(self.kind_counts[_KEPT].sum()) / max(len(self.kinds), 1)
 
     def abort_counts(self) -> dict[StateLabel, int]:
-        return {label: int(self.kind_counts[~_KEPT & (_LABEL_INDEX == i)].sum())
+        counts = self.kind_counts
+        return {label: int(counts[~_KEPT & (_LABEL_INDEX == i)].sum())
                 for i, label in enumerate(_LABELS)}
 
     def decode_failures(self) -> int:
         return int(self.kind_counts[_DECODE_FAILED].sum())
+
+    def key_errors(self) -> tuple[int, int]:
+        """(mismatched, decoded): kept rounds whose two bits differ, and kept rounds Bob decodes."""
+        counts, decoded = self.kind_counts, _BOB_BIT >= 0
+        return int(counts[decoded & (_BOB_BIT != _ALICE_BIT)].sum()), int(counts[decoded].sum())
 
 
 def _config_snapshot(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve) -> dict:
@@ -274,7 +322,7 @@ def run_session(
     seed: int = 0,
     jobs: int = 1,
 ) -> Transcript:
-    """Run ``n_rounds`` rounds and assemble keys and abort declarations.
+    """Run ``n_rounds`` rounds; the transcript keeps the kind index of each.
 
     Round ``i`` draws only from stream ``i`` of ``seed``, the ``i``-th
     generator of ``Rng.streams``.  ``jobs`` must be
@@ -286,44 +334,10 @@ def run_session(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    rounds = [run_round(i, alice, bob, eve, rng)
-              for i, rng in enumerate(Rng.streams(seed, n_rounds))]
-    declarations, alice_key, bob_key, kind_counts = _announce(rounds)
-    return Transcript(
-        seed=seed,
-        config=_config_snapshot(n_rounds, alice, bob, eve),
-        rounds=rounds,
-        declarations=declarations,
-        alice_key=alice_key,
-        bob_key=bob_key,
-        kind_counts=kind_counts,
-    )
-
-
-def _no_kind(rounds: list[RoundRecord]) -> ValueError:
-    """The error for the first of ``rounds`` that is none of the 64 kinds, naming its round."""
-    for r in rounds:
-        try:
-            if r[1:] in _KIND_INDEX:
-                continue
-        except TypeError:  # a field that cannot be hashed
-            pass
-        return ValueError(f"round {r[0]} is none of the 64 kinds: {r!r}")
-    raise AssertionError("every record is one of the 64 kinds")
-
-
-def _announce(rounds: list[RoundRecord]) -> tuple[list, list[int], list[int], np.ndarray]:
-    """Declarations, keys and kind counts: the one pass maps each record to its kind index.
-
-    A record of none of the 64 kinds raises the ValueError of ``_no_kind``."""
-    try:
-        kinds = np.fromiter((_KIND_INDEX[r[1:]] for r in rounds), np.uint8, len(rounds))
-    except (KeyError, TypeError):
-        raise _no_kind(rounds) from None
-    kept, bob_bits = _KEPT[kinds], _BOB_BIT[kinds]
-    declarations = [rounds[i][:2] for i in np.flatnonzero(~kept).tolist()]
-    return (declarations, _ALICE_BIT[kinds[kept]].tolist(), bob_bits[bob_bits >= 0].tolist(),
-            np.bincount(kinds, minlength=len(_KINDS)))
+    # run_round by its module-global name, once per round: perfbench/tracer.py counts it there
+    return Transcript.from_rounds(
+        seed, _config_snapshot(n_rounds, alice, bob, eve),
+        (run_round(i, alice, bob, eve, rng) for i, rng in enumerate(Rng.streams(seed, n_rounds))))
 
 
 def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
@@ -372,19 +386,13 @@ def _round_to_obj(r: RoundRecord) -> dict:
             **dict(zip(_ROUND_KEYS, _as_written(r[1:])))}
 
 
-def _bits_to_str(bits: Iterable[int]) -> str:
-    return "".join(["1" if b else "0" for b in bits])
-
-
-def _footer_obj(
-    declarations: list[tuple[int, StateLabel]], alice_key: list[int], bob_key: list[int]
-) -> dict:
+def _footer_obj(transcript: Transcript) -> dict:
     return {
         "record": "footer",
         # ``_value_`` is what the ``value`` property returns, without the property call
-        "declarations": [[i, label._value_] for i, label in declarations],
-        "alice_key": _bits_to_str(alice_key),
-        "bob_key": _bits_to_str(bob_key),
+        "declarations": [[i, label._value_] for i, label in transcript.declarations],
+        "alice_key": "".join(map(str, transcript.alice_key)),
+        "bob_key": "".join(map(str, transcript.bob_key)),
     }
 
 
@@ -398,12 +406,12 @@ def _round_tail(r: RoundRecord) -> str:
     return f",{tail[1:]}\n"
 
 
-#: Drawn values as written -> kind.
-_KIND_OF_DRAWN = {_as_written(k)[:_DRAWN]: k for k in _KINDS}
-#: Kind -> the tail of its round line.
-_TAILS = {kind: _round_tail(RoundRecord(0, *kind)) for kind in _KINDS}
-#: The tail of a canonical round line, newline stripped -> its kind.
-_KIND_OF_TAIL = {tail[:-1]: kind for kind, tail in _TAILS.items()}
+#: Drawn values as written -> kind index.
+_KIND_OF_DRAWN = {_as_written(kind)[:_DRAWN]: i for i, kind in enumerate(_KINDS)}
+#: The tail of each kind's round line, by kind index.
+_TAILS = tuple(_round_tail(RoundRecord(0, *kind)) for kind in _KINDS)
+#: The tail of a canonical round line, newline stripped -> its kind index.
+_KIND_OF_TAIL = {tail[:-1]: i for i, tail in enumerate(_TAILS)}
 
 
 def _differing_keys(got: dict, want: dict) -> list[str]:
@@ -415,8 +423,8 @@ def _differing_keys(got: dict, want: dict) -> list[str]:
             or type(want[key]) is list and {type(i) for i, _ in got[key]} - {int}]
 
 
-def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
-    """Round ``index`` built from the kind ``obj`` draws, if ``obj`` is its ``_round_to_obj``.
+def _round_from_obj(obj: dict, index: int, line: int) -> int:
+    """The kind index ``obj`` draws, if ``obj`` is the ``_round_to_obj`` of round ``index``.
 
     A line without ``decode_failed`` (as early files were written) reads it as False.  Each
     missing, differing or extra key is named, with the JSON types of ``_differing_keys``."""
@@ -428,24 +436,23 @@ def _round_from_obj(obj: dict, index: int, line: int) -> RoundRecord:
         kind = _KIND_OF_DRAWN[drawn]
     except (KeyError, TypeError):
         raise ParseError(f"no round draws {drawn!r}", line=line) from None
-    got, want = {"decode_failed": False, **obj}, _round_to_obj(RoundRecord(index, *kind))
+    got, want = {"decode_failed": False, **obj}, _round_to_obj(RoundRecord(index, *_KINDS[kind]))
     wrong = _differing_keys(got, want)
     if wrong:
         raise ParseError("; ".join(
             f"round record without {key!r}" if key not in got
             else f"{key} {got[key]!r}, expected {want[key]!r}" if key in want
             else f"round record with unknown key {key!r}" for key in wrong), line=line)
-    return RoundRecord(index, *kind)
+    return kind
 
 
 def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """Write a transcript as line-delimited JSON (.qkdlog).
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
-    other field.  The tail is looked up in ``_TAILS``, rendered at import,
-    by the record's slice ``r[1:]``, which is its kind; a record of none of
-    the 64 kinds raises a ValueError naming its round, and the file is left
-    without a footer.  Lines are written one at a time, never joined.
+    other field, ``_TAILS[kind]`` of its kind index, rendered at import.
+    The footer's declarations and keys are the transcript's, derived from
+    the same kinds.  Lines are written one at a time, never joined.
     """
     with (open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path))
           else nullcontext(dest)) as fh:
@@ -456,22 +463,18 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
             "config": transcript.config,
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        try:
-            for r in transcript.rounds:
-                fh.write(f"{_ROUND_HEAD}{r.round_index}{_TAILS[r[1:]]}")
-        except (KeyError, TypeError):
-            raise _no_kind(transcript.rounds) from None
-        footer = _footer_obj(transcript.declarations, transcript.alice_key, transcript.bob_key)
-        fh.write(json.dumps(footer, separators=(",", ":")) + "\n")
+        for i, kind in enumerate(transcript.kinds):
+            fh.write(f"{_ROUND_HEAD}{i}{_TAILS[kind]}")
+        fh.write(json.dumps(_footer_obj(transcript), separators=(",", ":")) + "\n")
 
 
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
     Blank lines are skipped; the first other line must be the header.  Each
-    round is rebuilt from its draws, never trusted.  A canonical round line
+    round's kind index is read from its draws, never trusted.  A canonical round line
     -- between header and footer, ``_ROUND_HEAD``, the next index, one of
-    the 64 tails of ``_KIND_OF_TAIL`` and a newline -- is matched by text,
+    the 64 tails of ``_KIND_OF_TAIL`` and a newline -- gives its kind by text,
     as read: it is exactly what ``save_transcript`` writes for its kind, so
     ``_round_from_obj`` would accept it.  Only a line that misses is
     stripped and parsed by ``read_json``: a blank line, a CRLF line end,
@@ -483,20 +486,20 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     integers.  Raises ParseError (with the 1-based line number) on malformed
     or too deeply nested JSON, a non-object line, unknown record kinds, an
     unsupported version, truncation, a rejected round line, or a footer
-    that differs from the one the rounds give.  Read one line at a time.
+    that differs from the one the kinds give.  Read one line at a time.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         header = None
-        rounds: list[RoundRecord] = []
+        kinds = bytearray()
         footer = None
         line_no = 0
         for line_no, raw in enumerate(fh, start=1):
             if header is not None and footer is None:
-                prefix = f"{_ROUND_HEAD}{len(rounds)}"
-                kind = (raw.startswith(prefix) and raw.endswith("\n")
-                        and _KIND_OF_TAIL.get(raw[len(prefix):-1]))
-                if kind:
-                    rounds.append(tuple.__new__(RoundRecord, (len(rounds), *kind)))
+                prefix = f"{_ROUND_HEAD}{len(kinds)}"
+                kind = (_KIND_OF_TAIL.get(raw[len(prefix):-1])
+                        if raw.startswith(prefix) and raw.endswith("\n") else None)
+                if kind is not None:
+                    kinds.append(kind)
                     continue
             raw = raw.strip()
             if not raw:
@@ -519,7 +522,7 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             elif kind == "round":
                 if footer is not None:
                     raise ParseError("round record after footer", line=line_no)
-                rounds.append(_round_from_obj(obj, len(rounds), line_no))
+                kinds.append(_round_from_obj(obj, len(kinds), line_no))
             elif kind == "footer":
                 if footer is not None:
                     raise ParseError("duplicate footer record", line=line_no)
@@ -533,12 +536,11 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
         if footer is None:
             raise ParseError("transcript ended before footer record", line=line_no + 1)
         expected = header["config"].get("n_rounds")
-        if expected != len(rounds):
-            raise ParseError(f"header announces {expected} rounds, found {len(rounds)}", line_no)
-        declarations, alice_key, bob_key, kind_counts = _announce(rounds)
-        wrong = ", ".join(_differing_keys(footer, _footer_obj(declarations, alice_key, bob_key)))
+        if expected != len(kinds):
+            raise ParseError(f"header announces {expected} rounds, found {len(kinds)}", line_no)
+        transcript = Transcript(seed=header["seed"], config=header["config"], kinds=bytes(kinds),
+                                version=header["version"])
+        wrong = ", ".join(_differing_keys(footer, _footer_obj(transcript)))
         if wrong:
             raise ParseError(f"footer {wrong} does not match the round records", footer_line)
-        return Transcript(seed=header["seed"], config=header["config"], rounds=rounds,
-                          declarations=declarations, alice_key=alice_key, bob_key=bob_key,
-                          version=header["version"], kind_counts=kind_counts)
+        return transcript

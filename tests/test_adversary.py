@@ -146,8 +146,7 @@ class TestFootprint:
         assert abs(m_clean - m_tapped) <= 1e-12
 
     def test_qber_requires_kept_rounds(self):
-        empty = Transcript(seed=0, config={}, rounds=[], declarations=[],
-                           alice_key=[], bob_key=[])
+        empty = Transcript(seed=0, config={}, kinds=b"")
         with pytest.raises(InsufficientDataError):
             qber(empty)
 

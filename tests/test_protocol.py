@@ -122,14 +122,13 @@ class TestSiftTable:
 
 class TestCanonicalLines:
     def test_text_lookup_agrees_with_json_for_every_kind(self):
-        kinds = set(_KINDS)
-        assert len(_KIND_OF_TAIL) == 64 and set(_KIND_OF_TAIL.values()) == kinds
-        for i, kind in enumerate(sorted(kinds, key=repr)):
+        assert len(_TAILS) == len(_KIND_OF_TAIL) == 64
+        assert sorted(_KIND_OF_TAIL.values()) == list(range(64))
+        for i, kind in enumerate(sorted(range(64), key=lambda k: repr(_KINDS[k]))):
             line = _ROUND_HEAD + str(i) + _TAILS[kind]
             head = _ROUND_HEAD + str(i)
             by_text = _KIND_OF_TAIL[line.strip()[len(head):]]
-            assert RoundRecord(i, *by_text) == _round_from_obj(json.loads(line), i, 1)
-            assert by_text == kind
+            assert by_text == _round_from_obj(json.loads(line), i, 1) == kind
 
 
 class TestRecordTuples:
@@ -149,7 +148,7 @@ class TestRecordTuples:
             rec = RoundRecord(i, *kind)
             assert rec[0] == rec.round_index == i
             assert rec[1:] == kind
-            assert _TAILS.get(rec[1:]) is not None
+            assert json.loads(_ROUND_HEAD + str(i) + _TAILS[i]) == _round_to_obj(rec)
 
     def test_records_are_immutable(self):
         rec = RoundRecord(0, *self._kinds()[0])
@@ -529,27 +528,26 @@ class TestSerialization:
             load_transcript(bad)
         assert hint in str(err.value)
 
-    def test_saving_refuses_a_record_of_no_kind(self):
-        session = self._small(n=8)
-        index = next(r.round_index for r in session.rounds if r.verdict is Verdict.ABORT)
-        session.rounds[index] = session.rounds[index]._replace(verdict=Verdict.KEEP)
-        with pytest.raises(ValueError, match=f"round {index} is none of the 64 kinds"):
-            save_transcript(session, io.StringIO())
-
     @pytest.mark.parametrize("edit", [
         lambda r: r._replace(verdict=Verdict.KEEP),
         lambda r: r._replace(outcome=[r.outcome.port, r.outcome.spin]),
-    ], ids=["wrong-verdict", "unhashable-outcome"])
+        lambda r: r._replace(round_index=99),
+    ], ids=["wrong-verdict", "unhashable-outcome", "out-of-place-index"])
     def test_building_refuses_a_record_of_no_kind(self, edit):
-        # the error save_transcript gives, raised when the kinds are counted
+        # so no transcript can be built that save_transcript could not write
         session = self._small(n=8)
-        rounds = list(session.rounds)
+        rounds = session.rounds
         index = next(r.round_index for r in rounds if r.verdict is Verdict.ABORT)
         rounds[index] = edit(rounds[index])
         with pytest.raises(ValueError, match=f"^round {index} is none of the 64 kinds: "):
-            Transcript(seed=session.seed, config=session.config, rounds=rounds,
-                       declarations=session.declarations, alice_key=session.alice_key,
-                       bob_key=session.bob_key)
+            Transcript.from_rounds(session.seed, session.config, rounds)
+
+    @pytest.mark.parametrize("kinds", [
+        bytearray(b"\x00\x01"), [0, 1], np.array([0, 1], np.uint8), b"\x00\x40", b"\xff",
+    ], ids=["bytearray", "list", "array", "kind-64", "kind-255"])
+    def test_building_refuses_kinds_that_are_not_bytes_below_64(self, kinds):
+        with pytest.raises(ValueError, match="^kinds must be bytes of kind indices below 64"):
+            Transcript(seed=0, config={}, kinds=kinds)
 
     @pytest.mark.parametrize(
         "alice, bob, eve",
@@ -619,8 +617,7 @@ class TestSerialization:
             load_transcript(bad)
 
     def test_empty_transcript_object_permitted(self):
-        empty = Transcript(seed=0, config={}, rounds=[], declarations=[],
-                           alice_key=[], bob_key=[])
+        empty = Transcript(seed=0, config={}, kinds=b"")
         assert empty.keep_fraction() == 0.0
 
 
@@ -740,19 +737,17 @@ class TestKindCounts:
         loaded = load_transcript(io.StringIO(buf.getvalue()))
         replayed = replay_session(session, eve_factory=InterceptResend.from_config)
         for other in (loaded, replayed):
+            assert other.kinds == session.kinds
             assert other.kind_counts.tolist() == session.kind_counts.tolist()
             assert _figures(other) == _figures(session)
 
     def test_a_transcript_built_by_hand_counts_its_rounds(self, session):
-        by_hand = Transcript(seed=session.seed, config=session.config,
-                             rounds=list(session.rounds), declarations=session.declarations,
-                             alice_key=session.alice_key, bob_key=session.bob_key)
+        by_hand = Transcript.from_rounds(session.seed, session.config, session.rounds)
         assert _figures(by_hand) == _recount(session.rounds)
         assert by_hand.keep_fraction() > 0.0 and by_hand == session
 
     def test_an_empty_transcript_has_zero_counts(self):
-        empty = Transcript(seed=0, config={}, rounds=[], declarations=[],
-                           alice_key=[], bob_key=[])
+        empty = Transcript(seed=0, config={}, kinds=b"")
         assert empty.kind_counts.tolist() == [0] * 64
         assert empty.abort_counts() == {label: 0 for label in StateLabel}
         assert empty.decode_failures() == 0
