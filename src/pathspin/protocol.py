@@ -18,6 +18,9 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, IO, Iterable, NamedTuple
 
@@ -386,16 +389,6 @@ def _round_to_obj(r: RoundRecord) -> dict:
             **dict(zip(_ROUND_KEYS, _as_written(r[1:])))}
 
 
-def _footer_obj(transcript: Transcript) -> dict:
-    return {
-        "record": "footer",
-        # ``_value_`` is what the ``value`` property returns, without the property call
-        "declarations": [[i, label._value_] for i, label in transcript.declarations],
-        "alice_key": "".join(map(str, transcript.alice_key)),
-        "bob_key": "".join(map(str, transcript.bob_key)),
-    }
-
-
 #: Every round line starts with these bytes and continues with its index.
 _ROUND_HEAD = '{"record":"round","round_index":'
 
@@ -412,6 +405,72 @@ _KIND_OF_DRAWN = {_as_written(kind)[:_DRAWN]: i for i, kind in enumerate(_KINDS)
 _TAILS = tuple(_round_tail(RoundRecord(0, *kind)) for kind in _KINDS)
 #: The tail of a canonical round line, newline stripped -> its kind index.
 _KIND_OF_TAIL = {tail[:-1]: i for i, tail in enumerate(_TAILS)}
+#: ``load_transcript`` reads about this many characters of lines at a time.
+_BLOCK = 1 << 16
+
+
+def _canonical_kind(raw: str, index: int) -> int | None:
+    """The kind index of ``raw`` if it is the canonical line of round ``index``, else None.
+
+    A canonical line is ``_ROUND_HEAD``, the index, one of the 64 tails of ``_KIND_OF_TAIL``
+    and a newline: exactly what ``save_transcript`` writes for its kind."""
+    prefix = f"{_ROUND_HEAD}{index}"
+    return (_KIND_OF_TAIL.get(raw[len(prefix):-1])
+            if raw.startswith(prefix) and raw.endswith("\n") else None)
+
+
+def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
+    """Append to ``kinds`` the kinds of the leading canonical lines of ``lines``; return how many.
+
+    ``lines`` hold rounds ``len(kinds)`` on.  One run of lines whose indices have equal width
+    is tested at a time, with a handful of calls over the whole run; a run that misses is
+    redone one line at a time by ``_canonical_kind``, which stops at the first line that is
+    not canonical.  So exactly the lines that ``_canonical_kind`` accepts are taken."""
+    taken = 0
+    while taken < len(lines):
+        first = len(kinds)
+        width = len(str(first))
+        cut = len(_ROUND_HEAD) + width
+        run = lines[taken:taken + 10 ** width - first]
+        got = list(map(_KIND_OF_TAIL.get, map(itemgetter(slice(cut, -1)), run)))
+        if (None in got or not all(map(str.startswith, run, repeat(_ROUND_HEAD)))
+                or "".join(map(itemgetter(slice(len(_ROUND_HEAD), cut)), run))
+                != "".join(map(str, range(first, first + len(run))))
+                or not run[-1].endswith("\n")):
+            for raw in run:
+                kind = _canonical_kind(raw, len(kinds))
+                if kind is None:
+                    break
+                kinds.append(kind)
+                taken += 1
+            return taken
+        kinds.extend(got)
+        taken += len(run)
+    return taken
+
+
+#: A footer declaration as written, by the declared label's index; ``%`` fills in its round.
+#: No label holds a ``%``.
+_DECLARED = tuple(f"[%d,{json.dumps(label.value)}]" for label in _LABELS)
+#: Every footer line starts with these bytes.
+_FOOTER_HEAD = '{"record":"footer","declarations":['
+
+
+def _footer_line(kinds: bytes) -> str:
+    """The footer line, newline excluded, that ``save_transcript`` writes for these kinds.
+
+    Its declarations and both keys are read off the per-kind columns, the keys as one
+    ASCII digit per bit."""
+    kinds = np.frombuffer(kinds, np.uint8)
+    kept = _KEPT[kinds]
+    aborted = np.flatnonzero(~kept)
+    # one ``%`` over the joined formats fills in every round at once
+    declarations = (",".join(map(_DECLARED.__getitem__, _LABEL_INDEX[kinds[aborted]].tolist()))
+                    % tuple(aborted.tolist()))
+    bob = _BOB_BIT[kinds]
+    alice_key, bob_key = ((bits + 48).astype(np.uint8).tobytes().decode("ascii")
+                          for bits in (_ALICE_BIT[kinds[kept]], bob[bob >= 0]))
+    return f'{_FOOTER_HEAD}{declarations}],"alice_key":"{alice_key}","bob_key":"{bob_key}"}}'
 
 
 def _differing_keys(got: dict, want: dict) -> list[str]:
@@ -451,8 +510,8 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
     other field, ``_TAILS[kind]`` of its kind index, rendered at import.
-    The footer's declarations and keys are the transcript's, derived from
-    the same kinds.  Lines are written one at a time, never joined.
+    The footer is ``_footer_line`` of the same kinds.  Lines are written one
+    at a time, never joined.
     """
     with (open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path))
           else nullcontext(dest)) as fh:
@@ -465,7 +524,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for i, kind in enumerate(transcript.kinds):
             fh.write(f"{_ROUND_HEAD}{i}{_TAILS[kind]}")
-        fh.write(json.dumps(_footer_obj(transcript), separators=(",", ":")) + "\n")
+        fh.write(_footer_line(transcript.kinds) + "\n")
 
 
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
@@ -476,61 +535,83 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     -- between header and footer, ``_ROUND_HEAD``, the next index, one of
     the 64 tails of ``_KIND_OF_TAIL`` and a newline -- gives its kind by text,
     as read: it is exactly what ``save_transcript`` writes for its kind, so
-    ``_round_from_obj`` would accept it.  Only a line that misses is
-    stripped and parsed by ``read_json``: a blank line, a CRLF line end,
-    trailing spaces, a last line without a newline and round lines of
-    another spelling all take that path.  Such a round line, and the
-    footer, must have the keys and JSON-typed values of the object
+    ``_round_from_obj`` would accept it.  A footer line that, stripped, is
+    ``_footer_line`` of the kinds read is accepted by text too.  Only a line
+    that misses is stripped and parsed by ``read_json``: a blank line, a CRLF
+    line end, trailing spaces, a last line without a newline and round lines
+    or a footer of another spelling all take that path.  Such a round line, and
+    the footer, must have the keys and JSON-typed values of the object
     ``save_transcript`` writes for it, compared by ``_differing_keys``;
     the header's ``version``, ``seed`` and ``n_rounds`` must be JSON
     integers.  Raises ParseError (with the 1-based line number) on malformed
     or too deeply nested JSON, a non-object line, unknown record kinds, an
     unsupported version, truncation, a rejected round line, or a footer
-    that differs from the one the kinds give.  Read one line at a time.
+    that differs from the one the kinds give.  Lines are read in blocks of
+    about ``_BLOCK`` characters.  In each block, from its first line after
+    the header (and before a footer), ``_canonical_rounds`` takes the
+    leading canonical round lines in bulk; every line from its first miss
+    to the end of the block is read one at a time, as above.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         header = None
         kinds = bytearray()
         footer = None
         line_no = 0
-        for line_no, raw in enumerate(fh, start=1):
-            if header is not None and footer is None:
-                prefix = f"{_ROUND_HEAD}{len(kinds)}"
-                kind = (_KIND_OF_TAIL.get(raw[len(prefix):-1])
-                        if raw.startswith(prefix) and raw.endswith("\n") else None)
-                if kind is not None:
-                    kinds.append(kind)
+        for block in iter(partial(fh.readlines, _BLOCK), []):
+            j, bulk = 0, True
+            while j < len(block):
+                if bulk and header is not None and footer is None:
+                    bulk = False
+                    taken = _canonical_rounds(block[j:], kinds)
+                    j += taken
+                    line_no += taken
                     continue
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = read_json(raw, line_no)
-            kind = obj.get("record")
-            if header is None:
-                if kind != "header":
-                    raise ParseError(f"expected header record, got {kind!r}", line=line_no)
-                # JSON integers only: True and 1.0 compare equal to 1
-                version, config = obj.get("version"), obj.get("config")
-                if not is_json_int(version) or version != TRANSCRIPT_VERSION:
-                    raise ParseError(f"unsupported transcript version {version!r}", line=line_no)
-                if not isinstance(config, dict):
-                    raise ParseError(f"header needs a config object, got {config!r}", line_no)
-                for key, value in (("seed", obj.get("seed")), ("n_rounds", config.get("n_rounds"))):
-                    if not is_json_int(value):
-                        raise ParseError(f"header needs an integer {key}, got {value!r}", line_no)
-                header = obj
-            elif kind == "round":
-                if footer is not None:
-                    raise ParseError("round record after footer", line=line_no)
-                kinds.append(_round_from_obj(obj, len(kinds), line_no))
-            elif kind == "footer":
-                if footer is not None:
-                    raise ParseError("duplicate footer record", line=line_no)
-                footer, footer_line = obj, line_no
-            elif kind == "header":
-                raise ParseError("duplicate header record", line=line_no)
-            else:
-                raise ParseError(f"unknown record kind {kind!r}", line=line_no)
+                raw = block[j]
+                j += 1
+                line_no += 1
+                if header is not None and footer is None:
+                    kind = _canonical_kind(raw, len(kinds))
+                    if kind is not None:
+                        kinds.append(kind)
+                        continue
+                raw = raw.strip()
+                if not raw:
+                    continue
+                # the head test renders the footer for one line at most: the next one that
+                # starts so is read as the footer or refused
+                if (header is not None and footer is None and raw.startswith(_FOOTER_HEAD)
+                        and raw == _footer_line(bytes(kinds))):
+                    footer, footer_line = raw, line_no  # matched by text: no object to compare
+                    continue
+                obj = read_json(raw, line_no)
+                kind = obj.get("record")
+                if header is None:
+                    if kind != "header":
+                        raise ParseError(f"expected header record, got {kind!r}", line=line_no)
+                    # JSON integers only: True and 1.0 compare equal to 1
+                    version, config = obj.get("version"), obj.get("config")
+                    if not is_json_int(version) or version != TRANSCRIPT_VERSION:
+                        raise ParseError(f"unsupported transcript version {version!r}", line_no)
+                    if not isinstance(config, dict):
+                        raise ParseError(f"header needs a config object, got {config!r}", line_no)
+                    for key, value in (("seed", obj.get("seed")),
+                                       ("n_rounds", config.get("n_rounds"))):
+                        if not is_json_int(value):
+                            raise ParseError(f"header needs an integer {key}, got {value!r}",
+                                             line_no)
+                    header = obj
+                elif kind == "round":
+                    if footer is not None:
+                        raise ParseError("round record after footer", line=line_no)
+                    kinds.append(_round_from_obj(obj, len(kinds), line_no))
+                elif kind == "footer":
+                    if footer is not None:
+                        raise ParseError("duplicate footer record", line=line_no)
+                    footer, footer_line = obj, line_no
+                elif kind == "header":
+                    raise ParseError("duplicate header record", line=line_no)
+                else:
+                    raise ParseError(f"unknown record kind {kind!r}", line=line_no)
         if header is None:
             raise ParseError("empty transcript, missing header record", line=1)
         if footer is None:
@@ -540,7 +621,9 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
             raise ParseError(f"header announces {expected} rounds, found {len(kinds)}", line_no)
         transcript = Transcript(seed=header["seed"], config=header["config"], kinds=bytes(kinds),
                                 version=header["version"])
-        wrong = ", ".join(_differing_keys(footer, _footer_obj(transcript)))
-        if wrong:
-            raise ParseError(f"footer {wrong} does not match the round records", footer_line)
+        if type(footer) is dict:  # parsed, not matched by text
+            want = json.loads(_footer_line(transcript.kinds))
+            wrong = ", ".join(_differing_keys(footer, want))
+            if wrong:
+                raise ParseError(f"footer {wrong} does not match the round records", footer_line)
         return transcript

@@ -46,6 +46,7 @@ from pathspin.protocol import (
     _ROUND_KEYS,
     _TAILS,
     RoundRecord,
+    _footer_line,
     _round_from_obj,
     _round_to_obj,
 )
@@ -129,6 +130,44 @@ class TestCanonicalLines:
             head = _ROUND_HEAD + str(i)
             by_text = _KIND_OF_TAIL[line.strip()[len(head):]]
             assert by_text == _round_from_obj(json.loads(line), i, 1) == kind
+
+
+def _footer_by_json(t: Transcript) -> str:
+    """The footer as ``json.dumps`` writes the object of ``t``'s declarations and keys."""
+    return json.dumps({"record": "footer",
+                       "declarations": [[i, label.value] for i, label in t.declarations],
+                       "alice_key": "".join(map(str, t.alice_key)),
+                       "bob_key": "".join(map(str, t.bob_key))}, separators=(",", ":"))
+
+
+_ABORTED_KINDS = bytes(k for k in range(64) if _KINDS[k][4] is Verdict.ABORT)
+_KEPT_KINDS = bytes(k for k in range(64) if _KINDS[k][4] is Verdict.KEEP)
+
+
+class TestFooterLine:
+    @pytest.mark.parametrize("make", [
+        lambda: run_session(1, AlicePolicy.uniform(), BobPolicy(), seed=3),
+        lambda: Transcript(seed=0, config={"n_rounds": 160}, kinds=_ABORTED_KINDS * 5),
+        lambda: Transcript(seed=0, config={"n_rounds": 160}, kinds=_KEPT_KINDS * 5),
+        lambda: run_session(500, AlicePolicy.family(1.0), BobPolicy(), seed=4),
+        lambda: run_session(500, AlicePolicy.family(0.8), BobPolicy(BasisMode.ALWAYS_Z), seed=5),
+        lambda: run_session(500, AlicePolicy.uniform(), BobPolicy(),
+                            eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y), seed=6),
+    ], ids=["one-round", "all-aborted", "all-kept", "family-1.0", "always-z", "tapped"])
+    def test_footer_line_is_the_json_of_declarations_and_keys(self, make):
+        t = make()
+        assert _footer_line(t.kinds) == _footer_by_json(t)
+        buf = io.StringIO()
+        save_transcript(t, buf)
+        assert buf.getvalue().endswith("\n" + _footer_line(t.kinds) + "\n")
+        assert load_transcript(io.StringIO(buf.getvalue())) == t
+
+    def test_the_sessions_cover_the_edges(self):
+        assert json.loads(_footer_line(_ABORTED_KINDS))["alice_key"] == ""
+        assert json.loads(_footer_line(_KEPT_KINDS))["declarations"] == []
+        tapped = run_session(500, AlicePolicy.uniform(), BobPolicy(),
+                             eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y), seed=6)
+        assert tapped.key_errors()[0] > 0
 
 
 class TestRecordTuples:

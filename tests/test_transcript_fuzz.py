@@ -25,10 +25,12 @@ from pathspin import (
     InterceptResend,
     PhaseChoice,
     SpinBasis,
+    Verdict,
     load_transcript,
     run_session,
     save_transcript,
 )
+from pathspin import protocol
 from pathspin.errors import ParseError
 
 SEEDS = range(5)
@@ -203,3 +205,141 @@ def test_a_mutant_loads_exactly_when_typed_equal(canonical, seed):
     # both outcomes are reached, so neither branch above is vacuous
     assert outcomes["refused"] > MUTANTS_PER_SEED // 4
     assert outcomes["loaded"] > MUTANTS_PER_SEED // 10
+
+
+class TestBulkReadEdges:
+    """Single mutations where ``load_transcript``'s bulk read of canonical lines turns.
+
+    The transcript has 12 000 tapped rounds, so its text spans many blocks of
+    ``_BLOCK`` characters and every index width up to five digits.  A mutation is made
+    at the first round after the header, at both sides of a block boundary, at both sides
+    of each change of index width and at the last round.  ``_as_read`` decides as in the
+    fuzz above, applied to the changed lines only: all others are the same on both sides.
+    A round line given another kind's canonical tail is typed-unequal but canonical, so
+    it is checked against the footer instead.
+    """
+
+    ROUNDS = 12_000
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        session = run_session(n_rounds=self.ROUNDS, alice=AlicePolicy.family(0.7),
+                              bob=BobPolicy(), eve=InterceptResend(PhaseChoice.PHI_0,
+                                                                   SpinBasis.Y, 0.5), seed=17)
+        out = io.StringIO()
+        save_transcript(session, out)
+        text = out.getvalue()
+        block_ends, reader = [], io.StringIO(text)
+        while block := reader.readlines(protocol._BLOCK):
+            block_ends.append((block_ends[-1] if block_ends else 0) + len(block))
+        assert len(block_ends) > 20
+        lines = text.split("\n")[:-1]
+        return session, lines, _as_read(lines), block_ends
+
+    @staticmethod
+    def _turning_lines(block_ends) -> list[int]:
+        """The 1-based lines where the bulk read turns; round ``i`` is on line ``i + 2``."""
+        boundary = block_ends[2]  # the last line of the third block; the fourth starts after it
+        widths = [line for index in (9, 99, 999, 9999) for line in (index + 2, index + 3)]
+        return [2, boundary, boundary + 1, *widths, TestBulkReadEdges.ROUNDS + 1]
+
+    @staticmethod
+    def _load(lines: list[str], end: str = "\n"):
+        return load_transcript(io.StringIO("\n".join(lines) + end))
+
+    def _expect(self, big, where, edited, cut=False, end="\n"):
+        """Load the lines with line ``where`` replaced by ``edited`` and, if ``cut``, none after
+        it, the file ending in ``end``: a typed-equal mutant loads to the session, any other
+        fails at line ``where`` (past the end of a cut file, if only the footer is missing)."""
+        session, lines, original, _ = big
+        mutant = lines[:where - 1] + [edited] + ([] if cut else lines[where:])
+        typed_equal = _as_read([edited]) == original[where - 1:None if cut else where]
+        try:
+            loaded = self._load(mutant, end)
+        except ParseError as exc:
+            assert not typed_equal, f"line {where} refused: {exc}"
+            only_footer_missing = cut and _as_read([edited]) == original[where - 1:where]
+            expected = where + 1 if only_footer_missing else where
+            assert exc.line == expected, f"line {where} refused at another line: {exc}"
+        else:
+            assert typed_equal, f"line {where} loaded"
+            assert loaded == session, f"line {where} loaded as another transcript"
+
+    @pytest.mark.parametrize("mutation", ["index_digit", "crlf", "trailing_space", "retyped_bit"])
+    def test_a_round_line_mutant_loads_exactly_when_typed_equal(self, big, mutation):
+        _, lines, _, block_ends = big
+        for where in self._turning_lines(block_ends):
+            line = lines[where - 1]
+            head = protocol._ROUND_HEAD + str(where - 2)
+            assert line.startswith(head)
+            if mutation == "index_digit":
+                edited = head[:-1] + str((int(head[-1]) + 1) % 10) + line[len(head):]
+            elif mutation == "crlf":
+                edited = line + "\r"
+            elif mutation == "trailing_space":
+                edited = line + " "
+            else:
+                bit = '"alice_bit":' + line.split('"alice_bit":')[1][0]
+                edited = line.replace(bit, bit + ".0")
+            self._expect(big, where, edited)
+
+    def test_another_kinds_tail_is_read_as_that_kind(self, big):
+        session, lines, _, block_ends = big
+        for where in self._turning_lines(block_ends):
+            index = where - 2
+            verdict = protocol._KINDS[session.kinds[index]][4]
+            other = next(k for k in range(64) if protocol._KINDS[k][4] is not verdict)
+            kinds = session.kinds[:index] + bytes([other]) + session.kinds[index + 1:]
+            edited = protocol._ROUND_HEAD + str(index) + protocol._TAILS[other][:-1]
+            mutant = lines[:where - 1] + [edited] + lines[where:]
+            # the old footer no longer matches: a kept round became aborted or the reverse
+            with pytest.raises(ParseError, match="footer .* does not match") as exc:
+                self._load(mutant)
+            assert exc.value.line == len(lines)
+            # with the footer of the new kinds, the file loads as those kinds
+            mutant[-1] = protocol._footer_line(kinds)
+            assert self._load(mutant).kinds == kinds
+
+    def test_a_file_cut_after_a_line_without_its_newline(self, big):
+        _, lines, _, block_ends = big
+        for where in self._turning_lines(block_ends) + [len(lines)]:
+            # ends before the footer, or (for the footer itself) loads
+            self._expect(big, where, lines[where - 1], cut=True, end="")
+            # one more character after a canonical tail is no JSON, refused at its line
+            self._expect(big, where, lines[where - 1] + "}", cut=True, end="")
+
+    def test_a_footer_canonical_for_other_kinds_is_refused(self, big):
+        session, lines, _, _ = big
+        aborted = [i for i, k in enumerate(session.kinds)
+                   if protocol._KINDS[k][4] is Verdict.ABORT]
+        index = aborted[len(aborted) // 2]
+        label = protocol._KINDS[session.kinds[index]][0]
+        other = next(k for k in range(64) if protocol._KINDS[k][4] is Verdict.ABORT
+                     and protocol._KINDS[k][0] is not label)
+        kinds = session.kinds[:index] + bytes([other]) + session.kinds[index + 1:]
+        mutant = lines[:-1] + [protocol._footer_line(kinds)]
+        assert mutant[-1] != lines[-1]
+        with pytest.raises(ParseError, match="footer declarations does not match") as exc:
+            self._load(mutant)
+        assert exc.value.line == len(lines)
+
+    def test_a_canonical_footer_then_a_duplicate_is_refused(self, big):
+        _, lines, _, _ = big
+        with pytest.raises(ParseError, match="duplicate footer record") as exc:
+            self._load(lines + [lines[-1]])
+        assert exc.value.line == len(lines) + 1
+
+    def test_a_canonical_file_parses_only_its_header_as_json(self, big, monkeypatch):
+        session, lines, _, block_ends = big
+        parsed, tested = [], []
+        read_json, canonical_kind = protocol.read_json, protocol._canonical_kind
+        monkeypatch.setattr(protocol, "read_json",
+                            lambda text, line: parsed.append(line) or read_json(text, line))
+        monkeypatch.setattr(protocol, "_canonical_kind",
+                            lambda raw, index: tested.append(index) or canonical_kind(raw, index))
+        assert self._load(lines) == session
+        assert parsed == [1]  # the header; every round line and the footer are matched by text
+        # one line at a time: the run of the last block, which ends in the footer, and the
+        # footer once more, where the line loop takes over from the first miss
+        assert tested == [*range(tested[0], self.ROUNDS + 1), self.ROUNDS]
+        assert tested[0] >= block_ends[-2] - 1
