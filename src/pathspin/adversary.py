@@ -45,6 +45,11 @@ def _inference(phi: PhaseChoice, basis: SpinBasis) -> dict[OutcomePair, StateLab
 
 #: (phi, basis) -> outcome -> label: ``InterceptResend.infer_label`` for every setting.
 _INFERRED = {(phi, basis): _inference(phi, basis) for phi in PhaseChoice for basis in SpinBasis}
+#: (phi, basis) -> label -> her outcome distribution: the rows ``InterceptResend.tap``
+#: samples, ``pipeline_distribution(label, phi.radians, basis)`` for every setting.
+_TAPPED = {(phi, basis): {label: pipeline_distribution(label, phi.radians, basis)
+                          for label in StateLabel}
+           for phi in PhaseChoice for basis in SpinBasis}
 
 
 @dataclass(frozen=True)
@@ -83,13 +88,14 @@ class InterceptResend:
         """Possibly intercept the signal label in flight; return the label that travels on.
 
         An intercepted label is measured through her setting's row of the
-        outcome table and replaced by ``infer_label`` of her outcome.
+        outcome table, read from ``_TAPPED`` (filled at import), and replaced
+        by ``infer_label`` of her outcome.
         """
         if self.fraction < 1.0:
             u, rng = rng.next_uniform()
             if u >= self.fraction:
                 return label, rng
-        idx, rng = rng.sample(pipeline_distribution(label, self.phi.radians, self.basis))
+        idx, rng = rng.sample(_TAPPED[self.phi, self.basis][label])
         return self.infer_label(OUTCOMES[idx]), rng
 
     def to_config(self) -> dict:

@@ -423,18 +423,24 @@ def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
     """Append to ``kinds`` the kinds of the leading canonical lines of ``lines``; return how many.
 
     ``lines`` hold rounds ``len(kinds)`` on.  One run of lines whose indices have equal width
-    is tested at a time, with a handful of calls over the whole run; a run that misses is
-    redone one line at a time by ``_canonical_kind``, which stops at the first line that is
-    not canonical.  So exactly the lines that ``_canonical_kind`` accepts are taken."""
+    is tested at a time, with a handful of calls over the whole run.  A run ends before the
+    first line that does not start with ``_ROUND_HEAD`` (the footer, say), and no run follows
+    it.  A run that misses is redone one line at a time by ``_canonical_kind``, which stops at
+    the first line that is not canonical.  So exactly the lines that ``_canonical_kind``
+    accepts are taken."""
     taken = 0
     while taken < len(lines):
         first = len(kinds)
         width = len(str(first))
         cut = len(_ROUND_HEAD) + width
         run = lines[taken:taken + 10 ** width - first]
+        ends = not all(map(str.startswith, run, repeat(_ROUND_HEAD)))
+        if ends:
+            run = run[:next(i for i, raw in enumerate(run) if not raw.startswith(_ROUND_HEAD))]
+            if not run:
+                return taken
         got = list(map(_KIND_OF_TAIL.get, map(itemgetter(slice(cut, -1)), run)))
-        if (None in got or not all(map(str.startswith, run, repeat(_ROUND_HEAD)))
-                or "".join(map(itemgetter(slice(len(_ROUND_HEAD), cut)), run))
+        if (None in got or "".join(map(itemgetter(slice(len(_ROUND_HEAD), cut)), run))
                 != "".join(map(str, range(first, first + len(run))))
                 or not run[-1].endswith("\n")):
             for raw in run:
@@ -446,6 +452,8 @@ def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
             return taken
         kinds.extend(got)
         taken += len(run)
+        if ends:
+            return taken
     return taken
 
 

@@ -10,7 +10,9 @@ results.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -143,9 +145,15 @@ class Distribution(tuple):
     sum is within 1e-9 of one; anything else raises
     ``InvalidDistributionError``.  The check runs once, here, so a
     ``Distribution`` can be sampled any number of times without another.
+
+    ``prefix`` holds the running sums of every weight but the last, added
+    left to right in Python floats, also computed once here.  ``Rng.sample``
+    returns ``bisect_right(prefix, u)``: the first index whose running sum
+    exceeds ``u``, or the last index if none does.  Setting or deleting any
+    attribute raises ``AttributeError``.
     """
 
-    __slots__ = ()
+    prefix: tuple[float, ...]
 
     def __new__(cls, weights: Sequence[float] | np.ndarray) -> "Distribution":
         w = np.asarray(weights, dtype=float)
@@ -156,7 +164,19 @@ class Distribution(tuple):
         # phrased so that a NaN weight, and hence a NaN sum, fails it
         if not abs(w.sum() - 1.0) <= 1e-9:
             raise InvalidDistributionError(f"weights sum to {float(w.sum())!r}, expected 1")
-        return super().__new__(cls, w.tolist())
+        dist = super().__new__(cls, w.tolist())
+        dist.__dict__["prefix"] = tuple(accumulate(dist[:-1]))
+        return dist
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Distribution is immutable, cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Distribution is immutable, cannot delete {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from its weights: the default would set ``prefix`` as an attribute
+        return type(self), (tuple(self),)
 
 
 _MASK = (1 << 64) - 1
@@ -245,16 +265,21 @@ class Rng:
 
         Roots and tapes are computed with numpy for one batch of
         ``STREAM_BATCH`` streams at a time, and each generator is built as
-        ``next_uniform`` builds a successor, when it is asked for.
+        ``next_uniform`` builds a successor, when it is asked for: one
+        ``object.__new__``, its own ``__dict__`` filled field by field.
         """
         mixed = _mix64(seed & _MASK)
         for start in range(0, n, STREAM_BATCH):
             stop = min(start + STREAM_BATCH, n)
             roots, tapes = _batch(mixed, start, stop)
-            for stream, root, tape in zip(range(start, stop), roots, tapes):
+            for stream, root, tape in zip(range(start, stop), roots, map(tuple, tapes)):
                 rng = object.__new__(cls)
-                rng.__dict__.update(seed=seed, stream=stream, counter=0, _root=root,
-                                    _tape=tuple(tape))
+                state = rng.__dict__
+                state["seed"] = seed
+                state["stream"] = stream
+                state["counter"] = 0
+                state["_root"] = root
+                state["_tape"] = tape
                 yield rng
 
     def next_uniform(self) -> tuple[float, "Rng"]:
@@ -263,9 +288,15 @@ class Rng:
         counter = state["counter"] + 1
         u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
              else _uniform(state["_root"], counter))
-        # the successor shares seed, stream, root and tape; only the counter moves
+        # the successor shares seed, stream, root and tape; only the counter moves.  Its
+        # fields are set one by one, in declaration order: cheaper than ``dict.update``
         nxt = object.__new__(type(self))
-        nxt.__dict__.update(state, counter=counter)
+        succ = nxt.__dict__
+        succ["seed"] = state["seed"]
+        succ["stream"] = state["stream"]
+        succ["counter"] = counter
+        succ["_root"] = state["_root"]
+        succ["_tape"] = state["_tape"]
         return u, nxt
 
     def sample(self, weights: Sequence[float]) -> tuple[int, "Rng"]:
@@ -275,21 +306,23 @@ class Rng:
         is.  Any other sequence is checked by building a ``Distribution``
         from it on every call, since a list or array can change between
         calls; either way invalid weights raise ``InvalidDistributionError``
-        before anything is drawn.
+        before anything is drawn.  The index is ``bisect_right`` of the
+        draw ``u`` in the distribution's ``prefix``: the first index whose
+        running sum exceeds ``u``, as a left-to-right accumulate-and-compare
+        loop would pick, since no weight is negative or NaN.
         """
         w = weights if isinstance(weights, Distribution) else Distribution(weights)
-        # the draw of ``next_uniform``, inline: a round's draws are mostly samples,
-        # and the saved call is about a tenth of one
+        # the draw and successor of ``next_uniform``, inline: a round's draws are mostly
+        # samples, and the saved call is about a tenth of one
         state = self.__dict__
         counter = state["counter"] + 1
         u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
              else _uniform(state["_root"], counter))
         nxt = object.__new__(type(self))
-        nxt.__dict__.update(state, counter=counter)
-        acc = 0.0
-        last = len(w) - 1
-        for i in range(last):
-            acc += w[i]
-            if u < acc:
-                return i, nxt
-        return last, nxt
+        succ = nxt.__dict__
+        succ["seed"] = state["seed"]
+        succ["stream"] = state["stream"]
+        succ["counter"] = counter
+        succ["_root"] = state["_root"]
+        succ["_tape"] = state["_tape"]
+        return bisect_right(w.prefix, u), nxt

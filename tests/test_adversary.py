@@ -22,8 +22,10 @@ from pathspin import (
     replay_session,
     run_session,
 )
+from pathspin import adversary
 from pathspin.errors import ConfigError, InsufficientDataError, InvalidDistributionError
-from pathspin.optics import OUTCOMES, outcome_support
+from pathspin.optics import OUTCOMES, outcome_support, pipeline_distribution
+from pathspin.qmath import Distribution
 
 
 class TestConstruction:
@@ -74,6 +76,30 @@ class TestInference:
             scan = [label for label in eve.guessed_group.labels
                     if outcome in outcome_support(label, phi.radians, basis)]
             assert eve.infer_label(outcome) is scan[0]
+
+    def test_tap_table_equals_the_receiver_rows(self):
+        # the four settings by the four labels, each row the one she would compute
+        assert set(adversary._TAPPED) == {(phi, basis) for phi in PhaseChoice
+                                          for basis in SpinBasis}
+        for (phi, basis), rows in adversary._TAPPED.items():
+            assert list(rows) == list(StateLabel)
+            for label, row in rows.items():
+                want = pipeline_distribution(label, phi.radians, basis)
+                assert isinstance(row, Distribution)
+                assert row == want and row.prefix == want.prefix
+
+    @pytest.mark.parametrize("phi", list(PhaseChoice))
+    @pytest.mark.parametrize("basis", list(SpinBasis))
+    def test_tap_samples_its_settings_row(self, phi, basis):
+        # an intercept is one sample of the row and one inference from its outcome
+        eve = InterceptResend(phi, basis)
+        for stream in range(64):
+            rng = Rng(seed=8, stream=stream)
+            for label in StateLabel:
+                idx, want_rng = rng.sample(pipeline_distribution(label, phi.radians, basis))
+                resent, got_rng = eve.tap(label, rng)
+                assert resent is eve.infer_label(OUTCOMES[idx])
+                assert vars(got_rng) == vars(want_rng)
 
     def test_outcome_outside_every_support_is_refused(self):
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y)

@@ -1,13 +1,16 @@
 """Linear-algebra helpers, the 3x3 eigensolver and the deterministic RNG."""
 
+import copy
 import dataclasses
 import inspect
 import math
+import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from pathspin import optics, qmath
+from pathspin import optics, protocol, qmath
 from pathspin.errors import (
     DimensionError,
     InvalidDistributionError,
@@ -28,6 +31,16 @@ def reference_uniform(seed, stream, counter):
     )
     word = qmath._mix64((root + (counter + 1) * 0x9E3779B97F4A7C15) & MASK)
     return (word >> 11) * 2.0**-53
+
+
+def reference_pick(weights, u):
+    """The index an accumulate-and-compare loop picks for the draw ``u``."""
+    acc = 0.0
+    for i, w in enumerate(weights[:-1]):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
 
 
 class TestStates:
@@ -305,6 +318,56 @@ class TestRng:
         for _ in range(50):
             idx, rng = rng.sample([0.0, 1.0, 0.0])
             assert idx == 1
+
+
+class TestPrefixSums:
+    DISTRIBUTIONS = (
+        [row.distribution for row in optics._TABLE.values()]
+        + [protocol._HALF]
+        + [AlicePolicy.family(p).weights for p in (0.0, 0.6655, 0.7, 0.9, 1.0)]
+        + [qmath.Distribution(w) for w in ((0.0, 1.0, 0.0), (0.5, 0.0, 0.5, 0.0))]
+    )
+
+    def test_the_table_covers_every_receiver_row(self):
+        assert len(optics._TABLE) == 16 and len(self.DISTRIBUTIONS) == 24
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=str)
+    def test_prefix_is_the_running_float_sum(self, dist):
+        acc, sums = 0.0, []
+        for w in dist[:-1]:
+            acc += w
+            sums.append(acc)
+        assert dist.prefix == tuple(sums)
+        assert all(type(x) is float for x in dist.prefix)
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=str)
+    def test_bisect_picks_what_the_loop_picks(self, dist):
+        # every draw of 2000 streams' tapes, and each running sum with its float neighbours;
+        # ``sample`` is given each one as its next draw through a generator's tape
+        draws = [u for rng in qmath.Rng.streams(29, 2000) for u in rng._tape]
+        edges = [v for x in dist.prefix for v in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))]
+        rng = qmath.Rng(0)
+        for u in draws + edges + [0.0, math.nextafter(1.0, 0.0)]:
+            want = reference_pick(dist, u)
+            assert bisect_right(dist.prefix, u) == want, u
+            object.__setattr__(rng, "_tape", (u,) * qmath.TAPE)
+            assert rng.sample(dist)[0] == want, u
+
+    def test_a_distribution_is_immutable(self):
+        dist = qmath.Distribution((0.25, 0.75))
+        with pytest.raises(AttributeError):
+            dist.prefix = (0.0,)
+        with pytest.raises(AttributeError):
+            dist.other = 1
+        with pytest.raises(AttributeError):
+            del dist.prefix
+        assert dist.prefix == (0.25,) and vars(dist) == {"prefix": (0.25,)}
+
+    def test_a_copy_keeps_its_weights_and_prefix(self):
+        dist = AlicePolicy.family(0.7).weights
+        for again in (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))):
+            assert type(again) is qmath.Distribution
+            assert again == dist and again.prefix == dist.prefix
 
 
 class TestMessagesPrintPlainFloats:
