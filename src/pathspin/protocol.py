@@ -19,8 +19,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, IO, Iterable, NamedTuple
 
@@ -243,9 +241,14 @@ class Transcript:
     version: int = TRANSCRIPT_VERSION
 
     def __post_init__(self) -> None:
-        if type(self.kinds) is not bytes or np.frombuffer(self.kinds, np.uint8).max(initial=0) > 63:
+        if type(self.kinds) is not bytes:
             raise ValueError("kinds must be bytes of kind indices below 64, "
                              f"got a {type(self.kinds).__name__}")
+        kinds = np.frombuffer(self.kinds, np.uint8)
+        if kinds.max(initial=0) > 63:
+            first = int(np.argmax(kinds > 63))
+            raise ValueError("kinds must be bytes of kind indices below 64, "
+                             f"round {first} has kind {kinds[first]}")
 
     @classmethod
     def from_rounds(cls, seed: int, config: dict, rounds: Iterable[RoundRecord]) -> "Transcript":
@@ -403,57 +406,27 @@ def _round_tail(r: RoundRecord) -> str:
 _KIND_OF_DRAWN = {_as_written(kind)[:_DRAWN]: i for i, kind in enumerate(_KINDS)}
 #: The tail of each kind's round line, by kind index.
 _TAILS = tuple(_round_tail(RoundRecord(0, *kind)) for kind in _KINDS)
-#: The tail of a canonical round line, newline stripped -> its kind index.
-_KIND_OF_TAIL = {tail[:-1]: i for i, tail in enumerate(_TAILS)}
+#: The tail of a canonical round line, newline included -> its kind index.
+_KIND_OF_TAIL = {tail: i for i, tail in enumerate(_TAILS)}
 #: ``load_transcript`` reads about this many characters of lines at a time.
 _BLOCK = 1 << 16
-
-
-def _canonical_kind(raw: str, index: int) -> int | None:
-    """The kind index of ``raw`` if it is the canonical line of round ``index``, else None.
-
-    A canonical line is ``_ROUND_HEAD``, the index, one of the 64 tails of ``_KIND_OF_TAIL``
-    and a newline: exactly what ``save_transcript`` writes for its kind."""
-    prefix = f"{_ROUND_HEAD}{index}"
-    return (_KIND_OF_TAIL.get(raw[len(prefix):-1])
-            if raw.startswith(prefix) and raw.endswith("\n") else None)
 
 
 def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
     """Append to ``kinds`` the kinds of the leading canonical lines of ``lines``; return how many.
 
-    ``lines`` hold rounds ``len(kinds)`` on.  One run of lines whose indices have equal width
-    is tested at a time, with a handful of calls over the whole run.  A run ends before the
-    first line that does not start with ``_ROUND_HEAD`` (the footer, say), and no run follows
-    it.  A run that misses is redone one line at a time by ``_canonical_kind``, which stops at
-    the first line that is not canonical.  So exactly the lines that ``_canonical_kind``
-    accepts are taken."""
-    taken = 0
-    while taken < len(lines):
-        first = len(kinds)
-        width = len(str(first))
-        cut = len(_ROUND_HEAD) + width
-        run = lines[taken:taken + 10 ** width - first]
-        ends = not all(map(str.startswith, run, repeat(_ROUND_HEAD)))
-        if ends:
-            run = run[:next(i for i, raw in enumerate(run) if not raw.startswith(_ROUND_HEAD))]
-            if not run:
-                return taken
-        got = list(map(_KIND_OF_TAIL.get, map(itemgetter(slice(cut, -1)), run)))
-        if (None in got or "".join(map(itemgetter(slice(len(_ROUND_HEAD), cut)), run))
-                != "".join(map(str, range(first, first + len(run))))
-                or not run[-1].endswith("\n")):
-            for raw in run:
-                kind = _canonical_kind(raw, len(kinds))
-                if kind is None:
-                    break
-                kinds.append(kind)
-                taken += 1
-            return taken
-        kinds.extend(got)
-        taken += len(run)
-        if ends:
-            return taken
+    ``lines`` hold rounds ``len(kinds)`` on.  The line of round ``i`` is canonical when it is
+    its head, ``_ROUND_HEAD`` and ``i``, then one of the 64 tails of ``_KIND_OF_TAIL``, newline
+    included: exactly what ``save_transcript`` writes for its kind.  Every line is tested with
+    a handful of calls over the whole list, and the first that is not canonical (the footer,
+    say) ends the take."""
+    first = len(kinds)
+    heads = list(map((_ROUND_HEAD + "%d").__mod__, range(first, first + len(lines))))
+    got = [*map(_KIND_OF_TAIL.get, map(str.removeprefix, lines, heads)), None]
+    # removeprefix leaves a line without its head whole, and a bare tail is in the table
+    headed = [*map(str.startswith, lines, heads), False]
+    taken = min(got.index(None), headed.index(False))  # each list ends in a miss
+    kinds.extend(got[:taken])
     return taken
 
 
@@ -538,77 +511,63 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
-    Blank lines are skipped; the first other line must be the header.  Each
-    round's kind index is read from its draws, never trusted.  A canonical round line
-    -- between header and footer, ``_ROUND_HEAD``, the next index, one of
-    the 64 tails of ``_KIND_OF_TAIL`` and a newline -- gives its kind by text,
-    as read: it is exactly what ``save_transcript`` writes for its kind, so
-    ``_round_from_obj`` would accept it.  A footer line that, stripped, is
-    ``_footer_line`` of the kinds read is accepted by text too.  Only a line
-    that misses is stripped and parsed by ``read_json``: a blank line, a CRLF
-    line end, trailing spaces, a last line without a newline and round lines
-    or a footer of another spelling all take that path.  Such a round line, and
-    the footer, must have the keys and JSON-typed values of the object
-    ``save_transcript`` writes for it, compared by ``_differing_keys``;
-    the header's ``version``, ``seed`` and ``n_rounds`` must be JSON
-    integers.  Raises ParseError (with the 1-based line number) on malformed
-    or too deeply nested JSON, a non-object line, unknown record kinds, an
-    unsupported version, truncation, a rejected round line, or a footer
-    that differs from the one the kinds give.  Lines are read in blocks of
-    about ``_BLOCK`` characters.  In each block, from its first line after
-    the header (and before a footer), ``_canonical_rounds`` takes the
-    leading canonical round lines in bulk; every line from its first miss
-    to the end of the block is read one at a time, as above.
+    Blank lines are skipped; the first other line must be the header, and is
+    read on its own.  Its ``version``, ``seed`` and ``n_rounds`` must be JSON
+    integers.  The lines after it are read in blocks of about ``_BLOCK``
+    characters.  Until the footer is read, one ``_canonical_rounds`` call per
+    block takes the block's leading canonical round lines by text: each is
+    exactly what ``save_transcript`` writes for its kind, so ``_round_from_obj``
+    would accept it.  Every other line of the block is stripped; a footer line
+    that is then ``_footer_line`` of the kinds read is accepted by text, and
+    any other is parsed by ``read_json``.  A blank line, a CRLF line end,
+    trailing spaces, a last line without a newline, round lines or a footer of
+    another spelling, and every line of a block after its first such line take
+    that path.  Each round's kind index is read from its draws, never trusted:
+    a parsed round line, and a parsed footer, must have the keys and JSON-typed
+    values of the object ``save_transcript`` writes for it, compared by
+    ``_differing_keys``.  Raises ParseError (with the 1-based line number) on
+    malformed or too deeply nested JSON, a non-object line, unknown record
+    kinds, an unsupported version, truncation, a rejected round line, or a
+    footer that differs from the one the kinds give.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
-        header = None
+        for line_no, raw in enumerate(iter(fh.readline, ""), 1):
+            if raw.strip():
+                break
+        else:
+            raise ParseError("empty transcript, missing header record", line=1)
+        header = read_json(raw.strip(), line_no)
+        if header.get("record") != "header":
+            raise ParseError(f"expected header record, got {header.get('record')!r}", line=line_no)
+        # JSON integers only: True and 1.0 compare equal to 1
+        version, config = header.get("version"), header.get("config")
+        if not is_json_int(version) or version != TRANSCRIPT_VERSION:
+            raise ParseError(f"unsupported transcript version {version!r}", line_no)
+        if not isinstance(config, dict):
+            raise ParseError(f"header needs a config object, got {config!r}", line_no)
+        for key, value in (("seed", header.get("seed")), ("n_rounds", config.get("n_rounds"))):
+            if not is_json_int(value):
+                raise ParseError(f"header needs an integer {key}, got {value!r}", line_no)
+
         kinds = bytearray()
         footer = None
-        line_no = 0
         for block in iter(partial(fh.readlines, _BLOCK), []):
-            j, bulk = 0, True
-            while j < len(block):
-                if bulk and header is not None and footer is None:
-                    bulk = False
-                    taken = _canonical_rounds(block[j:], kinds)
-                    j += taken
-                    line_no += taken
-                    continue
-                raw = block[j]
-                j += 1
+            taken = _canonical_rounds(block, kinds) if footer is None else 0
+            line_no += taken
+            for raw in block[taken:]:
                 line_no += 1
-                if header is not None and footer is None:
-                    kind = _canonical_kind(raw, len(kinds))
-                    if kind is not None:
-                        kinds.append(kind)
-                        continue
                 raw = raw.strip()
                 if not raw:
                     continue
                 # the head test renders the footer for one line at most: the next one that
                 # starts so is read as the footer or refused
-                if (header is not None and footer is None and raw.startswith(_FOOTER_HEAD)
+                if (footer is None and raw.startswith(_FOOTER_HEAD)
                         and raw == _footer_line(bytes(kinds))):
                     footer, footer_line = raw, line_no  # matched by text: no object to compare
                     continue
                 obj = read_json(raw, line_no)
                 kind = obj.get("record")
-                if header is None:
-                    if kind != "header":
-                        raise ParseError(f"expected header record, got {kind!r}", line=line_no)
-                    # JSON integers only: True and 1.0 compare equal to 1
-                    version, config = obj.get("version"), obj.get("config")
-                    if not is_json_int(version) or version != TRANSCRIPT_VERSION:
-                        raise ParseError(f"unsupported transcript version {version!r}", line_no)
-                    if not isinstance(config, dict):
-                        raise ParseError(f"header needs a config object, got {config!r}", line_no)
-                    for key, value in (("seed", obj.get("seed")),
-                                       ("n_rounds", config.get("n_rounds"))):
-                        if not is_json_int(value):
-                            raise ParseError(f"header needs an integer {key}, got {value!r}",
-                                             line_no)
-                    header = obj
-                elif kind == "round":
+                if kind == "round":
                     if footer is not None:
                         raise ParseError("round record after footer", line=line_no)
                     kinds.append(_round_from_obj(obj, len(kinds), line_no))
@@ -620,15 +579,13 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                     raise ParseError("duplicate header record", line=line_no)
                 else:
                     raise ParseError(f"unknown record kind {kind!r}", line=line_no)
-        if header is None:
-            raise ParseError("empty transcript, missing header record", line=1)
         if footer is None:
             raise ParseError("transcript ended before footer record", line=line_no + 1)
-        expected = header["config"].get("n_rounds")
-        if expected != len(kinds):
-            raise ParseError(f"header announces {expected} rounds, found {len(kinds)}", line_no)
-        transcript = Transcript(seed=header["seed"], config=header["config"], kinds=bytes(kinds),
-                                version=header["version"])
+        if config["n_rounds"] != len(kinds):
+            raise ParseError(f"header announces {config['n_rounds']} rounds, found {len(kinds)}",
+                             line_no)
+        transcript = Transcript(seed=header["seed"], config=config, kinds=bytes(kinds),
+                                version=version)
         if type(footer) is dict:  # parsed, not matched by text
             want = json.loads(_footer_line(transcript.kinds))
             wrong = ", ".join(_differing_keys(footer, want))

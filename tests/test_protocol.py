@@ -127,8 +127,7 @@ class TestCanonicalLines:
         assert sorted(_KIND_OF_TAIL.values()) == list(range(64))
         for i, kind in enumerate(sorted(range(64), key=lambda k: repr(_KINDS[k]))):
             line = _ROUND_HEAD + str(i) + _TAILS[kind]
-            head = _ROUND_HEAD + str(i)
-            by_text = _KIND_OF_TAIL[line.strip()[len(head):]]
+            by_text = _KIND_OF_TAIL[line.removeprefix(_ROUND_HEAD + str(i))]
             assert by_text == _round_from_obj(json.loads(line), i, 1) == kind
 
 
@@ -581,11 +580,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^round {index} is none of the 64 kinds: "):
             Transcript.from_rounds(session.seed, session.config, rounds)
 
-    @pytest.mark.parametrize("kinds", [
-        bytearray(b"\x00\x01"), [0, 1], np.array([0, 1], np.uint8), b"\x00\x40", b"\xff",
+    @pytest.mark.parametrize("kinds, detail", [
+        (bytearray(b"\x00\x01"), "got a bytearray"), ([0, 1], "got a list"),
+        (np.array([0, 1], np.uint8), "got a ndarray"), (b"\x00\x40", "round 1 has kind 64"),
+        (b"\x3f\x00\xff\x40", "round 2 has kind 255"),
     ], ids=["bytearray", "list", "array", "kind-64", "kind-255"])
-    def test_building_refuses_kinds_that_are_not_bytes_below_64(self, kinds):
-        with pytest.raises(ValueError, match="^kinds must be bytes of kind indices below 64"):
+    def test_building_refuses_kinds_that_are_not_bytes_below_64(self, kinds, detail):
+        with pytest.raises(ValueError,
+                           match=f"^kinds must be bytes of kind indices below 64, {detail}$"):
             Transcript(seed=0, config={}, kinds=kinds)
 
     @pytest.mark.parametrize(

@@ -208,13 +208,14 @@ def test_a_mutant_loads_exactly_when_typed_equal(canonical, seed):
 
 
 class TestBulkReadEdges:
-    """Single mutations where ``load_transcript``'s bulk read of canonical lines turns.
+    """Single mutations at the edges of ``load_transcript``'s bulk read of canonical lines.
 
     The transcript has 12 000 tapped rounds, so its text spans many blocks of
     ``_BLOCK`` characters and every index width up to five digits.  A mutation is made
     at the first round after the header, at both sides of a block boundary, at both sides
-    of each change of index width and at the last round.  ``_as_read`` decides as in the
-    fuzz above, applied to the changed lines only: all others are the same on both sides.
+    of each change of index width (where the expected heads grow a digit) and at the last
+    round.  ``_as_read`` decides as in the fuzz above, applied to the changed lines only:
+    all others are the same on both sides.
     A round line given another kind's canonical tail is typed-unequal but canonical, so
     it is checked against the footer instead.
     """
@@ -229,16 +230,20 @@ class TestBulkReadEdges:
         out = io.StringIO()
         save_transcript(session, out)
         text = out.getvalue()
-        block_ends, reader = [], io.StringIO(text)
+        # the 1-based last line of each block, as load_transcript reads them after the header
+        reader = io.StringIO(text)
+        reader.readline()
+        block_ends, end = [], 1
         while block := reader.readlines(protocol._BLOCK):
-            block_ends.append((block_ends[-1] if block_ends else 0) + len(block))
+            end += len(block)
+            block_ends.append(end)
         assert len(block_ends) > 20
         lines = text.split("\n")[:-1]
         return session, lines, _as_read(lines), block_ends
 
     @staticmethod
     def _turning_lines(block_ends) -> list[int]:
-        """The 1-based lines where the bulk read turns; round ``i`` is on line ``i + 2``."""
+        """The 1-based lines a mutation is made at; round ``i`` is on line ``i + 2``."""
         boundary = block_ends[2]  # the last line of the third block; the fourth starts after it
         widths = [line for index in (9, 99, 999, 9999) for line in (index + 2, index + 3)]
         return [2, boundary, boundary + 1, *widths, TestBulkReadEdges.ROUNDS + 1]
@@ -265,7 +270,8 @@ class TestBulkReadEdges:
             assert typed_equal, f"line {where} loaded"
             assert loaded == session, f"line {where} loaded as another transcript"
 
-    @pytest.mark.parametrize("mutation", ["index_digit", "crlf", "trailing_space", "retyped_bit"])
+    @pytest.mark.parametrize("mutation", ["index_digit", "crlf", "trailing_space", "retyped_bit",
+                                          "head_dropped"])
     def test_a_round_line_mutant_loads_exactly_when_typed_equal(self, big, mutation):
         _, lines, _, block_ends = big
         for where in self._turning_lines(block_ends):
@@ -278,6 +284,8 @@ class TestBulkReadEdges:
                 edited = line + "\r"
             elif mutation == "trailing_space":
                 edited = line + " "
+            elif mutation == "head_dropped":  # exactly the line's entry of _TAILS
+                edited = line[len(head):]
             else:
                 bit = '"alice_bit":' + line.split('"alice_bit":')[1][0]
                 edited = line.replace(bit, bit + ".0")
@@ -331,14 +339,16 @@ class TestBulkReadEdges:
 
     def test_a_canonical_file_parses_only_its_header_as_json(self, big, monkeypatch):
         session, lines, _, block_ends = big
-        parsed, tested = [], []
-        read_json, canonical_kind = protocol.read_json, protocol._canonical_kind
+        parsed, taken = [], []
+        read_json, canonical_rounds = protocol.read_json, protocol._canonical_rounds
         monkeypatch.setattr(protocol, "read_json",
                             lambda text, line: parsed.append(line) or read_json(text, line))
-        monkeypatch.setattr(protocol, "_canonical_kind",
-                            lambda raw, index: tested.append(index) or canonical_kind(raw, index))
+        monkeypatch.setattr(protocol, "_canonical_rounds",
+                            lambda block, kinds: taken.append(canonical_rounds(block, kinds))
+                            or taken[-1])
         assert self._load(lines) == session
         assert parsed == [1]  # the header; every round line and the footer are matched by text
-        # the bulk run stops before the footer, so no round is tested one line at a time:
-        # only the footer, once, where the line loop takes over
-        assert tested == [self.ROUNDS]
+        # one bulk call per block takes every round line of it: the footer is the only line
+        # any block leaves to the line loop
+        assert len(taken) == len(block_ends)
+        assert sum(taken) == self.ROUNDS
