@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable, IO, Iterable, NamedTuple
+from typing import Callable, IO, NamedTuple
 
 import numpy as np
 
@@ -149,9 +149,8 @@ class BobPolicy:
 class RoundRecord(NamedTuple):
     """One round, as ``Transcript.rounds`` derives it: its index, then the eight fields of its kind.
 
-    A tuple, so ``record[1:]`` is the round's entry of ``_KINDS``, and
-    ``tuple.__new__(RoundRecord, fields)`` builds one without running
-    Python code.
+    A tuple, so ``record[1:]`` is the round's entry of ``_KINDS``.  A view:
+    running a session, saving it and loading its canonical lines build none.
     """
 
     round_index: int
@@ -184,10 +183,9 @@ def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: Outcom
 
 
 #: The 64 kinds by kind index ``((label*2 + phi)*2 + basis)*4 + outcome``, the order
-#: ``run_round`` draws in; ``_KIND_INDEX`` maps a record's slice ``r[1:]`` to its index.
+#: ``run_round`` draws in.
 _KINDS = tuple(_kind(label, phi, basis, outcome)
                for label in _LABELS for phi in _PHIS for basis in _BASES for outcome in OUTCOMES)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 #: One column per fact, by kind index: kept, the declared label's index, Alice's
 #: bit, Bob's bit (-1 where he has none) and decode_failed.
 _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT, _DECODE_FAILED = (np.array(column) for column in zip(*(
@@ -201,16 +199,16 @@ _RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
              for label in _LABELS}
 
 
-def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> RoundRecord:
-    """Simulate one round.
+def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
+    """Simulate one round; return its kind index ``((label*2 + phi)*2 + basis)*4 + outcome``.
 
     ``eve`` is None or an adversary object exposing
     ``tap(label, rng) -> (label, rng)``: the channel carries a signal label.
     Draw order within the round's stream: label, phi, basis (uniform mode
     only), adversary draws, outcome.  Every round reads its outcome
     distribution from ``_RECEIVED`` by the label that reaches Bob.  The
-    record is the drawn entry of ``_KINDS``, by the label Alice sent, whose
-    verdicts and bits ``sift`` and ``decode_bit`` fill at import.
+    index is that of the label Alice sent; its entry of ``_KINDS`` holds the
+    verdict and bits ``sift`` and ``decode_bit`` fill at import.
     """
     label_idx, rng = rng.sample(alice.weights)
     phi_idx, rng = rng.sample(_HALF)
@@ -224,8 +222,7 @@ def run_round(index: int, alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> 
         label, rng = eve.tap(label, rng)
     outcome_idx, rng = rng.sample(_RECEIVED[label][phi_idx][basis_idx])
 
-    kind = ((label_idx * 2 + phi_idx) * 2 + basis_idx) * 4 + outcome_idx
-    return tuple.__new__(RoundRecord, (index, *_KINDS[kind]))
+    return ((label_idx * 2 + phi_idx) * 2 + basis_idx) * 4 + outcome_idx
 
 
 @dataclass(frozen=True)
@@ -250,23 +247,6 @@ class Transcript:
             raise ValueError("kinds must be bytes of kind indices below 64, "
                              f"round {first} has kind {kinds[first]}")
 
-    @classmethod
-    def from_rounds(cls, seed: int, config: dict, rounds: Iterable[RoundRecord]) -> "Transcript":
-        """The transcript of ``rounds``, the one place records become kind indices.
-
-        Round ``i`` must be a record of one of the 64 kinds with ``round_index``
-        ``i``; the first that is not raises a ValueError naming it."""
-        kinds = bytearray()
-        for i, r in enumerate(rounds):
-            try:
-                kind = _KIND_INDEX.get(r[1:]) if r[0] == i else None
-            except TypeError:  # a field that cannot be hashed
-                kind = None
-            if kind is None:
-                raise ValueError(f"round {i} is none of the 64 kinds: {r!r}")
-            kinds.append(kind)
-        return cls(seed, config, bytes(kinds))
-
     @property
     def kind_counts(self) -> np.ndarray:
         """The rounds of each kind index, 64 counts."""
@@ -274,7 +254,7 @@ class Transcript:
 
     @property
     def rounds(self) -> list[RoundRecord]:
-        return [tuple.__new__(RoundRecord, (i, *_KINDS[kind])) for i, kind in enumerate(self.kinds)]
+        return [RoundRecord(i, *_KINDS[kind]) for i, kind in enumerate(self.kinds)]
 
     @property
     def declarations(self) -> list[tuple[int, StateLabel]]:
@@ -341,9 +321,8 @@ def run_session(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     # run_round by its module-global name, once per round: perfbench/tracer.py counts it there
-    return Transcript.from_rounds(
-        seed, _config_snapshot(n_rounds, alice, bob, eve),
-        (run_round(i, alice, bob, eve, rng) for i, rng in enumerate(Rng.streams(seed, n_rounds))))
+    return Transcript(seed, _config_snapshot(n_rounds, alice, bob, eve),
+                      bytes(run_round(alice, bob, eve, rng) for rng in Rng.streams(seed, n_rounds)))
 
 
 def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
