@@ -202,21 +202,28 @@ class TestRecordTuples:
         monkeypatch.setattr(protocol, "_round_tail", render)
         save_transcript(session, io.StringIO())
 
-    def test_a_session_path_builds_no_record(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("alice, bob, eve", [
+        (AlicePolicy.uniform(), BobPolicy(), None),
+        (AlicePolicy.family(0.8), BobPolicy(BasisMode.ALWAYS_Z),
+         InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z)),
+        (AlicePolicy.family(0.9), BobPolicy(),
+         InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)),
+    ], ids=["untapped", "always-z-full-tap", "0,y,0.5"])
+    def test_a_session_path_builds_no_record(self, monkeypatch, tmp_path, alice, bob, eve):
         class NoRecord:
             def __new__(cls, *args):
                 raise AssertionError("a session path built a RoundRecord")
 
         monkeypatch.setattr(protocol, "RoundRecord", NoRecord)
-        session = run_session(5000, AlicePolicy.family(0.9), BobPolicy(), seed=12,
-                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
+        session = run_session(5000, alice, bob, seed=12, eve=eve)
         path = tmp_path / "session.qkdlog"
         save_transcript(session, path)
         loaded = load_transcript(path)
         cfg = cli.SessionConfig()
         payload = cli._summarize(loaded, str(path), cfg.frame, cfg.min_aborts)[2]
         assert loaded == session
-        assert payload["rounds"] == 5000 and payload["qber"]["mismatches"] > 0
+        assert payload["rounds"] == 5000
+        assert (payload["qber"]["mismatches"] > 0) == (eve is not None)
 
     def test_tapped_rounds_never_run_the_receiver_chain(self, monkeypatch):
         def chain(*args):
@@ -277,6 +284,21 @@ class TestRounds:
         for i, kind in enumerate(session.kinds):
             solo = run_round(AlicePolicy.uniform(), BobPolicy(), None, Rng(seed=99, stream=i))
             assert solo == kind
+
+    def test_session_calls_run_round_once_per_round_by_its_global_name(self, monkeypatch):
+        # perfbench/tracer.py counts rounds at protocol.run_round
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_round(*args)
+
+        alice, bob = AlicePolicy.family(0.8), BobPolicy()
+        eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)
+        expected = run_session(300, alice, bob, eve=eve, seed=5)
+        monkeypatch.setattr(protocol, "run_round", counted)
+        assert run_session(300, alice, bob, eve=eve, seed=5) == expected
+        assert len(calls) == 300
 
     def test_kept_round_has_bits_abort_has_none(self):
         session = run_session(n_rounds=200, alice=AlicePolicy.uniform(),
@@ -782,6 +804,13 @@ class TestKindCounts:
             assert other.kinds == session.kinds
             assert other.kind_counts.tolist() == session.kind_counts.tolist()
             assert _figures(other) == _figures(session)
+
+    def test_a_transcript_built_by_hand_counts_its_rounds(self, session):
+        # each record's slice finds its kind index in _KINDS: the rounds view inverts
+        by_hand = Transcript(session.seed, session.config,
+                             bytes(_KINDS.index(r[1:]) for r in session.rounds))
+        assert _figures(by_hand) == _recount(session.rounds)
+        assert by_hand.keep_fraction() > 0.0 and by_hand == session
 
     def test_an_empty_transcript_has_zero_counts(self):
         empty = Transcript(seed=0, config={}, kinds=b"")
