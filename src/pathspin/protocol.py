@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable, IO, NamedTuple
+from typing import Callable, IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -171,15 +172,11 @@ _BASES = (SpinBasis.Z, SpinBasis.Y)
 
 
 def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: OutcomePair) -> tuple:
-    """The fields after ``round_index`` of a round that draws these four values."""
+    """The fields after ``round_index`` of a round that draws these four values.  A kept setting
+    splits the outcomes between the group's two labels: ``decode_bit`` never fails on one."""
     verdict = sift(label.group, phi, basis)
-    bob, failed = None, False
-    if verdict is Verdict.KEEP:
-        try:
-            bob = decode_bit(label.group, phi, basis, outcome)
-        except DecodingError:
-            failed = True
-    return (label, phi, basis, outcome, verdict, label.bit, bob, failed)
+    bob = decode_bit(label.group, phi, basis, outcome) if verdict is Verdict.KEEP else None
+    return (label, phi, basis, outcome, verdict, label.bit, bob, False)
 
 
 #: The 64 kinds by kind index ``((label*2 + phi)*2 + basis)*4 + outcome``, the order
@@ -187,10 +184,10 @@ def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: Outcom
 _KINDS = tuple(_kind(label, phi, basis, outcome)
                for label in _LABELS for phi in _PHIS for basis in _BASES for outcome in OUTCOMES)
 #: One column per fact, by kind index: kept, the declared label's index, Alice's
-#: bit, Bob's bit (-1 where he has none) and decode_failed.
-_KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT, _DECODE_FAILED = (np.array(column) for column in zip(*(
-    (verdict is Verdict.KEEP, _LABELS.index(label), alice, -1 if bob is None else bob, failed)
-    for label, _, _, _, verdict, alice, bob, failed in _KINDS)))
+#: bit and Bob's bit (-1 where he has none).
+_KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT = (np.array(column) for column in zip(*(
+    (verdict is Verdict.KEEP, _LABELS.index(label), alice, -1 if bob is None else bob)
+    for label, _, _, _, verdict, alice, bob, _ in _KINDS)))
 
 
 #: Label on the channel -> [phi][basis] -> Bob's outcome distribution.
@@ -283,7 +280,8 @@ class Transcript:
                 for i, label in enumerate(_LABELS)}
 
     def decode_failures(self) -> int:
-        return int(self.kind_counts[_DECODE_FAILED].sum())
+        """Kept rounds Bob cannot decode: none, since every kept kind decodes (``_kind``)."""
+        return 0
 
     def key_errors(self) -> tuple[int, int]:
         """(mismatched, decoded): kept rounds whose two bits differ, and kept rounds Bob decodes."""
@@ -389,6 +387,10 @@ _TAILS = tuple(_round_tail(RoundRecord(0, *kind)) for kind in _KINDS)
 _KIND_OF_TAIL = {tail: i for i, tail in enumerate(_TAILS)}
 #: ``load_transcript`` reads about this many characters of lines at a time.
 _BLOCK = 1 << 16
+#: ``save_transcript`` writes the lines of this many rounds at a time, joined.
+_CHUNK = 1 << 10
+#: ``_footer_parts`` renders the declarations of this many rounds at a time.
+_PART = 1 << 15
 
 
 def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
@@ -400,10 +402,11 @@ def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
     a handful of calls over the whole list, and the first that is not canonical (the footer,
     say) ends the take."""
     first = len(kinds)
-    heads = list(map((_ROUND_HEAD + "%d").__mod__, range(first, first + len(lines))))
-    got = [*map(_KIND_OF_TAIL.get, map(str.removeprefix, lines, heads)), None]
-    # removeprefix leaves a line without its head whole, and a bare tail is in the table
-    headed = [*map(str.startswith, lines, heads), False]
+    tails = [*map(str.removeprefix, lines,
+                  [f"{_ROUND_HEAD}{i}" for i in range(first, first + len(lines))])]
+    got = [*map(_KIND_OF_TAIL.get, tails), None]
+    # removeprefix hands back a line without its head unchanged, and a bare tail is in the table
+    headed = [*map(operator.ne, tails, lines), False]
     taken = min(got.index(None), headed.index(False))  # each list ends in a miss
     kinds.extend(got[:taken])
     return taken
@@ -414,23 +417,42 @@ def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
 _DECLARED = tuple(f"[%d,{json.dumps(label.value)}]" for label in _LABELS)
 #: Every footer line starts with these bytes.
 _FOOTER_HEAD = '{"record":"footer","declarations":['
+#: For ``bytes.translate``: the aborted kinds, which add no key digit, and each kind's digit.
+_ABORTED = bytes(np.flatnonzero(~_KEPT).tolist())
+_ALICE_DIGITS, _BOB_DIGITS = (bytes(48 + max(bit, 0) for bit in column.tolist()).ljust(256)
+                              for column in (_ALICE_BIT, _BOB_BIT))
+
+
+def _footer_parts(kinds: bytes) -> Iterator[str]:
+    """The footer line, newline excluded, that ``save_transcript`` writes for these kinds, in parts:
+    the head, the declarations of each ``_PART`` rounds that abort any, then each key."""
+    yield _FOOTER_HEAD
+    rounds, comma = np.frombuffer(kinds, np.uint8), ""
+    for start in range(0, len(rounds), _PART):
+        part = rounds[start:start + _PART]
+        aborted = np.flatnonzero(~_KEPT[part])
+        if len(aborted):
+            # one ``%`` over the joined formats fills in every round of the part at once
+            yield comma + (",".join(map(_DECLARED.__getitem__, _LABEL_INDEX[part[aborted]].tolist()))
+                           % tuple((aborted + start).tolist()))
+            comma = ","
+    yield f'],"alice_key":"{kinds.translate(_ALICE_DIGITS, _ABORTED).decode("ascii")}"'
+    yield f',"bob_key":"{kinds.translate(_BOB_DIGITS, _ABORTED).decode("ascii")}"}}'
 
 
 def _footer_line(kinds: bytes) -> str:
-    """The footer line, newline excluded, that ``save_transcript`` writes for these kinds.
+    """The whole footer line of ``_footer_parts``."""
+    return "".join(_footer_parts(kinds))
 
-    Its declarations and both keys are read off the per-kind columns, the keys as one
-    ASCII digit per bit."""
-    kinds = np.frombuffer(kinds, np.uint8)
-    kept = _KEPT[kinds]
-    aborted = np.flatnonzero(~kept)
-    # one ``%`` over the joined formats fills in every round at once
-    declarations = (",".join(map(_DECLARED.__getitem__, _LABEL_INDEX[kinds[aborted]].tolist()))
-                    % tuple(aborted.tolist()))
-    bob = _BOB_BIT[kinds]
-    alice_key, bob_key = ((bits + 48).astype(np.uint8).tobytes().decode("ascii")
-                          for bits in (_ALICE_BIT[kinds[kept]], bob[bob >= 0]))
-    return f'{_FOOTER_HEAD}{declarations}],"alice_key":"{alice_key}","bob_key":"{bob_key}"}}'
+
+def _is_footer_of(line: str, kinds: bytes) -> bool:
+    """Whether ``line`` is ``_footer_line(kinds)``, compared part by part as they are rendered."""
+    at = 0
+    for part in _footer_parts(kinds):
+        if not line.startswith(part, at):
+            return False
+        at += len(part)
+    return at == len(line)
 
 
 def _differing_keys(got: dict, want: dict) -> list[str]:
@@ -469,9 +491,9 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """Write a transcript as line-delimited JSON (.qkdlog).
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
-    other field, ``_TAILS[kind]`` of its kind index, rendered at import.
-    The footer is ``_footer_line`` of the same kinds.  Lines are written one
-    at a time, never joined.
+    other field, ``_TAILS[kind]`` of its kind index, rendered at import.  The
+    lines of each ``_CHUNK`` rounds are joined into one write.  The footer is
+    written as ``_footer_parts`` of the same kinds renders it, part by part.
     """
     with (open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path))
           else nullcontext(dest)) as fh:
@@ -482,9 +504,13 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
             "config": transcript.config,
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for i, kind in enumerate(transcript.kinds):
-            fh.write(f"{_ROUND_HEAD}{i}{_TAILS[kind]}")
-        fh.write(_footer_line(transcript.kinds) + "\n")
+        kinds = transcript.kinds
+        for start in range(0, len(kinds), _CHUNK):
+            fh.write("".join([f"{_ROUND_HEAD}{i}{_TAILS[kind]}"
+                              for i, kind in enumerate(kinds[start:start + _CHUNK], start)]))
+        for part in _footer_parts(kinds):
+            fh.write(part)
+        fh.write("\n")
 
 
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
@@ -497,17 +523,18 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     block takes the block's leading canonical round lines by text: each is
     exactly what ``save_transcript`` writes for its kind, so ``_round_from_obj``
     would accept it.  Every other line of the block is stripped; a footer line
-    that is then ``_footer_line`` of the kinds read is accepted by text, and
-    any other is parsed by ``read_json``.  A blank line, a CRLF line end,
-    trailing spaces, a last line without a newline, round lines or a footer of
-    another spelling, and every line of a block after its first such line take
-    that path.  Each round's kind index is read from its draws, never trusted:
-    a parsed round line, and a parsed footer, must have the keys and JSON-typed
-    values of the object ``save_transcript`` writes for it, compared by
-    ``_differing_keys``.  Raises ParseError (with the 1-based line number) on
-    malformed or too deeply nested JSON, a non-object line, unknown record
-    kinds, an unsupported version, truncation, a rejected round line, or a
-    footer that differs from the one the kinds give.
+    that is then ``_footer_parts`` of the kinds read, part by part with nothing
+    left over, is accepted by text, and any other is parsed by ``read_json``.
+    A blank line, a CRLF line end, trailing spaces, a last line without a
+    newline, round lines or a footer of another spelling, and every line of a
+    block after its first such line take that path.  Each round's kind index is
+    read from its draws, never trusted: a parsed round line, and a parsed
+    footer, must have the keys and JSON-typed values of the object
+    ``save_transcript`` writes for it, compared by ``_differing_keys``.  Raises
+    ParseError (with the 1-based line number) on malformed or too deeply nested
+    JSON, a non-object line, unknown record kinds, an unsupported version,
+    truncation, a rejected round line, or a footer that differs from the one the
+    kinds give.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         for line_no, raw in enumerate(iter(fh.readline, ""), 1):
@@ -538,10 +565,10 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                 raw = raw.strip()
                 if not raw:
                     continue
-                # the head test renders the footer for one line at most: the next one that
+                # the head test renders footer parts for one line at most: the next one that
                 # starts so is read as the footer or refused
                 if (footer is None and raw.startswith(_FOOTER_HEAD)
-                        and raw == _footer_line(bytes(kinds))):
+                        and _is_footer_of(raw, bytes(kinds))):
                     footer, footer_line = raw, line_no  # matched by text: no object to compare
                     continue
                 obj = read_json(raw, line_no)

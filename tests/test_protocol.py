@@ -120,6 +120,15 @@ class TestSiftTable:
                             assert not failed
                             assert bit == decode_bit(label.group, phi, basis, outcome)
 
+    def test_decode_bit_succeeds_on_every_kept_kind(self):
+        # so no kind has decode_failed set, and decode_failures() is a constant 0
+        kept = [kind for kind in _KINDS if kind[4] is Verdict.KEEP]
+        assert len(kept) == 32
+        for label, phi, basis, outcome, _, _, bob, failed in kept:
+            assert decode_bit(label.group, phi, basis, outcome) == bob in (0, 1)
+            assert failed is False
+        assert not any(kind[7] for kind in _KINDS)
+
 
 class TestCanonicalLines:
     def test_text_lookup_agrees_with_json_for_every_kind(self):
@@ -167,6 +176,57 @@ class TestFooterLine:
         tapped = run_session(500, AlicePolicy.uniform(), BobPolicy(),
                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y), seed=6)
         assert tapped.key_errors()[0] > 0
+
+    @pytest.mark.parametrize("part", [1, 3, 64, protocol._PART])
+    @pytest.mark.parametrize("kinds", [
+        _ABORTED_KINDS * 5, _KEPT_KINDS * 5, _KEPT_KINDS + _ABORTED_KINDS + _KEPT_KINDS,
+        run_session(500, AlicePolicy.uniform(), BobPolicy(), seed=6,
+                    eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)).kinds,
+    ], ids=["all-aborted", "all-kept", "kept-aborted-kept", "tapped"])
+    def test_the_parts_join_to_the_json_footer_at_every_part_size(self, monkeypatch, part, kinds):
+        monkeypatch.setattr(protocol, "_PART", part)
+        parts = list(protocol._footer_parts(kinds))
+        t = Transcript(seed=0, config={"n_rounds": len(kinds)}, kinds=kinds)
+        assert "".join(parts) == _footer_line(kinds) == _footer_by_json(t)
+        # the head, one part per ``part`` rounds that abort any, and the two keys
+        aborting = {i // part for i, _ in t.declarations}
+        assert len(parts) == 1 + len(aborting) + 2
+        assert all(p.count("[") <= part for p in parts[1:-2])
+
+
+def _by_hand(t: Transcript) -> str:
+    """The text ``save_transcript`` writes for ``t``, one line at a time."""
+    header = {"record": "header", "version": t.version, "seed": t.seed, "config": t.config}
+    return "".join([json.dumps(header, separators=(",", ":")) + "\n",
+                    *(_ROUND_HEAD + str(i) + _TAILS[kind] for i, kind in enumerate(t.kinds)),
+                    _footer_line(t.kinds) + "\n"])
+
+
+class TestChunkedWriter:
+    @pytest.mark.parametrize("n", [1, protocol._CHUNK - 1, protocol._CHUNK, protocol._CHUNK + 1])
+    def test_each_chunk_edge_writes_the_lines_by_hand(self, tmp_path, n):
+        session = run_session(n, AlicePolicy.family(0.8), BobPolicy(), seed=n)
+        buf = io.StringIO()
+        save_transcript(session, buf)
+        assert buf.getvalue() == _by_hand(session)
+        path = tmp_path / "session.qkdlog"
+        save_transcript(session, path)
+        assert path.read_bytes() == _by_hand(session).encode()
+        assert load_transcript(path) == session
+
+    def test_a_tapped_session_of_many_chunks_writes_the_lines_by_hand(self, monkeypatch):
+        session = run_session(5 * protocol._CHUNK + 7, AlicePolicy.family(0.9), BobPolicy(),
+                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5), seed=2)
+        writes = []
+        buf = io.StringIO()
+        monkeypatch.setattr(buf, "write", lambda text: writes.append(text) or len(text))
+        save_transcript(session, buf)
+        assert "".join(writes) == _by_hand(session)
+        # the header, one join per chunk of rounds, the footer's parts and its newline
+        parts = list(protocol._footer_parts(session.kinds))
+        assert len(writes) == 1 + 6 + len(parts) + 1
+        assert [w.count("\n") for w in writes[1:7]] == [protocol._CHUNK] * 5 + [7]
+        assert writes[7:-1] == parts
 
 
 class TestRecordTuples:

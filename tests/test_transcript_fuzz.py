@@ -352,3 +352,63 @@ class TestBulkReadEdges:
         # any block leaves to the line loop
         assert len(taken) == len(block_ends)
         assert sum(taken) == self.ROUNDS
+
+
+class TestFooterInParts:
+    """With ``_PART`` at 3 rounds, the 40-round footer spans many parts.
+
+    A canonical file still round-trips byte for byte with only its header parsed as JSON;
+    a footer changed in any one part, at a part boundary or past its last part is refused
+    at its line."""
+
+    @pytest.fixture
+    def parts(self, canonical, monkeypatch):
+        monkeypatch.setattr(protocol, "_PART", 3)
+        session, _ = canonical
+        parts = list(protocol._footer_parts(session.kinds))
+        assert len(parts[1:-2]) >= 4  # declaration parts, between the head and the two keys
+        return parts
+
+    def test_a_footer_in_many_parts_round_trips_matched_by_text(self, canonical, parts,
+                                                               monkeypatch):
+        session, lines = canonical
+        text = "\n".join(lines) + "\n"
+        parsed = []
+        read_json = protocol.read_json
+        monkeypatch.setattr(protocol, "read_json",
+                            lambda raw, line: parsed.append(line) or read_json(raw, line))
+        loaded = load_transcript(io.StringIO(text))
+        assert loaded == session
+        assert parsed == [1]
+        assert lines[-1] == "".join(parts)
+        out = io.StringIO()
+        save_transcript(loaded, out)
+        assert out.getvalue() == text
+
+    @pytest.mark.parametrize("edit", ["last_index", "last_label", "boundary_comma", "key_digit",
+                                      "left_over"])
+    def test_a_footer_changed_in_one_part_is_refused_at_its_line(self, canonical, parts, edit):
+        _, lines = canonical
+        parts = list(parts)
+        last = len(parts) - 3  # the last declaration part
+        if edit == "last_index":
+            index = parts[last].rsplit("[", 1)[1].split(",")[0]
+            parts[last] = parts[last].replace(f"[{index},", f"[{int(index) + 1},")
+        elif edit == "last_label":
+            label = parts[last].rsplit(",", 1)[1]
+            other = '"psi"]' if label != '"psi"]' else '"phi"]'
+            parts[last] = parts[last][:-len(label)] + other
+        elif edit == "boundary_comma":
+            assert parts[2].startswith(",[")
+            parts[2] = parts[2][1:]
+        elif edit == "key_digit":
+            digit = parts[-2].index('"', len('],"alice_key":"')) - 1
+            flipped = "1" if parts[-2][digit] == "0" else "0"
+            parts[-2] = parts[-2][:digit] + flipped + parts[-2][digit + 1:]
+        else:
+            parts[-1] = parts[-1][:-1] + ',"extra":1}'
+        footer = "".join(parts)
+        assert footer != lines[-1]
+        with pytest.raises(ParseError) as exc:
+            load_transcript(io.StringIO("\n".join(lines[:-1] + [footer]) + "\n"))
+        assert exc.value.line == len(lines)
