@@ -19,7 +19,7 @@ import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, IO, Iterator, NamedTuple
 
@@ -91,15 +91,13 @@ def decode_bit(group: Group, phi: PhaseChoice, basis: SpinBasis, outcome: Outcom
     """Receiver-side key bit of a kept round.
 
     The matched setting splits the four outcomes into two disjoint pairs,
-    one per group member; the bit is the member whose support contains
-    the observed outcome.
+    one per group member, so an outcome outside the first member's support
+    is in the second's; the bit is that of the member whose support holds it.
     """
     if sift(group, phi, basis) is not Verdict.KEEP:
         raise DecodingError(f"({phi.value}, {basis.value}) is not a kept setting for {group.value}")
-    for label in group.labels:
-        if outcome in outcome_support(label, phi.radians, basis):
-            return label.bit
-    raise DecodingError(f"outcome {outcome} matches no state of group {group.value}")
+    first, second = group.labels
+    return (first if outcome in outcome_support(first, phi.radians, basis) else second).bit
 
 
 @dataclass(frozen=True)
@@ -190,6 +188,9 @@ _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT = (np.array(column) for column in zip(
     for label, _, _, _, verdict, alice, bob, _ in _KINDS)))
 
 
+#: ``Transcript.kind_counts`` counts this many rounds at a time.
+_COUNT_BLOCK = 1 << 16
+
 #: Label on the channel -> [phi][basis] -> Bob's outcome distribution.
 _RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
                                 for basis in _BASES) for phi in _PHIS)
@@ -246,8 +247,14 @@ class Transcript:
 
     @property
     def kind_counts(self) -> np.ndarray:
-        """The rounds of each kind index, 64 counts."""
-        return np.bincount(np.frombuffer(self.kinds, np.uint8), minlength=len(_KINDS))
+        """The rounds of each kind index, 64 counts.
+
+        ``np.bincount`` copies what it counts to ``intp``, 8 bytes a round, so the kinds are
+        counted ``_COUNT_BLOCK`` rounds at a time and the counts summed."""
+        kinds, counts = np.frombuffer(self.kinds, np.uint8), np.zeros(len(_KINDS), np.intp)
+        for start in range(0, len(kinds), _COUNT_BLOCK):
+            counts += np.bincount(kinds[start:start + _COUNT_BLOCK], minlength=len(_KINDS))
+        return counts
 
     @property
     def rounds(self) -> list[RoundRecord]:
@@ -389,8 +396,11 @@ _KIND_OF_TAIL = {tail: i for i, tail in enumerate(_TAILS)}
 _BLOCK = 1 << 16
 #: ``save_transcript`` writes the lines of this many rounds at a time, joined.
 _CHUNK = 1 << 10
-#: ``_footer_parts`` renders the declarations of this many rounds at a time.
-_PART = 1 << 15
+#: ``_footer_parts`` renders the declarations of this many rounds at a time: one part's
+#: list of round indices and its format string stay near 100 KB.
+_PART = 1 << 12
+#: The fewest characters of a canonical round line: the head, one digit, the shortest tail.
+_MIN_ROUND_LINE = len(_ROUND_HEAD) + 1 + min(map(len, _TAILS))
 
 
 def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
@@ -453,6 +463,28 @@ def _is_footer_of(line: str, kinds: bytes) -> bool:
             return False
         at += len(part)
     return at == len(line)
+
+
+def _read_footer(fh: IO[str], kinds: bytearray) -> str | None:
+    """Read the next line of ``fh`` as far as it is ``_footer_parts(kinds)``, a part at a time.
+
+    None if the line is that footer and then whitespace only, so that stripped it is the
+    footer.  Else the whole line as read, ``""`` at the end of the file: the parts it
+    matched, rendered again, then the piece that differs and the rest of the line."""
+    matched = 0
+    for part in _footer_parts(kinds):
+        got = fh.readline(len(part))
+        if got != part:
+            # a piece shorter than asked for, or ending in a newline, ends the line
+            if len(got) == len(part) and not got.endswith("\n"):
+                got += fh.readline()
+            break
+        matched += 1
+    else:
+        got = fh.readline()
+        if not got.strip():
+            return None
+    return "".join(islice(_footer_parts(kinds), matched)) + got
 
 
 def _differing_keys(got: dict, want: dict) -> list[str]:
@@ -519,22 +551,26 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     Blank lines are skipped; the first other line must be the header, and is
     read on its own.  Its ``version``, ``seed`` and ``n_rounds`` must be JSON
     integers.  The lines after it are read in blocks of about ``_BLOCK``
-    characters.  Until the footer is read, one ``_canonical_rounds`` call per
-    block takes the block's leading canonical round lines by text: each is
-    exactly what ``save_transcript`` writes for its kind, so ``_round_from_obj``
-    would accept it.  Every other line of the block is stripped; a footer line
-    that is then ``_footer_parts`` of the kinds read, part by part with nothing
-    left over, is accepted by text, and any other is parsed by ``read_json``.
-    A blank line, a CRLF line end, trailing spaces, a last line without a
-    newline, round lines or a footer of another spelling, and every line of a
-    block after its first such line take that path.  Each round's kind index is
-    read from its draws, never trusted: a parsed round line, and a parsed
-    footer, must have the keys and JSON-typed values of the object
-    ``save_transcript`` writes for it, compared by ``_differing_keys``.  Raises
-    ParseError (with the 1-based line number) on malformed or too deeply nested
-    JSON, a non-object line, unknown record kinds, an unsupported version,
-    truncation, a rejected round line, or a footer that differs from the one the
-    kinds give.
+    characters.  Until the footer is read, a block also stops by the line of the
+    last announced round, since no canonical round line is shorter than
+    ``_MIN_ROUND_LINE``, and one ``_canonical_rounds`` call per block takes the
+    block's leading canonical round lines by text: each is exactly what
+    ``save_transcript`` writes for its kind, so ``_round_from_obj`` would accept
+    it.  Once every announced round is read, ``_read_footer`` reads each next
+    line a part at a time against ``_footer_parts`` of the kinds read: the footer,
+    with only whitespace after it, is accepted by text and never held whole.
+    Every other line is stripped; a footer line that is then ``_footer_parts``
+    of the kinds read, part by part with nothing left over, is accepted by text,
+    and any other is parsed by ``read_json``.  A blank line, a round line with a
+    CRLF line end or trailing spaces, a last round line without a newline, round
+    lines or a footer of another spelling, and every line of a block after its
+    first such line take that path.  Each round's kind index is read from its
+    draws, never trusted: a parsed round line, and a parsed footer, must have
+    the keys and JSON-typed values of the object ``save_transcript`` writes for
+    it, compared by ``_differing_keys``.  Raises ParseError (with the 1-based
+    line number) on malformed or too deeply nested JSON, a non-object line,
+    unknown record kinds, an unsupported version, truncation, a rejected round
+    line, or a footer that differs from the one the kinds give.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         for line_no, raw in enumerate(iter(fh.readline, ""), 1):
@@ -557,7 +593,22 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
 
         kinds = bytearray()
         footer = None
-        for block in iter(partial(fh.readlines, _BLOCK), []):
+        while True:
+            left = config["n_rounds"] - len(kinds)
+            if footer is None and left <= 0:
+                # every announced round is read: the footer is matched as it is read
+                line = _read_footer(fh, kinds)
+                if line is None:
+                    line_no += 1
+                    footer, footer_line = True, line_no  # matched by text: no object to compare
+                    continue
+                block = [line] if line else []
+            else:
+                # until the footer, a block of canonical lines ends by the last announced round
+                block = fh.readlines(_BLOCK if footer is not None
+                                     else min(_BLOCK, _MIN_ROUND_LINE * left))
+            if not block:
+                break
             taken = _canonical_rounds(block, kinds) if footer is None else 0
             line_no += taken
             for raw in block[taken:]:
@@ -568,8 +619,8 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                 # the head test renders footer parts for one line at most: the next one that
                 # starts so is read as the footer or refused
                 if (footer is None and raw.startswith(_FOOTER_HEAD)
-                        and _is_footer_of(raw, bytes(kinds))):
-                    footer, footer_line = raw, line_no  # matched by text: no object to compare
+                        and _is_footer_of(raw, kinds)):
+                    footer, footer_line = True, line_no  # matched by text: no object to compare
                     continue
                 obj = read_json(raw, line_no)
                 kind = obj.get("record")

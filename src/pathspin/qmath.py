@@ -187,6 +187,8 @@ _STREAM_SALT = 0xD1B54A32D192ED03
 TAPE = 6
 #: Streams whose roots and tapes ``Rng.streams`` computes in one numpy batch.
 STREAM_BATCH = 4096
+#: Streams of a batch whose roots and tapes ``_batch`` turns into Python objects at a time.
+_SUB_BATCH = 512
 
 
 def _mix64(z: int) -> int:
@@ -218,14 +220,21 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _batch(mixed_seed: int, start: int, stop: int) -> tuple[list[int], list[list[float]]]:
-    """Roots and tapes of streams ``start .. stop-1``, as Python ints and floats."""
+def _batch(mixed_seed: int, start: int, stop: int) -> Iterator[tuple[int, int, tuple[float, ...]]]:
+    """Stream, root and tape of streams ``start .. stop-1``, as Python ints and a tuple of floats.
+
+    The batch is mixed in numpy at once and turned into Python objects ``_SUB_BATCH``
+    streams at a time: the tapes of a sub-batch as one column list per tape position,
+    zipped into one tuple per stream.  Its arrays are freed once it is exhausted, so a
+    caller that builds the next batch then holds one batch only."""
     with np.errstate(over="ignore"):
         streams = np.arange(start, stop, dtype=np.uint64)
         roots = _mix64_array(_U64(mixed_seed) ^ streams * _U64(_STREAM_SALT))
-        words = _mix64_array(roots[:, None] + _TAPE_STEPS)
+        words = _mix64_array(roots + _TAPE_STEPS[:, None])  # one row per tape position
         tapes = (words >> _U64(11)).astype(np.float64) * 2.0**-53
-    return roots.tolist(), tapes.tolist()
+    for at in range(0, stop - start, _SUB_BATCH):
+        yield from zip(range(start + at, stop), roots[at:at + _SUB_BATCH].tolist(),
+                       zip(*tapes[:, at:at + _SUB_BATCH].tolist()))
 
 
 @dataclass(frozen=True)
@@ -264,15 +273,15 @@ class Rng:
         """Yield ``Rng(seed, i)`` for ``i`` in ``0 .. n-1``, mixing ``seed`` once.
 
         Roots and tapes are computed with numpy for one batch of
-        ``STREAM_BATCH`` streams at a time, and each generator is built as
-        ``next_uniform`` builds a successor, when it is asked for: one
-        ``object.__new__``, its own ``__dict__`` filled field by field.
+        ``STREAM_BATCH`` streams at a time, by ``_batch``, which drops a batch
+        before the next is built and holds Python floats for ``_SUB_BATCH``
+        streams at most.  Each generator is built as ``next_uniform`` builds a
+        successor, when it is asked for: one ``object.__new__``, its own
+        ``__dict__`` filled field by field.
         """
         mixed = _mix64(seed & _MASK)
         for start in range(0, n, STREAM_BATCH):
-            stop = min(start + STREAM_BATCH, n)
-            roots, tapes = _batch(mixed, start, stop)
-            for stream, root, tape in zip(range(start, stop), roots, map(tuple, tapes)):
+            for stream, root, tape in _batch(mixed, start, min(start + STREAM_BATCH, n)):
                 rng = object.__new__(cls)
                 state = rng.__dict__
                 state["seed"] = seed

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,6 +524,23 @@ class TestSerialization:
         assert loaded.bob_key == session.bob_key
         assert loaded.config == session.config
 
+    def test_loading_a_canonical_file_peaks_below_its_footer_line(self, tmp_path):
+        # the footer is matched part by part as it is read, so no copy of it is held whole
+        kinds = np.random.default_rng(4).integers(0, 64, 200_000, dtype=np.uint8).tobytes()
+        config = {"n_rounds": len(kinds), "alice_weights": [0.25] * 4,
+                  "basis_mode": "independent_uniform", "eve": None}
+        session = Transcript(seed=5, config=config, kinds=kinds)
+        path = tmp_path / "big.qkdlog"
+        save_transcript(session, path)
+        tracemalloc.start()
+        try:
+            loaded = load_transcript(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == session
+        assert peak < len(protocol._footer_line(kinds))
+
     def test_file_layout_is_json_lines(self, tmp_path):
         session = self._small(n=10)
         path = tmp_path / "session.qkdlog"
@@ -871,6 +889,18 @@ class TestKindCounts:
                              bytes(_KINDS.index(r[1:]) for r in session.rounds))
         assert _figures(by_hand) == _recount(session.rounds)
         assert by_hand.keep_fraction() > 0.0 and by_hand == session
+
+    def test_counting_a_million_rounds_copies_no_more_than_a_block(self):
+        kinds = np.random.default_rng(3).integers(0, 64, 10**6, dtype=np.uint8)
+        transcript = Transcript(seed=0, config={}, kinds=kinds.tobytes())
+        tracemalloc.start()
+        try:
+            counts = transcript.kind_counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(counts, np.bincount(kinds, minlength=64))
 
     def test_an_empty_transcript_has_zero_counts(self):
         empty = Transcript(seed=0, config={}, kinds=b"")

@@ -5,7 +5,9 @@ import dataclasses
 import inspect
 import math
 import pickle
+import tracemalloc
 from bisect import bisect_right
+from collections import deque
 
 import numpy as np
 import pytest
@@ -291,6 +293,20 @@ class TestRng:
                 for want in draws:
                     u, rng = rng.next_uniform()
                     assert u == want
+
+    def test_streams_hold_one_batch_at_a_time(self):
+        # a batch's roots, tapes and arrays are dropped before the next batch is built,
+        # so three batches peak no higher than one
+        def peak(n):
+            tracemalloc.start()
+            try:
+                deque(qmath.Rng.streams(7, n), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(qmath.STREAM_BATCH)
+        assert peak(3 * qmath.STREAM_BATCH) < 1.3 * one
 
     def test_sample_draws_what_next_uniform_draws_past_the_tape(self):
         weights = qmath.Distribution((0.2, 0.3, 0.5))

@@ -230,12 +230,14 @@ class TestBulkReadEdges:
         out = io.StringIO()
         save_transcript(session, out)
         text = out.getvalue()
-        # the 1-based last line of each block, as load_transcript reads them after the header
+        # the 1-based last line of each block of rounds, as load_transcript reads them after
+        # the header: no block reaches past the lines the announced rounds could fill at the
+        # shortest canonical length
         reader = io.StringIO(text)
         reader.readline()
         block_ends, end = [], 1
-        while block := reader.readlines(protocol._BLOCK):
-            end += len(block)
+        while left := self.ROUNDS + 1 - end:
+            end += len(reader.readlines(min(protocol._BLOCK, protocol._MIN_ROUND_LINE * left)))
             block_ends.append(end)
         assert len(block_ends) > 20
         lines = text.split("\n")[:-1]
@@ -348,8 +350,8 @@ class TestBulkReadEdges:
                             or taken[-1])
         assert self._load(lines) == session
         assert parsed == [1]  # the header; every round line and the footer are matched by text
-        # one bulk call per block takes every round line of it: the footer is the only line
-        # any block leaves to the line loop
+        # one bulk call per block takes every round line of it, and no block holds the
+        # footer: it is matched as it is read
         assert len(taken) == len(block_ends)
         assert sum(taken) == self.ROUNDS
 
@@ -385,9 +387,15 @@ class TestFooterInParts:
         save_transcript(loaded, out)
         assert out.getvalue() == text
 
-    @pytest.mark.parametrize("edit", ["last_index", "last_label", "boundary_comma", "key_digit",
-                                      "left_over"])
-    def test_a_footer_changed_in_one_part_is_refused_at_its_line(self, canonical, parts, edit):
+    @pytest.mark.parametrize("edit, message", [
+        ("last_index", "footer declarations does not match the round records"),
+        ("last_label", "footer declarations does not match the round records"),
+        ("boundary_comma", "invalid JSON (Expecting ',' delimiter)"),
+        ("key_digit", "footer alice_key does not match the round records"),
+        ("left_over", "footer extra does not match the round records"),
+    ])
+    def test_a_footer_changed_in_one_part_is_refused_at_its_line(self, canonical, parts, edit,
+                                                               message):
         _, lines = canonical
         parts = list(parts)
         last = len(parts) - 3  # the last declaration part
@@ -411,4 +419,99 @@ class TestFooterInParts:
         assert footer != lines[-1]
         with pytest.raises(ParseError) as exc:
             load_transcript(io.StringIO("\n".join(lines[:-1] + [footer]) + "\n"))
-        assert exc.value.line == len(lines)
+        assert str(exc.value) == f"line {len(lines)}: {message}"
+
+    class _Reads(io.StringIO):
+        """A text stream that keeps the length of the longest string a read hands out."""
+
+        longest = 0
+
+        def readline(self, size=-1):
+            line = super().readline(size)
+            self.longest = max(self.longest, len(line))
+            return line
+
+        def readlines(self, hint=-1):
+            lines = super().readlines(hint)
+            self.longest = max([self.longest, *map(len, lines)])
+            return lines
+
+    @staticmethod
+    def _edge(name: str, lines: list[str], parts: list[str]) -> str:
+        """The canonical file with one edge at or around its footer, as text.  A footer that
+        differs in a later part is ``test_a_footer_changed_in_one_part_is_refused_at_its_line``'s."""
+        head, footer = lines[:-1], lines[-1]
+        if name.startswith("cut_after_part_"):  # the file ends at a part boundary
+            return "\n".join(head + ["".join(parts[:int(name.rsplit("_", 1)[1])])])
+        if name == "cut_at_boundary_then_newline":
+            return "\n".join(head + ["".join(parts[:2])]) + "\n"
+        if name == "trailing_spaces":
+            return "\n".join(lines) + "  \n"
+        if name == "crlf":
+            return "\r\n".join(lines) + "\r\n"
+        if name == "no_final_newline":
+            return "\n".join(lines)
+        if name == "leading_space":
+            return "\n".join(head + [" " + footer]) + "\n"
+        if name == "round_after":
+            return "\n".join(lines + [lines[1]]) + "\n"
+        if name == "second_footer":
+            return "\n".join(lines + [footer]) + "\n"
+        if name == "text_after":
+            return "\n".join(lines + ["text"]) + "\n"
+        if name == "text_on_its_line":
+            return "\n".join(head + [footer + " text"]) + "\n"
+        if name == "blank_lines_around":
+            return "\n".join(head + ["", footer, "", " "]) + "\n"
+        # the last 12 rounds' lines written without decode_failed are shorter than any
+        # canonical line, so the 40 round lines fall short of the block's bound and the
+        # block reads on into the footer, whole
+        short = [line.replace(',"decode_failed":false', "") for line in head[-12:]]
+        if name == "short_last_rounds":
+            return "\n".join(head[:-12] + short + [footer]) + "\n"
+        assert name == "blank_among_short_last_rounds"
+        return "\n".join(head[:-12] + short[:6] + [""] + short[6:] + [footer]) + "\n"
+
+    #: Each edge's outcome: None where the file loads, else the error's message and its line,
+    #: counted from the footer's (0); a footer read a part at a time or whole gives the same.
+    EDGES = {
+        "cut_after_part_1": ("invalid JSON (Expecting value)", 0),
+        "cut_after_part_3": ("invalid JSON (Expecting ',' delimiter)", 0),
+        "cut_after_part_14": ("invalid JSON (Expecting ',' delimiter)", 0),
+        "cut_at_boundary_then_newline": ("invalid JSON (Expecting ',' delimiter)", 0),
+        "trailing_spaces": None,
+        "crlf": None,
+        "no_final_newline": None,
+        "leading_space": None,
+        "round_after": ("round record after footer", 1),
+        "second_footer": ("duplicate footer record", 1),
+        "text_after": ("invalid JSON (Expecting value)", 1),
+        "text_on_its_line": ("invalid JSON (Extra data)", 0),
+        "blank_lines_around": None,
+        "short_last_rounds": None,
+        "blank_among_short_last_rounds": None,
+    }
+
+    @pytest.mark.parametrize("name", EDGES)
+    def test_an_edge_at_the_footer_loads_or_fails_at_its_line(self, canonical, parts, name):
+        session, lines = canonical
+        text = self._edge(name, lines, parts)
+        if self.EDGES[name] is None:
+            assert load_transcript(io.StringIO(text)) == session
+            return
+        message, offset = self.EDGES[name]
+        with pytest.raises(ParseError) as exc:
+            load_transcript(io.StringIO(text))
+        assert str(exc.value) == f"line {len(lines) + offset}: {message}"
+
+    @pytest.mark.parametrize("name", ["trailing_spaces", "crlf", "no_final_newline",
+                                      "blank_lines_around", "short_last_rounds",
+                                      "blank_among_short_last_rounds"])
+    def test_a_footer_is_read_whole_only_past_a_short_line(self, canonical, parts, name):
+        # canonical round lines end the bulk read by the last announced round, and the
+        # footer after them is read a part at a time; a shorter round line lets that read
+        # run on into the footer, which is then read whole, and loads all the same
+        session, lines = canonical
+        fh = self._Reads(self._edge(name, lines, parts))
+        assert load_transcript(fh) == session
+        assert (fh.longest >= len(lines[-1])) is name.endswith("short_last_rounds")
