@@ -66,11 +66,6 @@ class InterceptResend:
                 f"intercepted fraction must lie in [0, 1], got {self.fraction!r}"
             )
 
-    @property
-    def guessed_group(self):
-        """Group the attacker's setting resolves deterministically."""
-        return keep_group(self.phi, self.basis)
-
     def infer_label(self, outcome: OutcomePair) -> StateLabel:
         """Maximum-likelihood label for one of her outcomes.
 

@@ -190,7 +190,8 @@ def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
     """
     ensemble = AbortEnsemble(tuple(transcript.abort_counts().values()))
     n, aborted = len(transcript.kinds), ensemble.total
-    kept, keep_fraction = n - aborted, transcript.keep_fraction()
+    kept = n - aborted
+    keep_fraction = kept / max(n, 1)
     out = [f"rounds={n} kept={kept} aborted={aborted} keep_fraction={keep_fraction:.4f}"]
     payload = {"rounds": n, "seed": transcript.seed, "kept": kept,
                "aborted": aborted, "keep_fraction": keep_fraction, "transcript": str(path),

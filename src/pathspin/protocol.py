@@ -455,16 +455,6 @@ def _footer_line(kinds: bytes) -> str:
     return "".join(_footer_parts(kinds))
 
 
-def _is_footer_of(line: str, kinds: bytes) -> bool:
-    """Whether ``line`` is ``_footer_line(kinds)``, compared part by part as they are rendered."""
-    at = 0
-    for part in _footer_parts(kinds):
-        if not line.startswith(part, at):
-            return False
-        at += len(part)
-    return at == len(line)
-
-
 def _read_footer(fh: IO[str], kinds: bytearray) -> str | None:
     """Read the next line of ``fh`` as far as it is ``_footer_parts(kinds)``, a part at a time.
 
@@ -559,15 +549,15 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
     it.  Once every announced round is read, ``_read_footer`` reads each next
     line a part at a time against ``_footer_parts`` of the kinds read: the footer,
     with only whitespace after it, is accepted by text and never held whole.
-    Every other line is stripped; a footer line that is then ``_footer_parts``
-    of the kinds read, part by part with nothing left over, is accepted by text,
-    and any other is parsed by ``read_json``.  A blank line, a round line with a
-    CRLF line end or trailing spaces, a last round line without a newline, round
-    lines or a footer of another spelling, and every line of a block after its
-    first such line take that path.  Each round's kind index is read from its
-    draws, never trusted: a parsed round line, and a parsed footer, must have
-    the keys and JSON-typed values of the object ``save_transcript`` writes for
-    it, compared by ``_differing_keys``.  Raises ParseError (with the 1-based
+    Every other line is stripped and, unless blank, parsed by ``read_json``: a
+    round line with a CRLF line end or trailing spaces, a last round line
+    without a newline, round lines or a footer of another spelling, a footer
+    with leading whitespace, read in a block past short round lines or before
+    the last announced round, and every line of a block after its first such
+    line.  Each round's kind index is read from its draws, never trusted: a
+    parsed round line, and a parsed footer, must have the keys and JSON-typed
+    values of the object ``save_transcript`` writes for it, compared by
+    ``_differing_keys``.  Raises ParseError (with the 1-based
     line number) on malformed or too deeply nested JSON, a non-object line,
     unknown record kinds, an unsupported version, truncation, a rejected round
     line, or a footer that differs from the one the kinds give.
@@ -615,12 +605,6 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                 line_no += 1
                 raw = raw.strip()
                 if not raw:
-                    continue
-                # the head test renders footer parts for one line at most: the next one that
-                # starts so is read as the footer or refused
-                if (footer is None and raw.startswith(_FOOTER_HEAD)
-                        and _is_footer_of(raw, kinds)):
-                    footer, footer_line = True, line_no  # matched by text: no object to compare
                     continue
                 obj = read_json(raw, line_no)
                 kind = obj.get("record")

@@ -186,9 +186,7 @@ _STREAM_SALT = 0xD1B54A32D192ED03
 #: round makes (label, phi, basis, tap gate, the tap's sample, outcome).
 TAPE = 6
 #: Streams whose roots and tapes ``Rng.streams`` computes in one numpy batch.
-STREAM_BATCH = 4096
-#: Streams of a batch whose roots and tapes ``_batch`` turns into Python objects at a time.
-_SUB_BATCH = 512
+STREAM_BATCH = 1024
 
 
 def _mix64(z: int) -> int:
@@ -223,18 +221,16 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 def _batch(mixed_seed: int, start: int, stop: int) -> Iterator[tuple[int, int, tuple[float, ...]]]:
     """Stream, root and tape of streams ``start .. stop-1``, as Python ints and a tuple of floats.
 
-    The batch is mixed in numpy at once and turned into Python objects ``_SUB_BATCH``
-    streams at a time: the tapes of a sub-batch as one column list per tape position,
-    zipped into one tuple per stream.  Its arrays are freed once it is exhausted, so a
-    caller that builds the next batch then holds one batch only."""
+    The batch is mixed in numpy at once and turned into Python lists: its roots, and its
+    tapes as one column list per tape position, zipped into one tuple per stream.  The
+    arrays are freed on return and the lists with the zip, so a caller that drops one
+    batch before it builds the next holds one batch only."""
     with np.errstate(over="ignore"):
         streams = np.arange(start, stop, dtype=np.uint64)
         roots = _mix64_array(_U64(mixed_seed) ^ streams * _U64(_STREAM_SALT))
         words = _mix64_array(roots + _TAPE_STEPS[:, None])  # one row per tape position
         tapes = (words >> _U64(11)).astype(np.float64) * 2.0**-53
-    for at in range(0, stop - start, _SUB_BATCH):
-        yield from zip(range(start + at, stop), roots[at:at + _SUB_BATCH].tolist(),
-                       zip(*tapes[:, at:at + _SUB_BATCH].tolist()))
+    return zip(range(start, stop), roots.tolist(), zip(*tapes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -273,11 +269,10 @@ class Rng:
         """Yield ``Rng(seed, i)`` for ``i`` in ``0 .. n-1``, mixing ``seed`` once.
 
         Roots and tapes are computed with numpy for one batch of
-        ``STREAM_BATCH`` streams at a time, by ``_batch``, which drops a batch
-        before the next is built and holds Python floats for ``_SUB_BATCH``
-        streams at most.  Each generator is built as ``next_uniform`` builds a
-        successor, when it is asked for: one ``object.__new__``, its own
-        ``__dict__`` filled field by field.
+        ``STREAM_BATCH`` streams at a time, by ``_batch``; a batch is dropped
+        before the next is built.  Each generator is built as ``next_uniform``
+        builds a successor, when it is asked for: one ``object.__new__``, its
+        own ``__dict__`` filled field by field.
         """
         mixed = _mix64(seed & _MASK)
         for start in range(0, n, STREAM_BATCH):

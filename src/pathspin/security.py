@@ -215,18 +215,6 @@ class SecurityReport:
     frame: Frame
     n_aborts: int
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "mu": self.mu,
-            "m": self.m_value,
-            "secure": self.secure,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "frame": self.frame.value,
-            "n_aborts": self.n_aborts,
-        }
-
 
 def require_aborts(ensemble: AbortEnsemble, min_count: int = DEFAULT_MIN_ABORTS) -> None:
     """Raise ``InsufficientDataError`` unless ``ensemble`` can carry a verdict.

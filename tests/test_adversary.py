@@ -7,7 +7,6 @@ from pathspin import (
     AlicePolicy,
     BobPolicy,
     Frame,
-    Group,
     InterceptResend,
     PhaseChoice,
     Rng,
@@ -17,6 +16,7 @@ from pathspin import (
     correlation_matrix,
     ensemble_from_aborts,
     horodecki_m,
+    keep_group,
     prepare,
     qber,
     replay_session,
@@ -36,12 +36,6 @@ class TestConstruction:
             InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, fraction=1.5)
         with pytest.raises(InvalidDistributionError):
             InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, fraction=-0.1)
-
-    def test_guessed_group_follows_setting(self):
-        assert InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y).guessed_group is Group.G1
-        assert InterceptResend(PhaseChoice.PHI_0, SpinBasis.Z).guessed_group is Group.G2
-        assert InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z).guessed_group is Group.G1
-        assert InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Y).guessed_group is Group.G2
 
     def test_config_round_trip(self):
         eve = InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z, fraction=0.25)
@@ -63,7 +57,7 @@ class TestInference:
     def test_guessed_group_outcomes_map_back(self, eve):
         # every outcome in a guessed-group member's support is inferred
         # as exactly that member
-        for label in eve.guessed_group.labels:
+        for label in keep_group(eve.phi, eve.basis).labels:
             for outcome in outcome_support(label, eve.phi.radians, eve.basis):
                 assert eve.infer_label(outcome) is label
 
@@ -73,7 +67,7 @@ class TestInference:
         # the first guessed-group label, in label order, whose support holds the outcome
         eve = InterceptResend(phi, basis)
         for outcome in OUTCOMES:
-            scan = [label for label in eve.guessed_group.labels
+            scan = [label for label in keep_group(phi, basis).labels
                     if outcome in outcome_support(label, phi.radians, basis)]
             assert eve.infer_label(outcome) is scan[0]
 

@@ -386,8 +386,8 @@ class TestDrawTape:
         InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z),
     ], ids=["untapped", "0,y,0.5", "pi/2,z"])
     def test_session_equals_its_rounds_on_scalar_generators(self, bob, eve):
-        # 4200 rounds cross the 4096-stream batch of Rng.streams; each round on a
-        # generator built with the scalar mix must give the kind the session did
+        # 4200 rounds cross four boundaries of Rng.streams' 1024-stream batches; each round
+        # on a generator built with the scalar mix must give the kind the session did
         alice, seed = AlicePolicy.family(0.7), 41
         session = run_session(4200, alice, bob, eve=eve, seed=seed)
         assert session.kinds == bytes(run_round(alice, bob, eve, Rng(seed, i))

@@ -277,11 +277,11 @@ class TestRng:
 
     @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5, 3**50])
     def test_batched_streams_are_bit_exact(self, seed):
-        # batches of 4096 streams are mixed in numpy uint64; every generator must
+        # batches of 1024 streams are mixed in numpy uint64; every generator must
         # equal the scalar one, tape included, and draw the three-mix values,
         # past the end of its tape too, wherever the batches split the run
-        assert qmath.STREAM_BATCH == 4096 and qmath.TAPE < 9
-        sizes = (1, 4095, 4096, 4097, 8195)
+        assert qmath.STREAM_BATCH == 1024 and qmath.TAPE < 9
+        sizes = (1, 1023, 1024, 1025, 4097, 8195)
         expected = [(vars(qmath.Rng(seed, stream)),
                      [reference_uniform(seed, stream, counter) for counter in range(9)])
                     for stream in range(max(sizes))]

@@ -246,13 +246,6 @@ class TestDecision:
         assert report.m_value > 1.0
         assert report.n_aborts == 1000
 
-    def test_report_dictionary_keys(self):
-        report = security_decision(AbortEnsemble((900, 33, 33, 34)), min_count=100)
-        d = report.to_dict()
-        assert set(d) >= {"lambda", "mu", "m", "secure", "eta1", "eta2", "frame", "n_aborts"}
-        assert d["lambda"] == report.lam
-        assert d["m"] == report.m_value
-
     def test_frame_choice_recorded(self):
         for frame in Frame:
             report = security_decision(AbortEnsemble((900, 33, 33, 34)),

@@ -515,3 +515,16 @@ class TestFooterInParts:
         fh = self._Reads(self._edge(name, lines, parts))
         assert load_transcript(fh) == session
         assert (fh.longest >= len(lines[-1])) is name.endswith("short_last_rounds")
+
+    @pytest.mark.parametrize("name", ["leading_space", "short_last_rounds"])
+    def test_a_footer_the_streamed_read_does_not_take_is_parsed_once(self, canonical, parts,
+                                                                    monkeypatch, name):
+        # only the footer read a part at a time is matched by text; one with leading
+        # whitespace, or read whole past short round lines, is parsed and compared by keys
+        session, lines = canonical
+        parsed = []
+        read_json = protocol.read_json
+        monkeypatch.setattr(protocol, "read_json",
+                            lambda raw, line: parsed.append(line) or read_json(raw, line))
+        assert load_transcript(io.StringIO(self._edge(name, lines, parts))) == session
+        assert parsed.count(len(lines)) == 1
