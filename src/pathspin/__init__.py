@@ -76,7 +76,6 @@ from .protocol import (
 from .qmath import Rng, sym3_eigs
 from .security import (
     AbortEnsemble,
-    CorrelationMatrix,
     Frame,
     SecurityReport,
     closed_form_family,
@@ -100,7 +99,6 @@ __all__ = [
     "BeamSplitterSpec",
     "BobPolicy",
     "ConfigError",
-    "CorrelationMatrix",
     "DecodingError",
     "DimensionError",
     "DomainError",

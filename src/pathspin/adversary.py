@@ -27,24 +27,12 @@ from .optics import (
     OutcomePair,
     SpinBasis,
     StateLabel,
-    outcome_support,
+    outcome_support,  # not called here; perfbench/tracer.py wraps it in this module
     pipeline_distribution,
 )
-from .protocol import PhaseChoice, Transcript, keep_group
+from .protocol import DECODED, PhaseChoice, Transcript
 from .qmath import Rng
 
-
-def _inference(phi: PhaseChoice, basis: SpinBasis) -> dict[OutcomePair, StateLabel]:
-    """Outcome -> the guessed-group label whose support holds it, the lower label on a tie."""
-    inferred: dict[OutcomePair, StateLabel] = {}
-    for label in keep_group(phi, basis).labels:
-        for outcome in outcome_support(label, phi.radians, basis):
-            inferred.setdefault(outcome, label)
-    return inferred
-
-
-#: (phi, basis) -> outcome -> label: ``InterceptResend.infer_label`` for every setting.
-_INFERRED = {(phi, basis): _inference(phi, basis) for phi in PhaseChoice for basis in SpinBasis}
 #: (phi, basis) -> label -> her outcome distribution: the rows ``InterceptResend.tap``
 #: samples, ``pipeline_distribution(label, phi.radians, basis)`` for every setting.
 _TAPPED = {(phi, basis): {label: pipeline_distribution(label, phi.radians, basis)
@@ -72,9 +60,10 @@ class InterceptResend:
         Under a uniform prior the winner is always the guessed-group
         label whose outcome support contains the observation (likelihood
         1/2 against 1/4 for the other group); impossible ties go toward
-        the lower label index.  Read from ``_INFERRED``, filled at import.
+        the lower label index.  Read from ``protocol.DECODED``, the table
+        Bob decodes by: she owns a copy of his apparatus.
         """
-        label = _INFERRED[self.phi, self.basis].get(outcome)
+        label = DECODED[self.phi, self.basis].get(outcome)
         if label is None:
             raise InvalidDistributionError(f"outcome {outcome} outside every support")
         return label

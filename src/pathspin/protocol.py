@@ -77,6 +77,15 @@ KEEP_GROUP: dict[tuple[PhaseChoice, SpinBasis], Group] = {
 }
 
 
+#: (phi, basis) -> outcome -> the label of ``KEEP_GROUP[phi, basis]`` whose support holds it,
+#: the lower label on a tie (its entries are written last): the bit Bob decodes, and the label
+#: Eve infers with her copy of his apparatus.  The matched setting splits the four outcomes
+#: between the group's two labels.
+DECODED = {(phi, basis): {outcome: label for label in reversed(group.labels)
+                          for outcome in outcome_support(label, phi.radians, basis)}
+           for (phi, basis), group in KEEP_GROUP.items()}
+
+
 def keep_group(phi: PhaseChoice, basis: SpinBasis) -> Group:
     """Group for which (phi, basis) is the matched (key-generating) setting."""
     return KEEP_GROUP[(phi, basis)]
@@ -88,16 +97,11 @@ def sift(group: Group, phi: PhaseChoice, basis: SpinBasis) -> Verdict:
 
 
 def decode_bit(group: Group, phi: PhaseChoice, basis: SpinBasis, outcome: OutcomePair) -> int:
-    """Receiver-side key bit of a kept round.
-
-    The matched setting splits the four outcomes into two disjoint pairs,
-    one per group member, so an outcome outside the first member's support
-    is in the second's; the bit is that of the member whose support holds it.
-    """
+    """Receiver-side key bit of a kept round: that of the group member whose support holds
+    the outcome, read from ``DECODED``."""
     if sift(group, phi, basis) is not Verdict.KEEP:
         raise DecodingError(f"({phi.value}, {basis.value}) is not a kept setting for {group.value}")
-    first, second = group.labels
-    return (first if outcome in outcome_support(first, phi.radians, basis) else second).bit
+    return DECODED[phi, basis][outcome].bit
 
 
 @dataclass(frozen=True)
@@ -182,14 +186,14 @@ def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: Outcom
 _KINDS = tuple(_kind(label, phi, basis, outcome)
                for label in _LABELS for phi in _PHIS for basis in _BASES for outcome in OUTCOMES)
 #: One column per fact, by kind index: kept, the declared label's index, Alice's
-#: bit and Bob's bit (-1 where he has none).
+#: bit and Bob's bit (0 on an aborted kind, where no key reads it).
 _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT = (np.array(column) for column in zip(*(
-    (verdict is Verdict.KEEP, _LABELS.index(label), alice, -1 if bob is None else bob)
+    (verdict is Verdict.KEEP, _LABELS.index(label), alice, bob or 0)
     for label, _, _, _, verdict, alice, bob, _ in _KINDS)))
 
-
-#: ``Transcript.kind_counts`` counts this many rounds at a time.
-_COUNT_BLOCK = 1 << 16
+#: Kinds are counted, round lines written and footer declarations rendered this many rounds
+#: at a time, so no pass over the kinds copies more than a block.
+_ROUND_BLOCK = 1 << 10
 
 #: Label on the channel -> [phi][basis] -> Bob's outcome distribution.
 _RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
@@ -250,10 +254,10 @@ class Transcript:
         """The rounds of each kind index, 64 counts.
 
         ``np.bincount`` copies what it counts to ``intp``, 8 bytes a round, so the kinds are
-        counted ``_COUNT_BLOCK`` rounds at a time and the counts summed."""
+        counted ``_ROUND_BLOCK`` rounds at a time and the counts summed."""
         kinds, counts = np.frombuffer(self.kinds, np.uint8), np.zeros(len(_KINDS), np.intp)
-        for start in range(0, len(kinds), _COUNT_BLOCK):
-            counts += np.bincount(kinds[start:start + _COUNT_BLOCK], minlength=len(_KINDS))
+        for start in range(0, len(kinds), _ROUND_BLOCK):
+            counts += np.bincount(kinds[start:start + _ROUND_BLOCK], minlength=len(_KINDS))
         return counts
 
     @property
@@ -275,8 +279,8 @@ class Transcript:
 
     @property
     def bob_key(self) -> list[int]:
-        bits = _BOB_BIT[np.frombuffer(self.kinds, np.uint8)]
-        return bits[bits >= 0].tolist()
+        kinds = np.frombuffer(self.kinds, np.uint8)
+        return _BOB_BIT[kinds[_KEPT[kinds]]].tolist()
 
     def keep_fraction(self) -> float:
         return int(self.kind_counts[_KEPT].sum()) / max(len(self.kinds), 1)
@@ -291,9 +295,9 @@ class Transcript:
         return 0
 
     def key_errors(self) -> tuple[int, int]:
-        """(mismatched, decoded): kept rounds whose two bits differ, and kept rounds Bob decodes."""
-        counts, decoded = self.kind_counts, _BOB_BIT >= 0
-        return int(counts[decoded & (_BOB_BIT != _ALICE_BIT)].sum()), int(counts[decoded].sum())
+        """(mismatched, decoded): kept rounds whose two bits differ, and kept rounds, all decoded."""
+        counts = self.kind_counts
+        return int(counts[_KEPT & (_BOB_BIT != _ALICE_BIT)].sum()), int(counts[_KEPT].sum())
 
 
 def _config_snapshot(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve) -> dict:
@@ -364,41 +368,20 @@ _ROUND_KEYS = ("label", "phi", "basis", "port", "spin",
 _DRAWN = 5
 
 
-def _as_written(kind: tuple) -> tuple:
-    """A kind's values as its round line writes them, in ``_ROUND_KEYS`` order."""
-    label, phi, basis, outcome, verdict, *bits = kind
-    return (label.value, phi.value, basis.value, outcome.port.value, outcome.spin.value,
-            verdict.value, *bits)
-
-
-def _round_to_obj(r: RoundRecord) -> dict:
-    return {"record": "round", "round_index": r.round_index,
-            **dict(zip(_ROUND_KEYS, _as_written(r[1:])))}
-
-
 #: Every round line starts with these bytes and continues with its index.
 _ROUND_HEAD = '{"record":"round","round_index":'
-
-
-def _round_tail(r: RoundRecord) -> str:
-    """The part of a round's line after ``round_index``, newline included."""
-    tail = json.dumps(dict(zip(_ROUND_KEYS, _as_written(r[1:]))), separators=(",", ":"))
-    return f",{tail[1:]}\n"
-
-
+#: The fields of each kind's round line after ``round_index``, as written, by kind index.
+_WRITTEN = tuple(dict(zip(_ROUND_KEYS, (label.value, phi.value, basis.value, outcome.port.value,
+                                        outcome.spin.value, verdict.value, *bits)))
+                 for label, phi, basis, outcome, verdict, *bits in _KINDS)
 #: Drawn values as written -> kind index.
-_KIND_OF_DRAWN = {_as_written(kind)[:_DRAWN]: i for i, kind in enumerate(_KINDS)}
-#: The tail of each kind's round line, by kind index.
-_TAILS = tuple(_round_tail(RoundRecord(0, *kind)) for kind in _KINDS)
+_KIND_OF_DRAWN = {tuple(fields.values())[:_DRAWN]: i for i, fields in enumerate(_WRITTEN)}
+#: The tail of each kind's round line, the part after its index, newline included.
+_TAILS = tuple(f",{json.dumps(fields, separators=(',', ':'))[1:]}\n" for fields in _WRITTEN)
 #: The tail of a canonical round line, newline included -> its kind index.
 _KIND_OF_TAIL = {tail: i for i, tail in enumerate(_TAILS)}
 #: ``load_transcript`` reads about this many characters of lines at a time.
 _BLOCK = 1 << 16
-#: ``save_transcript`` writes the lines of this many rounds at a time, joined.
-_CHUNK = 1 << 10
-#: ``_footer_parts`` renders the declarations of this many rounds at a time: one part's
-#: list of round indices and its format string stay near 100 KB.
-_PART = 1 << 12
 #: The fewest characters of a canonical round line: the head, one digit, the shortest tail.
 _MIN_ROUND_LINE = len(_ROUND_HEAD) + 1 + min(map(len, _TAILS))
 
@@ -429,17 +412,17 @@ _DECLARED = tuple(f"[%d,{json.dumps(label.value)}]" for label in _LABELS)
 _FOOTER_HEAD = '{"record":"footer","declarations":['
 #: For ``bytes.translate``: the aborted kinds, which add no key digit, and each kind's digit.
 _ABORTED = bytes(np.flatnonzero(~_KEPT).tolist())
-_ALICE_DIGITS, _BOB_DIGITS = (bytes(48 + max(bit, 0) for bit in column.tolist()).ljust(256)
+_ALICE_DIGITS, _BOB_DIGITS = (bytes(48 + bit for bit in column.tolist()).ljust(256)
                               for column in (_ALICE_BIT, _BOB_BIT))
 
 
 def _footer_parts(kinds: bytes) -> Iterator[str]:
     """The footer line, newline excluded, that ``save_transcript`` writes for these kinds, in parts:
-    the head, the declarations of each ``_PART`` rounds that abort any, then each key."""
+    the head, the declarations of each ``_ROUND_BLOCK`` rounds that abort any, then each key."""
     yield _FOOTER_HEAD
     rounds, comma = np.frombuffer(kinds, np.uint8), ""
-    for start in range(0, len(rounds), _PART):
-        part = rounds[start:start + _PART]
+    for start in range(0, len(rounds), _ROUND_BLOCK):
+        part = rounds[start:start + _ROUND_BLOCK]
         aborted = np.flatnonzero(~_KEPT[part])
         if len(aborted):
             # one ``%`` over the joined formats fills in every round of the part at once
@@ -487,7 +470,8 @@ def _differing_keys(got: dict, want: dict) -> list[str]:
 
 
 def _round_from_obj(obj: dict, index: int, line: int) -> int:
-    """The kind index ``obj`` draws, if ``obj`` is the ``_round_to_obj`` of round ``index``.
+    """The kind index ``obj`` draws, if ``obj`` is the object of round ``index``'s line: the
+    head keys, then that kind's ``_WRITTEN`` entry.
 
     A line without ``decode_failed`` (as early files were written) reads it as False.  Each
     missing, differing or extra key is named, with the JSON types of ``_differing_keys``."""
@@ -499,7 +483,8 @@ def _round_from_obj(obj: dict, index: int, line: int) -> int:
         kind = _KIND_OF_DRAWN[drawn]
     except (KeyError, TypeError):
         raise ParseError(f"no round draws {drawn!r}", line=line) from None
-    got, want = {"decode_failed": False, **obj}, _round_to_obj(RoundRecord(index, *_KINDS[kind]))
+    got = {"decode_failed": False, **obj}
+    want = {"record": "round", "round_index": index, **_WRITTEN[kind]}
     wrong = _differing_keys(got, want)
     if wrong:
         raise ParseError("; ".join(
@@ -514,7 +499,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 
     A round's line is ``_ROUND_HEAD``, its index and a tail holding every
     other field, ``_TAILS[kind]`` of its kind index, rendered at import.  The
-    lines of each ``_CHUNK`` rounds are joined into one write.  The footer is
+    lines of each ``_ROUND_BLOCK`` rounds are joined into one write.  The footer is
     written as ``_footer_parts`` of the same kinds renders it, part by part.
     """
     with (open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path))
@@ -527,9 +512,9 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
         }
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         kinds = transcript.kinds
-        for start in range(0, len(kinds), _CHUNK):
+        for start in range(0, len(kinds), _ROUND_BLOCK):
             fh.write("".join([f"{_ROUND_HEAD}{i}{_TAILS[kind]}"
-                              for i, kind in enumerate(kinds[start:start + _CHUNK], start)]))
+                              for i, kind in enumerate(kinds[start:start + _ROUND_BLOCK], start)]))
         for part in _footer_parts(kinds):
             fh.write(part)
         fh.write("\n")

@@ -100,14 +100,6 @@ def density_from_ensemble(ensemble: AbortEnsemble) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """3x3 real spin-path correlation matrix together with its frame."""
-
-    matrix: np.ndarray
-    frame: Frame
-
-
 def _t_ab_initio(rho: np.ndarray) -> np.ndarray:
     t = np.array([np.real(np.trace(rho @ op)) for op in _PAULI_PAIRS], dtype=float)
     return t.reshape(3, 3)
@@ -124,8 +116,8 @@ def _t_from_weights(weights: Sequence[float]) -> np.ndarray:
     )
 
 
-def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> CorrelationMatrix:
-    """Build T from an ensemble (either frame) or a density matrix (ab initio).
+def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> np.ndarray:
+    """The real 3x3 T of an ensemble (either frame) or a density matrix (ab initio).
 
     The weight frame is defined in terms of the ensemble weights, so it
     rejects a bare density operator.
@@ -141,12 +133,12 @@ def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> Corr
         t = _t_ab_initio(rho)
     if np.max(np.abs(t)) > 1.0 + 1e-12:
         raise InvalidStateError(f"correlation entries exceed unit magnitude: {float(np.max(np.abs(t)))!r}")
-    return CorrelationMatrix(matrix=t, frame=frame)
+    return t
 
 
-def horodecki_m(corr: CorrelationMatrix | np.ndarray) -> tuple[float, float, float]:
+def horodecki_m(corr: np.ndarray) -> tuple[float, float, float]:
     """(largest, second, sum) of the top two eigenvalues of T^T T."""
-    t = corr.matrix if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
+    t = np.asarray(corr, dtype=float)
     if t.shape != (3, 3):
         raise DimensionError(f"correlation matrix must be 3x3, got {t.shape}")
     e1, e2, _ = qmath.sym3_eigs(t.T @ t)

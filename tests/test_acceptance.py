@@ -84,7 +84,7 @@ WORKED_EXAMPLE_M = 0.5729822128134705
 def test_criterion_03_worked_example_matches_dense_solver():
     ens = AbortEnsemble((4, 2, 2, 2))
     for frame in Frame:
-        t = correlation_matrix(ens, frame).matrix
+        t = correlation_matrix(ens, frame)
         dense = np.sort(np.linalg.eigvalsh(t.T @ t))
         m_oracle = float(dense[-1] + dense[-2])
         _, _, m = horodecki_m(correlation_matrix(ens, frame))

@@ -14,6 +14,7 @@ from pathspin import (
     StateLabel,
     Transcript,
     correlation_matrix,
+    decode_bit,
     ensemble_from_aborts,
     horodecki_m,
     keep_group,
@@ -64,12 +65,14 @@ class TestInference:
     @pytest.mark.parametrize("phi", list(PhaseChoice))
     @pytest.mark.parametrize("basis", list(SpinBasis))
     def test_inference_table_equals_the_support_scan(self, phi, basis):
-        # the first guessed-group label, in label order, whose support holds the outcome
-        eve = InterceptResend(phi, basis)
+        # the first guessed-group label, in label order, whose support holds the outcome;
+        # its bit is the one Bob decodes at the same setting
+        eve, group = InterceptResend(phi, basis), keep_group(phi, basis)
         for outcome in OUTCOMES:
-            scan = [label for label in keep_group(phi, basis).labels
+            scan = [label for label in group.labels
                     if outcome in outcome_support(label, phi.radians, basis)]
             assert eve.infer_label(outcome) is scan[0]
+            assert decode_bit(group, phi, basis, outcome) == eve.infer_label(outcome).bit
 
     def test_tap_table_equals_the_receiver_rows(self):
         # the four settings by the four labels, each row the one she would compute

@@ -49,8 +49,15 @@ from pathspin.protocol import (
     RoundRecord,
     _footer_line,
     _round_from_obj,
-    _round_to_obj,
 )
+
+
+def _round_obj(r: RoundRecord) -> dict:
+    """The object of a round's line, built field by field from its record."""
+    return {"record": "round", "round_index": r.round_index, "label": r.label.value,
+            "phi": r.phi.value, "basis": r.basis.value, "port": r.outcome.port.value,
+            "spin": r.outcome.spin.value, "verdict": r.verdict.value, "alice_bit": r.alice_bit,
+            "bob_bit": r.bob_bit, "decode_failed": r.decode_failed}
 
 
 class TestSifting:
@@ -178,14 +185,14 @@ class TestFooterLine:
                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y), seed=6)
         assert tapped.key_errors()[0] > 0
 
-    @pytest.mark.parametrize("part", [1, 3, 64, protocol._PART])
+    @pytest.mark.parametrize("part", [1, 3, 64, protocol._ROUND_BLOCK])
     @pytest.mark.parametrize("kinds", [
         _ABORTED_KINDS * 5, _KEPT_KINDS * 5, _KEPT_KINDS + _ABORTED_KINDS + _KEPT_KINDS,
         run_session(500, AlicePolicy.uniform(), BobPolicy(), seed=6,
                     eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)).kinds,
     ], ids=["all-aborted", "all-kept", "kept-aborted-kept", "tapped"])
     def test_the_parts_join_to_the_json_footer_at_every_part_size(self, monkeypatch, part, kinds):
-        monkeypatch.setattr(protocol, "_PART", part)
+        monkeypatch.setattr(protocol, "_ROUND_BLOCK", part)
         parts = list(protocol._footer_parts(kinds))
         t = Transcript(seed=0, config={"n_rounds": len(kinds)}, kinds=kinds)
         assert "".join(parts) == _footer_line(kinds) == _footer_by_json(t)
@@ -204,7 +211,8 @@ def _by_hand(t: Transcript) -> str:
 
 
 class TestChunkedWriter:
-    @pytest.mark.parametrize("n", [1, protocol._CHUNK - 1, protocol._CHUNK, protocol._CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, protocol._ROUND_BLOCK - 1, protocol._ROUND_BLOCK,
+                                   protocol._ROUND_BLOCK + 1])
     def test_each_chunk_edge_writes_the_lines_by_hand(self, tmp_path, n):
         session = run_session(n, AlicePolicy.family(0.8), BobPolicy(), seed=n)
         buf = io.StringIO()
@@ -216,17 +224,17 @@ class TestChunkedWriter:
         assert load_transcript(path) == session
 
     def test_a_tapped_session_of_many_chunks_writes_the_lines_by_hand(self, monkeypatch):
-        session = run_session(5 * protocol._CHUNK + 7, AlicePolicy.family(0.9), BobPolicy(),
+        session = run_session(5 * protocol._ROUND_BLOCK + 7, AlicePolicy.family(0.9), BobPolicy(),
                               eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5), seed=2)
         writes = []
         buf = io.StringIO()
         monkeypatch.setattr(buf, "write", lambda text: writes.append(text) or len(text))
         save_transcript(session, buf)
         assert "".join(writes) == _by_hand(session)
-        # the header, one join per chunk of rounds, the footer's parts and its newline
+        # the header, one join per block of rounds, the footer's parts and its newline
         parts = list(protocol._footer_parts(session.kinds))
         assert len(writes) == 1 + 6 + len(parts) + 1
-        assert [w.count("\n") for w in writes[1:7]] == [protocol._CHUNK] * 5 + [7]
+        assert [w.count("\n") for w in writes[1:7]] == [protocol._ROUND_BLOCK] * 5 + [7]
         assert writes[7:-1] == parts
 
 
@@ -247,21 +255,24 @@ class TestRecordTuples:
             rec = RoundRecord(i, *kind)
             assert rec[0] == rec.round_index == i
             assert rec[1:] == kind
-            assert json.loads(_ROUND_HEAD + str(i) + _TAILS[i]) == _round_to_obj(rec)
+            assert json.loads(_ROUND_HEAD + str(i) + _TAILS[i]) == _round_obj(rec)
 
     def test_records_are_immutable(self):
         rec = RoundRecord(0, *self._kinds()[0])
         with pytest.raises(AttributeError):
             rec.verdict = Verdict.ABORT
 
-    def test_saving_never_renders_a_tail(self, monkeypatch):
-        def render(r):
-            raise AssertionError(f"round {r.round_index} missed _TAILS")
-
+    def test_saving_never_renders_a_tail(self, monkeypatch, tmp_path):
+        # the header is the one object a save renders: every round line is looked up in _TAILS
         session = run_session(2000, AlicePolicy.family(0.8), BobPolicy(), seed=8,
                               eve=InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z, 0.5))
-        monkeypatch.setattr(protocol, "_round_tail", render)
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a[0]) or dumps(*a, **k))
         save_transcript(session, io.StringIO())
+        assert len(calls) == 1 and calls[0]["record"] == "header"
+        save_transcript(session, tmp_path / "session.qkdlog")
+        assert len(calls) == 2 and calls[1]["record"] == "header"
 
     @pytest.mark.parametrize("alice, bob, eve", [
         (AlicePolicy.uniform(), BobPolicy(), None),
@@ -569,7 +580,7 @@ class TestSerialization:
         lines = buf.getvalue().split("\n")
         assert lines[-1] == "" and len(lines) == len(session.rounds) + 3
         for r, line in zip(session.rounds, lines[1:-2]):
-            assert line == json.dumps(_round_to_obj(r), separators=(",", ":"))
+            assert line == json.dumps(_round_obj(r), separators=(",", ":"))
 
     def test_leading_blank_lines_before_header_are_skipped(self, tmp_path):
         session = self._small(n=30)
@@ -769,8 +780,10 @@ class TestOneSpellingPerKey:
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)
         session = run_session(n_rounds=64, alice=AlicePolicy.uniform(), bob=BobPolicy(),
                               eve=eve, seed=4)
-        for r in session.rounds:
-            assert tuple(_round_to_obj(r)) == ("record", "round_index", *_ROUND_KEYS)
+        buf = io.StringIO()
+        save_transcript(session, buf)
+        for line in buf.getvalue().splitlines()[1:-1]:
+            assert tuple(json.loads(line)) == ("record", "round_index", *_ROUND_KEYS)
 
 
 class TestReplayOfAMalformedHeader:

@@ -85,11 +85,13 @@ class TestEnsembles:
         np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
 
 
-class TestCorrelationMatrix:
+class TestCorrelationArray:
     def test_entries_bounded(self):
         ens = AbortEnsemble((7, 1, 3, 2))
-        for frame in Frame:
-            t = correlation_matrix(ens, frame).matrix
+        for t in (*(correlation_matrix(ens, frame) for frame in Frame),
+                  correlation_matrix(density_from_ensemble(ens), Frame.AB_INITIO)):
+            # a plain float array, in both frames and from a density input
+            assert type(t) is np.ndarray and t.dtype == np.float64 and t.shape == (3, 3)
             assert np.max(np.abs(t)) <= 1.0 + 1e-12
 
     def test_closed_frame_needs_ensemble(self):
@@ -101,7 +103,7 @@ class TestCorrelationMatrix:
         ens = AbortEnsemble((4, 2, 2, 2))
         via_density = correlation_matrix(density_from_ensemble(ens), Frame.AB_INITIO)
         via_ensemble = correlation_matrix(ens, Frame.AB_INITIO)
-        np.testing.assert_allclose(via_density.matrix, via_ensemble.matrix, atol=1e-12)
+        np.testing.assert_allclose(via_density, via_ensemble, atol=1e-12)
 
     def test_frames_agree_on_symmetric_weights(self):
         ens = AbortEnsemble((6, 2, 1, 1))
@@ -131,7 +133,7 @@ class TestViolationFunctional:
             lam, mu, m = horodecki_m(corr)
             assert lam >= mu
             np.testing.assert_allclose(m, lam + mu, atol=1e-15)
-            np.testing.assert_allclose(m, _dense_m(corr.matrix), atol=1e-12)
+            np.testing.assert_allclose(m, _dense_m(corr), atol=1e-12)
             np.testing.assert_allclose(m, WORKED_EXAMPLE_M, atol=1e-12)
 
     def test_violation_requires_strictly_more_than_one(self):

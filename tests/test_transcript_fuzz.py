@@ -357,7 +357,7 @@ class TestBulkReadEdges:
 
 
 class TestFooterInParts:
-    """With ``_PART`` at 3 rounds, the 40-round footer spans many parts.
+    """With ``_ROUND_BLOCK`` at 3 rounds, the 40-round footer spans many parts.
 
     A canonical file still round-trips byte for byte with only its header parsed as JSON;
     a footer changed in any one part, at a part boundary or past its last part is refused
@@ -365,7 +365,7 @@ class TestFooterInParts:
 
     @pytest.fixture
     def parts(self, canonical, monkeypatch):
-        monkeypatch.setattr(protocol, "_PART", 3)
+        monkeypatch.setattr(protocol, "_ROUND_BLOCK", 3)
         session, _ = canonical
         parts = list(protocol._footer_parts(session.kinds))
         assert len(parts[1:-2]) >= 4  # declaration parts, between the head and the two keys
