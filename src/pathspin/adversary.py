@@ -28,16 +28,9 @@ from .optics import (
     SpinBasis,
     StateLabel,
     outcome_support,  # not called here; perfbench/tracer.py wraps it in this module
-    pipeline_distribution,
 )
-from .protocol import DECODED, PhaseChoice, Transcript
+from .protocol import _BASES, _PHIS, DECODED, RECEIVED, PhaseChoice, Transcript
 from .qmath import Rng
-
-#: (phi, basis) -> label -> her outcome distribution: the rows ``InterceptResend.tap``
-#: samples, ``pipeline_distribution(label, phi.radians, basis)`` for every setting.
-_TAPPED = {(phi, basis): {label: pipeline_distribution(label, phi.radians, basis)
-                          for label in StateLabel}
-           for phi in PhaseChoice for basis in SpinBasis}
 
 
 @dataclass(frozen=True)
@@ -71,15 +64,15 @@ class InterceptResend:
     def tap(self, label: StateLabel, rng: Rng) -> tuple[StateLabel, Rng]:
         """Possibly intercept the signal label in flight; return the label that travels on.
 
-        An intercepted label is measured through her setting's row of the
-        outcome table, read from ``_TAPPED`` (filled at import), and replaced
-        by ``infer_label`` of her outcome.
+        An intercepted label is measured through her setting's row of
+        ``protocol.RECEIVED``, the table Bob samples, and replaced by
+        ``infer_label`` of her outcome.
         """
         if self.fraction < 1.0:
             u, rng = rng.next_uniform()
             if u >= self.fraction:
                 return label, rng
-        idx, rng = rng.sample(_TAPPED[self.phi, self.basis][label])
+        idx, rng = rng.sample(RECEIVED[label][_PHIS.index(self.phi)][_BASES.index(self.basis)])
         return self.infer_label(OUTCOMES[idx]), rng
 
     def to_config(self) -> dict:

@@ -78,7 +78,7 @@ class SessionConfig:
 
     rounds: int = 10_000
     seed: int = 0
-    alice_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
+    alice_weights: tuple[float, float, float, float] = AlicePolicy.uniform().weights
     basis_mode: BasisMode = BasisMode.INDEPENDENT_UNIFORM
     eve: InterceptResend | None = None
     frame: tuple[Frame, ...] = _FRAMES["both"]
@@ -95,7 +95,7 @@ def parse_weights(value: str | list) -> tuple[float, float, float, float]:
     if isinstance(value, str):
         value = value.strip()
         if value == "uniform":
-            value = [0.25] * 4
+            value = list(AlicePolicy.uniform().weights)
         elif value.startswith("family:"):
             value = list(AlicePolicy.family(float(value.split(":", 1)[1])).weights)
         else:

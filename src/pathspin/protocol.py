@@ -195,10 +195,11 @@ _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT = (np.array(column) for column in zip(
 #: at a time, so no pass over the kinds copies more than a block.
 _ROUND_BLOCK = 1 << 10
 
-#: Label on the channel -> [phi][basis] -> Bob's outcome distribution.
-_RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
-                                for basis in _BASES) for phi in _PHIS)
-             for label in _LABELS}
+#: Label on the channel -> [phi][basis], indices into ``_PHIS`` and ``_BASES`` -> the outcome
+#: distribution Bob samples, and Eve with her copy of his apparatus.
+RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
+                               for basis in _BASES) for phi in _PHIS)
+            for label in _LABELS}
 
 
 def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
@@ -208,7 +209,7 @@ def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
     ``tap(label, rng) -> (label, rng)``: the channel carries a signal label.
     Draw order within the round's stream: label, phi, basis (uniform mode
     only), adversary draws, outcome.  Every round reads its outcome
-    distribution from ``_RECEIVED`` by the label that reaches Bob.  The
+    distribution from ``RECEIVED`` by the label that reaches Bob.  The
     index is that of the label Alice sent; its entry of ``_KINDS`` holds the
     verdict and bits ``sift`` and ``decode_bit`` fill at import.
     """
@@ -222,7 +223,7 @@ def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
     label = _LABELS[label_idx]
     if eve is not None:
         label, rng = eve.tap(label, rng)
-    outcome_idx, rng = rng.sample(_RECEIVED[label][phi_idx][basis_idx])
+    outcome_idx, rng = rng.sample(RECEIVED[label][phi_idx][basis_idx])
 
     return ((label_idx * 2 + phi_idx) * 2 + basis_idx) * 4 + outcome_idx
 

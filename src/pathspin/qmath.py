@@ -185,7 +185,7 @@ _STREAM_SALT = 0xD1B54A32D192ED03
 #: Draws held on a generator's tape: counters 1..6, the most one protocol
 #: round makes (label, phi, basis, tap gate, the tap's sample, outcome).
 TAPE = 6
-#: Streams whose roots and tapes ``Rng.streams`` computes in one numpy batch.
+#: Streams whose tapes ``Rng.streams`` computes in one numpy batch.
 STREAM_BATCH = 1024
 
 
@@ -195,17 +195,14 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _root(mixed_seed: int, stream: int) -> int:
-    """Root of a stream, from its seed as mixed by ``_mix64``."""
-    return _mix64((mixed_seed ^ (stream & _MASK) * _STREAM_SALT) & _MASK)
-
-
-def _uniform(root: int, counter: int) -> float:
-    """Draw ``counter`` of the stream with this root: 53 bits of one mix, in [0, 1)."""
+def _uniform(seed: int, stream: int, counter: int) -> float:
+    """Draw ``counter`` of stream ``stream`` of ``seed``, in [0, 1): 53 bits of three mixes,
+    of the seed, of the stream's root from it and of the root plus ``counter`` golden steps."""
+    root = _mix64((_mix64(seed & _MASK) ^ (stream & _MASK) * _STREAM_SALT) & _MASK)
     return (_mix64((root + counter * _GOLDEN) & _MASK) >> 11) * 2.0**-53
 
 
-# ``_mix64``, ``_root`` and ``_uniform`` over uint64 arrays, which wrap mod 2**64
+# ``_mix64`` and ``_uniform`` over uint64 arrays, which wrap mod 2**64
 # as the ``& _MASK`` above does.  Every operand is uint64: numpy 1.x turns a
 # uint64/int64 mix into float64.
 _U64 = np.uint64
@@ -218,19 +215,19 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _batch(mixed_seed: int, start: int, stop: int) -> Iterator[tuple[int, int, tuple[float, ...]]]:
-    """Stream, root and tape of streams ``start .. stop-1``, as Python ints and a tuple of floats.
+def _batch(mixed_seed: int, start: int, stop: int) -> Iterator[tuple[int, tuple[float, ...]]]:
+    """Stream and tape of streams ``start .. stop-1``, as a Python int and a tuple of floats.
 
-    The batch is mixed in numpy at once and turned into Python lists: its roots, and its
-    tapes as one column list per tape position, zipped into one tuple per stream.  The
-    arrays are freed on return and the lists with the zip, so a caller that drops one
-    batch before it builds the next holds one batch only."""
+    The batch is mixed in numpy at once and turned into Python lists, its tapes as one
+    column list per tape position, zipped into one tuple per stream.  The arrays are freed
+    on return and the lists with the zip, so a caller that drops one batch before it
+    builds the next holds one batch only."""
     with np.errstate(over="ignore"):
         streams = np.arange(start, stop, dtype=np.uint64)
         roots = _mix64_array(_U64(mixed_seed) ^ streams * _U64(_STREAM_SALT))
         words = _mix64_array(roots + _TAPE_STEPS[:, None])  # one row per tape position
         tapes = (words >> _U64(11)).astype(np.float64) * 2.0**-53
-    return zip(range(start, stop), roots.tolist(), zip(*tapes.tolist()))
+    return zip(range(start, stop), zip(*tapes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -242,33 +239,31 @@ class Rng:
     Draws advance functionally: every method returns the value together
     with the successor generator, the receiver is never mutated.
 
-    Draw ``k`` of a stream is one SplitMix64 finaliser applied to the
-    stream's root plus ``k`` golden-ratio steps.  The root depends on
-    (seed, stream) alone, so it is mixed once, when a generator is built,
-    and handed on to every successor together with the stream's tape: its
-    draws 1..``TAPE``, so a round reads its draws instead of mixing them.
-    A draw past the tape is mixed when it is made.  ``streams`` mixes the
+    Draw ``k`` of a stream is ``_uniform(seed, stream, k)``, a function of
+    (seed, stream, counter) alone: one SplitMix64 finaliser applied to the
+    stream's root plus ``k`` golden-ratio steps.  A generator is built with
+    the stream's tape, its draws 1..``TAPE``, and hands it on to every
+    successor, so a round reads its draws instead of mixing them; a draw
+    past the tape is mixed whole when it is made.  ``streams`` mixes the
     seed once for a whole run of streams and their tapes in numpy batches;
-    a generator built directly mixes its own with ``_mix64``, and both give
-    equal fields.
+    a generator built directly mixes its own with ``_uniform``, and both
+    give equal fields.
     """
 
     seed: int
     stream: int = 0
     counter: int = 0
-    _root: int = field(init=False, repr=False, compare=False)
     _tape: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        root = _root(_mix64(self.seed & _MASK), self.stream)
-        object.__setattr__(self, "_root", root)
-        object.__setattr__(self, "_tape", tuple(_uniform(root, k) for k in range(1, TAPE + 1)))
+        object.__setattr__(self, "_tape", tuple(_uniform(self.seed, self.stream, k)
+                                                for k in range(1, TAPE + 1)))
 
     @classmethod
     def streams(cls, seed: int, n: int) -> Iterator["Rng"]:
         """Yield ``Rng(seed, i)`` for ``i`` in ``0 .. n-1``, mixing ``seed`` once.
 
-        Roots and tapes are computed with numpy for one batch of
+        Tapes are computed with numpy for one batch of
         ``STREAM_BATCH`` streams at a time, by ``_batch``; a batch is dropped
         before the next is built.  Each generator is built as ``next_uniform``
         builds a successor, when it is asked for: one ``object.__new__``, its
@@ -276,13 +271,12 @@ class Rng:
         """
         mixed = _mix64(seed & _MASK)
         for start in range(0, n, STREAM_BATCH):
-            for stream, root, tape in _batch(mixed, start, min(start + STREAM_BATCH, n)):
+            for stream, tape in _batch(mixed, start, min(start + STREAM_BATCH, n)):
                 rng = object.__new__(cls)
                 state = rng.__dict__
                 state["seed"] = seed
                 state["stream"] = stream
                 state["counter"] = 0
-                state["_root"] = root
                 state["_tape"] = tape
                 yield rng
 
@@ -291,15 +285,14 @@ class Rng:
         state = self.__dict__
         counter = state["counter"] + 1
         u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
-             else _uniform(state["_root"], counter))
-        # the successor shares seed, stream, root and tape; only the counter moves.  Its
+             else _uniform(state["seed"], state["stream"], counter))
+        # the successor shares seed, stream and tape; only the counter moves.  Its
         # fields are set one by one, in declaration order: cheaper than ``dict.update``
         nxt = object.__new__(type(self))
         succ = nxt.__dict__
         succ["seed"] = state["seed"]
         succ["stream"] = state["stream"]
         succ["counter"] = counter
-        succ["_root"] = state["_root"]
         succ["_tape"] = state["_tape"]
         return u, nxt
 
@@ -321,12 +314,11 @@ class Rng:
         state = self.__dict__
         counter = state["counter"] + 1
         u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
-             else _uniform(state["_root"], counter))
+             else _uniform(state["seed"], state["stream"], counter))
         nxt = object.__new__(type(self))
         succ = nxt.__dict__
         succ["seed"] = state["seed"]
         succ["stream"] = state["stream"]
         succ["counter"] = counter
-        succ["_root"] = state["_root"]
         succ["_tape"] = state["_tape"]
         return bisect_right(w.prefix, u), nxt

@@ -23,7 +23,7 @@ from pathspin import (
     replay_session,
     run_session,
 )
-from pathspin import adversary
+from pathspin import protocol
 from pathspin.errors import ConfigError, InsufficientDataError, InvalidDistributionError
 from pathspin.optics import OUTCOMES, outcome_support, pipeline_distribution
 from pathspin.qmath import Distribution
@@ -74,16 +74,22 @@ class TestInference:
             assert eve.infer_label(outcome) is scan[0]
             assert decode_bit(group, phi, basis, outcome) == eve.infer_label(outcome).bit
 
-    def test_tap_table_equals_the_receiver_rows(self):
-        # the four settings by the four labels, each row the one she would compute
-        assert set(adversary._TAPPED) == {(phi, basis) for phi in PhaseChoice
-                                          for basis in SpinBasis}
-        for (phi, basis), rows in adversary._TAPPED.items():
-            assert list(rows) == list(StateLabel)
-            for label, row in rows.items():
-                want = pipeline_distribution(label, phi.radians, basis)
-                assert isinstance(row, Distribution)
-                assert row == want and row.prefix == want.prefix
+    def test_tap_table_equals_the_receiver_rows(self, monkeypatch):
+        # the four settings by the four labels: the row she samples is Bob's row of
+        # protocol.RECEIVED, that very object, and it is the row she would compute
+        draw, sampled = Rng.sample, []
+        monkeypatch.setattr(Rng, "sample",
+                            lambda rng, weights: sampled.append(weights) or draw(rng, weights))
+        for phi_idx, phi in enumerate(PhaseChoice):
+            for basis_idx, basis in enumerate(SpinBasis):
+                for label in StateLabel:
+                    sampled.clear()
+                    InterceptResend(phi, basis).tap(label, Rng(seed=0))
+                    (row,) = sampled
+                    assert row is protocol.RECEIVED[label][phi_idx][basis_idx]
+                    want = pipeline_distribution(label, phi.radians, basis)
+                    assert isinstance(row, Distribution)
+                    assert row == want and row.prefix == want.prefix
 
     @pytest.mark.parametrize("phi", list(PhaseChoice))
     @pytest.mark.parametrize("basis", list(SpinBasis))

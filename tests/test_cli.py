@@ -109,11 +109,16 @@ class TestRunCommand:
         assert code == EXIT_INSECURE  # uniform weights stay insecure either way
         assert payload["qber"]["rate"] > 0.15
 
-    def test_bad_eve_spec_fails_cleanly(self, tmp_path, capsys):
-        code = main(["run", "--rounds", "10", "--eve", "0,y,1.5",
+    @pytest.mark.parametrize("spec, message", [
+        ("0,y,1.5", "intercepted fraction must lie in [0, 1], got 1.5"),
+        ("0", "adversary must be 'PHI,BASIS[,FRACTION]', got '0'"),
+        ("0,y,0.5,1", "adversary must be 'PHI,BASIS[,FRACTION]', got '0,y,0.5,1'"),
+    ])
+    def test_bad_eve_spec_fails_cleanly(self, tmp_path, capsys, spec, message):
+        code = main(["run", "--rounds", "10", "--eve", spec,
                      "--out", str(tmp_path / "t.qkdlog")])
         assert code == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_weights_fail_cleanly(self, tmp_path, capsys):
         code = main(["run", "--rounds", "10", "--alice-weights", "0.5,0.5,0.5,0.5",
@@ -192,6 +197,7 @@ class TestConfigFile:
         pytest.param('{"rounds": %s}' % ("1" * 5000), "invalid JSON (integer literal too long)",
                      id="rounds-of-5000-digits"),
         ('{"min_aborts": -1}', "min_aborts"),
+        ('{"out": 5}', "out must be a string, got 5"),
     ])
     def test_config_value_of_wrong_type_fails_cleanly(self, tmp_path, capsys, text, hint):
         cfg = tmp_path / "cfg.json"
@@ -230,17 +236,25 @@ class TestCheckCommand:
         assert main(["check", str(tmp_path / "nope.qkdlog")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
-    def test_check_corrupt_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("not json\n", "invalid JSON (Expecting value)"),
+        ("", "empty transcript, missing header record"),
+    ], ids=["not-json", "empty"])
+    def test_check_corrupt_file(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.qkdlog"
-        bad.write_text("not json\n")
+        bad.write_text(text)
         assert main(["check", str(bad)]) == EXIT_ERROR
-        assert "parse" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: transcript parse failed: line 1: {message}\n"
 
-    def test_check_rejects_negative_min_aborts_before_loading(self, tmp_path, capsys):
-        code = main(["check", str(tmp_path / "nope.qkdlog"), "--min-aborts", "-1"])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-aborts", "-1", "min_aborts must be >= 0, got -1"),
+        ("--frame", "bogus", "frame must be abinitio, weights or both, got 'bogus'"),
+    ])
+    def test_check_rejects_a_bad_flag_before_loading(self, tmp_path, capsys, flag, value,
+                                                     message):
+        code = main(["check", str(tmp_path / "nope.qkdlog"), flag, value])
         assert code == EXIT_ERROR
-        assert err.startswith("error:") and "min_aborts" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags, audit", [
         pytest.param(["--rounds", "3000", "--alice-weights", "family:0.9"], [], id="secure"),
@@ -306,6 +320,16 @@ class TestTableCommand:
     def test_verify_passes(self, capsys):
         assert main(["table", "--verify"]) == EXIT_OK
         assert "verified 8 rows" in capsys.readouterr().out
+
+    def test_verify_fails_against_a_perturbed_reference(self, monkeypatch, capsys):
+        # the first row's M moved by 0.05, past the 0.01 tolerance
+        (p, m, eta1, eta2), *rest = cli.REFERENCE_TABLE
+        monkeypatch.setattr(cli, "REFERENCE_TABLE", ((p, m + 0.05, eta1, eta2), *rest))
+        assert main(["table", "--verify"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"verify failed at p={p}: M=")
+        assert captured.err.endswith(f" vs {m + 0.05}\n")
+        assert "verified" not in captured.out
 
     def test_csv_to_file(self, tmp_path):
         dest = tmp_path / "table.csv"

@@ -337,6 +337,8 @@ class TestPolicies:
             AlicePolicy((float("nan"), 0.0, 0.0, 1.0))
         with pytest.raises(InvalidDistributionError):
             AlicePolicy(((0.25, 0.25), (0.25, 0.25)))
+        with pytest.raises(InvalidDistributionError, match="^expected 4 weights, got 2$"):
+            AlicePolicy((0.5, 0.5))
 
     def test_family_domain(self):
         with pytest.raises(InvalidDistributionError):
@@ -409,7 +411,7 @@ class TestDrawTape:
             for phi_idx, phi in enumerate(PhaseChoice):
                 for basis_idx, basis in enumerate((SpinBasis.Z, SpinBasis.Y)):
                     chain = optics._chain_row(optics.prepare(label), phi.radians, basis)
-                    assert protocol._RECEIVED[label][phi_idx][basis_idx] == chain.distribution
+                    assert protocol.RECEIVED[label][phi_idx][basis_idx] == chain.distribution
 
 
 class TestSessions:

@@ -103,6 +103,19 @@ class TestOperators:
         with pytest.raises(DimensionError):
             qmath.lift_spin(np.eye(4))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: qmath.lift_path(np.eye(3)), "path operator must be 2x2, got (3, 3)"),
+        (lambda: qmath.apply(np.ones((2, 3)), np.array([1.0, 0.0, 0.0])),
+         "operator must be square, got shape (2, 3)"),
+        (lambda: qmath.sym3_eigs(np.eye(2)), "expected a 3x3 matrix, got (2, 2)"),
+        (lambda: qmath.born(np.array([1.0, 0.0]), [np.eye(3)]),
+         "projector 0 has shape (3, 3), expected (2, 2)"),
+    ], ids=["lift_path-3x3", "apply-2x3", "sym3_eigs-2x2", "born-3x3-projector"])
+    def test_wrong_shape_is_a_dimension_error(self, call, message):
+        with pytest.raises(DimensionError) as err:
+            call()
+        assert str(err.value) == message
+
 
 class TestBorn:
     def _z_projectors(self):
@@ -269,7 +282,7 @@ class TestRng:
             assert inspect.isgenerator(streams)
             for stream, rng in enumerate(streams):
                 fresh = qmath.Rng(seed, stream)
-                assert rng == fresh and rng._root == fresh._root
+                assert rng == fresh
                 assert vars(rng) == vars(fresh)
                 assert rng.next_uniform() == fresh.next_uniform()
             assert stream == 39

@@ -70,6 +70,15 @@ class TestEnsembles:
         ens = AbortEnsemble((4, 2, 2, 2))
         np.testing.assert_allclose(ens.weights(), (0.4, 0.2, 0.2, 0.2), atol=1e-15)
 
+    @pytest.mark.parametrize("counts, message", [
+        ((1, 2, 3), "expected 4 counts, got 3"),
+        ((1, -1, 0, 0), "negative count in (1, -1, 0, 0)"),
+    ])
+    def test_counts_must_be_four_and_non_negative(self, counts, message):
+        with pytest.raises(InvalidDistributionError) as err:
+            AbortEnsemble(counts)
+        assert str(err.value) == message
+
     def test_empty_ensemble_has_no_weights(self):
         with pytest.raises(InsufficientDataError):
             AbortEnsemble((0, 0, 0, 0)).weights()
@@ -93,6 +102,16 @@ class TestCorrelationArray:
             # a plain float array, in both frames and from a density input
             assert type(t) is np.ndarray and t.dtype == np.float64 and t.shape == (3, 3)
             assert np.max(np.abs(t)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: correlation_matrix(np.eye(2), Frame.AB_INITIO),
+         "density operator must be 4x4, got (2, 2)"),
+        (lambda: horodecki_m(np.eye(2)), "correlation matrix must be 3x3, got (2, 2)"),
+    ], ids=["correlation_matrix-2x2", "horodecki_m-2x2"])
+    def test_wrong_shape_is_a_dimension_error(self, call, message):
+        with pytest.raises(DimensionError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_closed_frame_needs_ensemble(self):
         rho = density_from_ensemble(AbortEnsemble((1, 1, 1, 1)))
