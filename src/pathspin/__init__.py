@@ -33,7 +33,6 @@ from .errors import (
     InvalidMatrixError,
     InvalidMeasurementError,
     InvalidStateError,
-    NumericalError,
     ParseError,
     PathSpinError,
 )
@@ -48,7 +47,6 @@ from .optics import (
     StateLabel,
     bob_transform,
     hadamard_stage,
-    measure,
     measure_distribution,
     outcome_support,
     path_observable,
@@ -65,7 +63,6 @@ from .protocol import (
     Transcript,
     Verdict,
     decode_bit,
-    keep_group,
     load_transcript,
     replay_session,
     run_round,
@@ -110,7 +107,6 @@ __all__ = [
     "InvalidMatrixError",
     "InvalidMeasurementError",
     "InvalidStateError",
-    "NumericalError",
     "OUTCOMES",
     "OutcomePair",
     "ParseError",
@@ -136,9 +132,7 @@ __all__ = [
     "hadamard_stage",
     "horodecki_m",
     "is_violation",
-    "keep_group",
     "load_transcript",
-    "measure",
     "measure_distribution",
     "outcome_support",
     "path_observable",

@@ -152,7 +152,7 @@ _PARSERS = {
     "frame": _parse_frames,
     "min_aborts": partial(_integer, key="min_aborts", least=0),
     "out": _check_out,
-    "jobs": partial(_integer, key="jobs"),
+    "jobs": partial(_integer, key="jobs", least=1),
 }
 _CONFIG_KEYS = tuple(f.name for f in fields(SessionConfig))
 
@@ -248,7 +248,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         bob=BobPolicy(cfg.basis_mode),
         eve=cfg.eve,
         seed=cfg.seed,
-        jobs=cfg.jobs,
     )
     save_transcript(transcript, cfg.out)
     code, out, payload = _summarize(transcript, cfg.out, cfg.frame, cfg.min_aborts)

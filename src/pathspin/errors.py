@@ -60,10 +60,6 @@ class DomainError(PathSpinError):
     """A parameter lies outside the domain of a closed-form expression."""
 
 
-class NumericalError(PathSpinError):
-    """A numerical routine could not reach its accuracy target."""
-
-
 def read_json(text: str, line: int = 1) -> dict:
     """The JSON object ``text``, whose first line is line ``line`` of its file.
 

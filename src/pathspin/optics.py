@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmath
 from .errors import InvalidStateError
-from .qmath import Distribution, Rng
+from .qmath import Distribution
 
 HALF_PI = math.pi / 2.0
 _RT2 = math.sqrt(2.0)
@@ -164,7 +164,7 @@ class BeamSplitterSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-12:
+        if not abs(self.alpha**2 + self.beta**2 - 1.0) <= 1e-12:
             raise InvalidStateError(
                 f"beam splitter amplitudes must satisfy alpha^2 + beta^2 = 1, "
                 f"got {self.alpha**2 + self.beta**2!r}"
@@ -233,12 +233,6 @@ def measure_distribution(state: np.ndarray, basis: SpinBasis) -> np.ndarray:
     ``hadamard_stage``), so the path component indexes output ports.
     """
     return qmath.born(state, _PROJECTORS[basis])
-
-
-def measure(state: np.ndarray, basis: SpinBasis, rng: Rng) -> tuple[OutcomePair, Rng]:
-    """Sample one joint outcome from the Born distribution."""
-    idx, rng = rng.sample(measure_distribution(state, basis))
-    return OUTCOMES[idx], rng
 
 
 def path_observable(phi: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Callable, IO, Iterator, NamedTuple
+from typing import ClassVar, IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,11 +84,6 @@ KEEP_GROUP: dict[tuple[PhaseChoice, SpinBasis], Group] = {
 DECODED = {(phi, basis): {outcome: label for label in reversed(group.labels)
                           for outcome in outcome_support(label, phi.radians, basis)}
            for (phi, basis), group in KEEP_GROUP.items()}
-
-
-def keep_group(phi: PhaseChoice, basis: SpinBasis) -> Group:
-    """Group for which (phi, basis) is the matched (key-generating) setting."""
-    return KEEP_GROUP[(phi, basis)]
 
 
 def sift(group: Group, phi: PhaseChoice, basis: SpinBasis) -> Verdict:
@@ -238,7 +233,8 @@ class Transcript:
     seed: int
     config: dict
     kinds: bytes
-    version: int = TRANSCRIPT_VERSION
+    #: The one format version: ``save_transcript`` writes it and ``load_transcript`` reads no other.
+    version: ClassVar[int] = TRANSCRIPT_VERSION
 
     def __post_init__(self) -> None:
         if type(self.kinds) is not bytes:
@@ -310,50 +306,39 @@ def _config_snapshot(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve) -> 
     }
 
 
-def run_session(
-    n_rounds: int,
-    alice: AlicePolicy,
-    bob: BobPolicy,
-    eve=None,
-    seed: int = 0,
-    jobs: int = 1,
-) -> Transcript:
+def run_session(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve=None,
+                seed: int = 0) -> Transcript:
     """Run ``n_rounds`` rounds; the transcript keeps the kind index of each.
 
     Round ``i`` draws only from stream ``i`` of ``seed``, the ``i``-th
-    generator of ``Rng.streams``.  ``jobs`` must be
-    >= 1 but selects no code path: rounds always run in order on the
-    calling thread, so the transcript is the same for every ``jobs``.
+    generator of ``Rng.streams``; rounds run in order on the calling thread.
     """
     if n_rounds < 1:
         raise ConfigError(f"n_rounds must be >= 1, got {n_rounds}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     # run_round by its module-global name, once per round: perfbench/tracer.py counts it there
     return Transcript(seed, _config_snapshot(n_rounds, alice, bob, eve),
                       bytes(run_round(alice, bob, eve, rng) for rng in Rng.streams(seed, n_rounds)))
 
 
-def replay_session(transcript: Transcript, eve_factory: Callable[[dict], object] | None = None) -> Transcript:
+def replay_session(transcript: Transcript) -> Transcript:
     """Re-run a session from a transcript's header configuration.
 
     ``load_transcript`` checks only the header's ``n_rounds``; the other
     keys are read here as a config file's are, and a missing or unusable
     one raises ``ConfigError`` naming it (``alice_weights`` must be a list
-    of four JSON numbers).  ``eve_factory`` builds the adversary of the
-    header's ``eve``; ``InterceptResend.from_config`` is the one for
-    transcripts this package writes.
+    of four JSON numbers).  The header's ``eve`` is built by
+    ``InterceptResend.from_config``.
     """
+    from .adversary import InterceptResend  # adversary imports this module
+
     cfg = transcript.config
     eve = cfg.get("eve")
-    if eve is not None and eve_factory is None:
-        raise ConfigError("transcript has an adversary; supply eve_factory")
     return run_session(
         n_rounds=cfg["n_rounds"],
         alice=AlicePolicy.from_config(cfg.get("alice_weights")),
         bob=BobPolicy(json_choice(cfg.get("basis_mode"), BasisMode, "basis_mode")),
-        eve=None if eve is None else eve_factory(eve),
+        eve=None if eve is None else InterceptResend.from_config(eve),
         seed=transcript.seed,
     )
 
@@ -611,8 +596,7 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
         if config["n_rounds"] != len(kinds):
             raise ParseError(f"header announces {config['n_rounds']} rounds, found {len(kinds)}",
                              line_no)
-        transcript = Transcript(seed=header["seed"], config=config, kinds=bytes(kinds),
-                                version=version)
+        transcript = Transcript(seed=header["seed"], config=config, kinds=bytes(kinds))
         if type(footer) is dict:  # parsed, not matched by text
             want = json.loads(_footer_line(transcript.kinds))
             wrong = ", ".join(_differing_keys(footer, want))

@@ -6,6 +6,9 @@ finite distributions, and a counter-based random generator whose draws
 depend only on (seed, stream, counter) so that independently generated
 streams can be evaluated in any order, on any platform, with identical
 results.
+
+Each tolerance check is written ``not deviation <= tol``, so that a NaN
+deviation, from a NaN or infinite input, fails it as a large one does.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def as_state(v: Sequence[complex] | np.ndarray, dim: int | None = None) -> np.nd
     if dim is not None and arr.shape[0] != dim:
         raise DimensionError(f"expected dimension {dim}, got {arr.shape[0]}")
     nrm = np.linalg.norm(arr)
-    if abs(nrm - 1.0) > NORM_ATOL:
+    if not abs(nrm - 1.0) <= NORM_ATOL:
         raise InvalidStateError(f"state is not normalized (|v| = {float(nrm)!r})")
     return arr
 
@@ -53,7 +56,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"operator must be square, got shape {u.shape}")
     err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if err > UNITARY_ATOL:
+    if not err <= UNITARY_ATOL:
         raise InvalidMatrixError(f"operator is not unitary (deviation {err:.3e})")
     return u
 
@@ -99,18 +102,18 @@ def born(v: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarray:
         p = np.asarray(p, dtype=complex)
         if p.shape != (d, d):
             raise DimensionError(f"projector {k} has shape {p.shape}, expected {(d, d)}")
-        if np.max(np.abs(p - p.conj().T)) > UNITARY_ATOL:
+        if not np.max(np.abs(p - p.conj().T)) <= UNITARY_ATOL:
             raise InvalidMeasurementError(f"projector {k} is not Hermitian")
-        if np.max(np.abs(p @ p - p)) > UNITARY_ATOL:
+        if not np.max(np.abs(p @ p - p)) <= UNITARY_ATOL:
             raise InvalidMeasurementError(f"projector {k} is not idempotent")
         total += p
         probs[k] = np.real(np.vdot(v, p @ v))
-    if np.max(np.abs(total - np.eye(d))) > UNITARY_ATOL:
+    if not np.max(np.abs(total - np.eye(d))) <= UNITARY_ATOL:
         raise InvalidMeasurementError("projectors do not resolve the identity")
     if np.any(probs < PROB_CLAMP):
         raise InvalidMeasurementError(f"negative probability {probs.min():.3e}")
     probs[probs < 0.0] = 0.0
-    if abs(probs.sum() - 1.0) > 1e-12:
+    if not abs(probs.sum() - 1.0) <= 1e-12:
         raise InvalidMeasurementError(f"probabilities sum to {float(probs.sum())!r}")
     return probs
 
@@ -128,8 +131,9 @@ def sym3_eigs(m: np.ndarray) -> tuple[float, float, float]:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise DimensionError(f"expected a 3x3 matrix, got {m.shape}")
-    if np.max(np.abs(m - m.T)) > 1e-12:
-        raise InvalidMatrixError("matrix is not symmetric")
+    err = np.max(np.abs(m - m.T))
+    if not err <= 1e-12:
+        raise InvalidMatrixError(f"matrix is not symmetric (deviation {err:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
     return float(eigs[0]), float(eigs[1]), float(eigs[2])
 

@@ -17,6 +17,7 @@ spectrum, so M never depends on the choice.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +32,6 @@ from .errors import (
     InsufficientDataError,
     InvalidDistributionError,
     InvalidStateError,
-    NumericalError,
 )
 from .optics import StateLabel, prepare
 
@@ -62,7 +62,10 @@ class AbortEnsemble:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.counts)
+        try:
+            c = tuple(operator.index(x) for x in self.counts)
+        except TypeError:
+            raise InvalidDistributionError(f"counts must be integers, got {self.counts!r}") from None
         if len(c) != 4:
             raise InvalidDistributionError(f"expected 4 counts, got {len(c)}")
         if any(x < 0 for x in c):
@@ -95,8 +98,7 @@ def density_from_ensemble(ensemble: AbortEnsemble) -> np.ndarray:
     for w, label in zip(ensemble.weights(), StateLabel):
         v = prepare(label)
         rho += w * np.outer(v, v.conj())
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12 or abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise InvalidStateError("reconstructed density operator failed validation")
+    # Hermitian exactly, as each real-weighted outer product is; trace 1 to a few ulps
     return rho
 
 
@@ -131,7 +133,7 @@ def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> np.n
         if rho.shape != (4, 4):
             raise DimensionError(f"density operator must be 4x4, got {rho.shape}")
         t = _t_ab_initio(rho)
-    if np.max(np.abs(t)) > 1.0 + 1e-12:
+    if not np.max(np.abs(t)) <= 1.0 + 1e-12:
         raise InvalidStateError(f"correlation entries exceed unit magnitude: {float(np.max(np.abs(t)))!r}")
     return t
 
@@ -166,14 +168,13 @@ def closed_form_family(p: float) -> tuple[float, float, float]:
     return max(float(a), float(b)), min(float(a), float(b)), float(m)
 
 
-def violation_threshold(tol: float = 1e-10) -> float:
-    """Family parameter where M crosses 1, found by bisection on [1/3, 1]."""
+def violation_threshold() -> float:
+    """Family parameter where M crosses 1, bisected to 1e-10 on [1/3, 1].
+
+    The bracket straddles the crossing: M(1/3) is about 0.52 and M(1) = 2.
+    """
     lo, hi = 1.0 / 3.0, 1.0
-    f_lo = closed_form_family(lo)[2] - 1.0
-    f_hi = closed_form_family(hi)[2] - 1.0
-    if f_lo >= 0.0 or f_hi <= 0.0:
-        raise NumericalError("bisection bracket does not straddle M = 1")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if closed_form_family(mid)[2] - 1.0 <= 0.0:
             lo = mid

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from pathspin import (
-    AlicePolicy,
-    BobPolicy,
     Frame,
     AbortEnsemble,
     SpinBasis,
@@ -26,11 +24,10 @@ from pathspin import (
     horodecki_m,
     pipeline_distribution,
     qber,
-    run_session,
-    save_transcript,
     security_decision,
     violation_threshold,
 )
+from pathspin import cli
 from pathspin.optics import HALF_PI
 
 # ---------------------------------------------------------------------------
@@ -231,11 +228,12 @@ def test_criterion_08_intercept_resend_footprint(intercept_pair, intercept_qber_
 
 
 def test_criterion_09_parallel_transcripts_byte_identical(tmp_path):
-    kwargs = dict(n_rounds=2000, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=99)
     serial_path = tmp_path / "serial.qkdlog"
     threaded_path = tmp_path / "threaded.qkdlog"
-    save_transcript(run_session(jobs=1, **kwargs), serial_path)
-    save_transcript(run_session(jobs=4, **kwargs), threaded_path)
+    for jobs, path in (("1", serial_path), ("4", threaded_path)):
+        code = cli.main(["run", "--rounds", "2000", "--seed", "99", "--alice-weights", "uniform",
+                         "--jobs", jobs, "--out", str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_INSECURE)
     assert serial_path.read_bytes() == threaded_path.read_bytes()
 
 

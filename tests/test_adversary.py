@@ -17,7 +17,6 @@ from pathspin import (
     decode_bit,
     ensemble_from_aborts,
     horodecki_m,
-    keep_group,
     prepare,
     qber,
     replay_session,
@@ -58,7 +57,7 @@ class TestInference:
     def test_guessed_group_outcomes_map_back(self, eve):
         # every outcome in a guessed-group member's support is inferred
         # as exactly that member
-        for label in keep_group(eve.phi, eve.basis).labels:
+        for label in protocol.KEEP_GROUP[eve.phi, eve.basis].labels:
             for outcome in outcome_support(label, eve.phi.radians, eve.basis):
                 assert eve.infer_label(outcome) is label
 
@@ -67,7 +66,7 @@ class TestInference:
     def test_inference_table_equals_the_support_scan(self, phi, basis):
         # the first guessed-group label, in label order, whose support holds the outcome;
         # its bit is the one Bob decodes at the same setting
-        eve, group = InterceptResend(phi, basis), keep_group(phi, basis)
+        eve, group = InterceptResend(phi, basis), protocol.KEEP_GROUP[phi, basis]
         for outcome in OUTCOMES:
             scan = [label for label in group.labels
                     if outcome in outcome_support(label, phi.radians, basis)]
@@ -181,16 +180,15 @@ class TestFootprint:
 
 
 class TestReplayWithAdversary:
-    def test_replay_needs_factory(self):
+    def test_replay_builds_the_headers_adversary(self):
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y)
         session = run_session(n_rounds=40, alice=AlicePolicy.uniform(),
                               bob=BobPolicy(), eve=eve, seed=11)
-        with pytest.raises(ConfigError):
-            replay_session(session)
+        assert replay_session(session) == session
 
     def test_replay_with_factory_reproduces(self):
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, fraction=0.5)
         session = run_session(n_rounds=40, alice=AlicePolicy.uniform(),
                               bob=BobPolicy(), eve=eve, seed=11)
-        again = replay_session(session, eve_factory=InterceptResend.from_config)
+        again = replay_session(session)
         assert again.rounds == session.rounds

@@ -126,6 +126,20 @@ class TestRunCommand:
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_below_one_fails_cleanly(self, tmp_path, capsys, source):
+        out = tmp_path / "t.qkdlog"
+        argv = ["run", "--rounds", "10", "--out", str(out)]
+        if source == "flag":
+            argv += ["--jobs", "0"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"jobs": 0}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_drives_run(self, tmp_path, capsys):
@@ -352,6 +366,15 @@ class TestSiftTableCommand:
         kept = [r for r in rows if r["verdict"] == "keep"]
         assert len(kept) == 8
         assert all(len(r["support"]) == 2 for r in kept)
+
+    def test_rule_that_disagrees_with_the_optics_fails(self, monkeypatch, capsys):
+        # a rule that keeps every row: the first row, (psi, 0, z), has a four-outcome support
+        monkeypatch.setattr(cli, "sift", lambda group, phi, basis: cli.Verdict.KEEP)
+        assert main(["sift-table"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal inconsistency at (psi, 0, z): "
+                                "rule says keep, optics says abort\n")
 
 
 class TestUsageErrors:

@@ -20,7 +20,6 @@ from pathspin.optics import (
     StateLabel,
     bob_transform,
     hadamard_stage,
-    measure,
     measure_distribution,
     outcome_support,
     path_observable,
@@ -197,22 +196,3 @@ class TestOutcomeStatistics:
             out = bob_transform(prepare(label), 0.0)
             probs = measure_distribution(out, SpinBasis.Y)
             np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
-
-    def test_measure_is_deterministic_in_the_generator(self):
-        state = hadamard_stage(bob_transform(prepare(StateLabel.PSI), 0.0), 0.0)
-        a, rng_a = measure(state, SpinBasis.Y, qmath.Rng(seed=5))
-        b, rng_b = measure(state, SpinBasis.Y, qmath.Rng(seed=5))
-        assert a == b and rng_a == rng_b
-        assert a in OUTCOMES
-
-    def test_measure_frequencies_track_distribution(self):
-        state = hadamard_stage(bob_transform(prepare(StateLabel.PSI), 0.0), 0.0)
-        probs = measure_distribution(state, SpinBasis.Y)
-        counts = dict.fromkeys(range(4), 0)
-        rng = qmath.Rng(seed=31)
-        n = 4000
-        for _ in range(n):
-            outcome, rng = measure(state, SpinBasis.Y, rng)
-            counts[outcome.index] += 1
-        freq = np.array([counts[i] / n for i in range(4)])
-        np.testing.assert_allclose(freq, probs, atol=0.03)

@@ -23,7 +23,6 @@ from pathspin import (
     Transcript,
     Verdict,
     decode_bit,
-    keep_group,
     load_transcript,
     qber,
     replay_session,
@@ -61,17 +60,17 @@ def _round_obj(r: RoundRecord) -> dict:
 
 
 class TestSifting:
-    def test_keep_group_map(self):
-        assert keep_group(PhaseChoice.PHI_0, SpinBasis.Y) is Group.G1
-        assert keep_group(PhaseChoice.PHI_HALF_PI, SpinBasis.Z) is Group.G1
-        assert keep_group(PhaseChoice.PHI_0, SpinBasis.Z) is Group.G2
-        assert keep_group(PhaseChoice.PHI_HALF_PI, SpinBasis.Y) is Group.G2
+    def test_matched_group_of_each_setting(self):
+        assert protocol.KEEP_GROUP[PhaseChoice.PHI_0, SpinBasis.Y] is Group.G1
+        assert protocol.KEEP_GROUP[PhaseChoice.PHI_HALF_PI, SpinBasis.Z] is Group.G1
+        assert protocol.KEEP_GROUP[PhaseChoice.PHI_0, SpinBasis.Z] is Group.G2
+        assert protocol.KEEP_GROUP[PhaseChoice.PHI_HALF_PI, SpinBasis.Y] is Group.G2
 
     @pytest.mark.parametrize("group", list(Group))
     @pytest.mark.parametrize("phi", list(PhaseChoice))
     @pytest.mark.parametrize("basis", list(SpinBasis))
     def test_sift_keeps_iff_group_matches(self, group, phi, basis):
-        expected = Verdict.KEEP if keep_group(phi, basis) is group else Verdict.ABORT
+        expected = Verdict.KEEP if protocol.KEEP_GROUP[phi, basis] is group else Verdict.ABORT
         assert sift(group, phi, basis) is expected
 
     def test_exactly_half_of_settings_keep_each_group(self):
@@ -305,7 +304,7 @@ class TestRecordTuples:
         monkeypatch.setattr(protocol, "receiver_distribution", chain)
         session = run_session(2000, AlicePolicy.family(0.9), BobPolicy(), seed=9,
                               eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
-        replay = replay_session(session, eve_factory=InterceptResend.from_config)
+        replay = replay_session(session)
         assert replay == session and qber(session).mismatches > 0
 
     @pytest.mark.parametrize("enum", [StateLabel, Group, SpinBasis, Port, SpinOutcome,
@@ -445,18 +444,15 @@ class TestSessions:
     def test_rejects_empty_session(self):
         with pytest.raises(ConfigError):
             run_session(n_rounds=0, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=1)
-        with pytest.raises(ConfigError):
-            run_session(n_rounds=10, alice=AlicePolicy.uniform(), bob=BobPolicy(),
-                        seed=1, jobs=0)
 
-    def test_parallel_equals_serial(self):
-        kwargs = dict(n_rounds=300, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=12)
-        serial = run_session(jobs=1, **kwargs)
-        threaded = run_session(jobs=4, **kwargs)
-        assert serial.rounds == threaded.rounds
-        assert serial.declarations == threaded.declarations
-        assert serial.alice_key == threaded.alice_key
-        assert serial.bob_key == threaded.bob_key
+    def test_parallel_equals_serial(self, tmp_path):
+        # the ``jobs`` config key selects no code path: the transcript is the same for every value
+        paths = [tmp_path / f"jobs-{jobs}.qkdlog" for jobs in (1, 4)]
+        for jobs, path in zip((1, 4), paths):
+            cfg = tmp_path / f"jobs-{jobs}.json"
+            cfg.write_text(json.dumps({"rounds": 300, "seed": 12, "jobs": jobs, "out": str(path)}))
+            assert cli.main(["run", "--config", str(cfg)]) in (cli.EXIT_OK, cli.EXIT_INSECURE)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize(
         "alice, bob, eve, seed, digest",
@@ -817,7 +813,7 @@ class TestReplayOfAMalformedHeader:
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         loaded = load_transcript(path)
         with pytest.raises(ConfigError, match=key):
-            replay_session(loaded, eve_factory=InterceptResend.from_config)
+            replay_session(loaded)
 
 
 def _recount(rounds: list) -> dict:
@@ -892,7 +888,7 @@ class TestKindCounts:
         buf = io.StringIO()
         save_transcript(session, buf)
         loaded = load_transcript(io.StringIO(buf.getvalue()))
-        replayed = replay_session(session, eve_factory=InterceptResend.from_config)
+        replayed = replay_session(session)
         for other in (loaded, replayed):
             assert other.kinds == session.kinds
             assert other.kind_counts.tolist() == session.kind_counts.tolist()

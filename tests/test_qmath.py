@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from pathspin import optics, protocol, qmath
+from pathspin import optics, protocol, qmath, security
 from pathspin.errors import (
     DimensionError,
     InvalidDistributionError,
@@ -23,6 +23,7 @@ from pathspin.errors import (
 from pathspin.protocol import AlicePolicy
 
 RT2 = 1.0 / math.sqrt(2.0)
+NAN = float("nan")
 MASK = (1 << 64) - 1
 
 
@@ -116,6 +117,33 @@ class TestOperators:
             call()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: qmath.as_state([NAN, NAN]), InvalidStateError,
+         "state is not normalized (|v| = nan)"),
+        (lambda: qmath.apply(np.full((2, 2), NAN), np.array([1.0, 0.0])), InvalidMatrixError,
+         "operator is not unitary (deviation nan)"),
+        (lambda: optics.bob_transform(optics.prepare(optics.StateLabel.PSI), NAN),
+         InvalidMatrixError, "operator is not unitary (deviation nan)"),
+        (lambda: qmath.sym3_eigs(np.full((3, 3), NAN)), InvalidMatrixError,
+         "matrix is not symmetric (deviation nan)"),
+        (lambda: security.horodecki_m(np.full((3, 3), NAN)), InvalidMatrixError,
+         "matrix is not symmetric (deviation nan)"),
+        (lambda: security.correlation_matrix(np.full((4, 4), NAN), security.Frame.AB_INITIO),
+         InvalidStateError, "correlation entries exceed unit magnitude: nan"),
+        (lambda: security.AbortEnsemble((1.5, 1, 1, 1)), InvalidDistributionError,
+         "counts must be integers, got (1.5, 1, 1, 1)"),
+        (lambda: security.AbortEnsemble((NAN, 1, 1, 1)), InvalidDistributionError,
+         "counts must be integers, got (nan, 1, 1, 1)"),
+        (lambda: optics.BeamSplitterSpec(NAN, 0.0), InvalidStateError,
+         "beam splitter amplitudes must satisfy alpha^2 + beta^2 = 1, got nan"),
+    ], ids=["as_state-nan", "apply-nan", "bob_transform-nan-phi",
+            "sym3_eigs-nan", "horodecki_m-nan", "correlation_matrix-nan", "ensemble-1.5",
+            "ensemble-nan", "beam-splitter-nan"])
+    def test_non_finite_or_fractional_input_is_refused(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
+
 
 class TestBorn:
     def _z_projectors(self):
@@ -138,6 +166,17 @@ class TestBorn:
     def test_rejects_incomplete_family(self):
         with pytest.raises(InvalidMeasurementError):
             qmath.born(np.array([1.0, 0.0]), [np.diag([1.0, 0.0])])
+
+    @pytest.mark.parametrize("low, message", [
+        (-1e-11, "negative probability -1.000e-11"),
+        (0.0, "probabilities sum to 1.00000000001"),
+    ], ids=["negative", "sum-above-one"])
+    def test_probabilities_past_rounding_are_refused(self, low, message):
+        # a family within 1e-10 of a projective measurement, off by 1e-11 in the outcomes
+        family = [np.diag([1.0 + 1e-11, 0.0]), np.diag([low, 1.0])]
+        with pytest.raises(InvalidMeasurementError) as err:
+            qmath.born(np.array([1.0, 0.0]), family)
+        assert str(err.value) == message
 
     def test_orthogonal_outcome_probability_is_nonnegative_zero(self):
         # rounding may drive |<minus|plus>|^2 a hair below zero; the clamp

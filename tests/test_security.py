@@ -1,5 +1,6 @@
 """Correlation matrices, the violation functional and the closed-form family."""
 
+import itertools
 import re
 
 import numpy as np
@@ -88,6 +89,15 @@ class TestEnsembles:
         np.testing.assert_allclose(np.trace(rho).real, 1.0, atol=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+    def test_density_of_small_counts_is_exactly_hermitian_with_unit_trace(self):
+        # why density_from_ensemble needs no check of its own: each term is a real weight
+        # times v v^H, Hermitian to the bit, and the weights sum to 1 to a few ulps
+        for counts in itertools.product(range(4), repeat=4):
+            if sum(counts):
+                rho = density_from_ensemble(AbortEnsemble(counts))
+                assert np.array_equal(rho, rho.conj().T), counts
+                assert abs(np.trace(rho).real - 1.0) <= 1e-12, counts
 
     def test_pure_ensemble_density_is_projector(self):
         rho = density_from_ensemble(AbortEnsemble((5, 0, 0, 0)))
@@ -196,8 +206,13 @@ class TestClosedFormFamily:
         np.testing.assert_allclose(closed_form_family(0.25)[2], 0.5, atol=1e-12)
         np.testing.assert_allclose(closed_form_family(1.0)[2], 2.0, atol=1e-12)
 
+    def test_threshold_bracket_straddles_the_crossing(self):
+        # why violation_threshold needs no bracket check: its ends are constants
+        assert closed_form_family(1.0 / 3.0)[2] < 1.0 < closed_form_family(1.0)[2]
+
     def test_threshold_location(self):
         p_star = violation_threshold()
+        assert p_star == 0.6655415449058637
         assert 0.66 < p_star <= 0.67
         np.testing.assert_allclose(closed_form_family(p_star)[2], 1.0, atol=1e-8)
         assert closed_form_family(p_star - 1e-6)[2] < 1.0
