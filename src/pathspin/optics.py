@@ -12,7 +12,8 @@ conjugate groups.  The receiver recombines the arms on an output beam
 splitter with a tunable phase ``phi`` (restricted to {0, pi/2} in
 protocol use), optionally rotates the spin by a Hadamard when
 phi = pi/2, and then measures the output port together with the spin in
-either the sigma_z or the sigma_y eigenbasis.
+either the sigma_z or the sigma_y eigenbasis.  Each distribution below runs
+that chain; ``protocol.RECEIVED`` keeps the 16 rows that sessions sample.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -248,51 +248,19 @@ def path_observable(phi: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# receiver outcome table
-
-
-class _Row(NamedTuple):
-    distribution: Distribution
-    support: frozenset[OutcomePair]
-
-
-def _chain_row(state: np.ndarray, phi: float, basis: SpinBasis) -> _Row:
-    out = hadamard_stage(bob_transform(state, phi), phi)
-    dist = Distribution(measure_distribution(out, basis))
-    return _Row(dist, frozenset(o for o, p in zip(OUTCOMES, dist) if p > 1e-9))
-
-
-#: (label, phi, basis) -> row for the four signal states under the four
-#: protocol settings, computed once from the chain above.
-_TABLE = MappingProxyType({
-    (label, phi, basis): _chain_row(prepare(label), phi, basis)
-    for label in StateLabel
-    for phi in (0.0, HALF_PI)
-    for basis in SpinBasis
-})
-
-
-def _row(label: StateLabel, phi: float, basis: SpinBasis) -> _Row:
-    row = _TABLE.get((label, phi, basis))
-    return row if row is not None else _chain_row(prepare(label), phi, basis)
+# receiver outcome distributions: each call runs the chain above
 
 
 def receiver_distribution(state: np.ndarray, phi: float, basis: SpinBasis) -> Distribution:
-    """Outcome distribution of the full receiver chain on an arbitrary state.
-
-    Always runs the chain; a signal state under a protocol setting gives
-    the row of ``pipeline_distribution`` for its label.  The channel carries
-    labels, so no round calls this: it serves states that are not signal
-    states, such as an unequal splitter's ``source_state``.
-    """
-    return _chain_row(state, phi, basis).distribution
+    """Outcome distribution of the full receiver chain on any state, signal state or not."""
+    return Distribution(measure_distribution(hadamard_stage(bob_transform(state, phi), phi), basis))
 
 
 def pipeline_distribution(label: StateLabel, phi: float, basis: SpinBasis) -> Distribution:
     """Outcome distribution of a signal state under one receiver setting."""
-    return _row(label, phi, basis).distribution
+    return receiver_distribution(prepare(label), phi, basis)
 
 
 def outcome_support(label: StateLabel, phi: float, basis: SpinBasis) -> frozenset[OutcomePair]:
     """Outcomes with non-negligible probability under a receiver setting."""
-    return _row(label, phi, basis).support
+    return frozenset(o for o, p in zip(OUTCOMES, pipeline_distribution(label, phi, basis)) if p > 1e-9)

@@ -313,6 +313,9 @@ def run_session(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve=None,
     Round ``i`` draws only from stream ``i`` of ``seed``, the ``i``-th
     generator of ``Rng.streams``; rounds run in order on the calling thread.
     """
+    for key, value in (("n_rounds", n_rounds), ("seed", seed)):
+        if not is_json_int(value):  # the rule load_transcript reads the header by
+            raise ConfigError(f"{key} must be an integer, got {value!r} of type {type(value).__name__}")
     if n_rounds < 1:
         raise ConfigError(f"n_rounds must be >= 1, got {n_rounds}")
 
@@ -324,18 +327,20 @@ def run_session(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve=None,
 def replay_session(transcript: Transcript) -> Transcript:
     """Re-run a session from a transcript's header configuration.
 
-    ``load_transcript`` checks only the header's ``n_rounds``; the other
-    keys are read here as a config file's are, and a missing or unusable
-    one raises ``ConfigError`` naming it (``alice_weights`` must be a list
-    of four JSON numbers).  The header's ``eve`` is built by
+    The header's ``n_rounds`` is checked first, then the other keys are
+    read as a config file's are; a missing or unusable one raises
+    ``ConfigError`` naming it (``alice_weights`` must be a list of four
+    JSON numbers).  The header's ``eve`` is built by
     ``InterceptResend.from_config``.
     """
     from .adversary import InterceptResend  # adversary imports this module
 
     cfg = transcript.config
-    eve = cfg.get("eve")
+    n_rounds, eve = cfg.get("n_rounds"), cfg.get("eve")
+    if not is_json_int(n_rounds):
+        raise ConfigError(f"header config needs an integer n_rounds, got {n_rounds!r}")
     return run_session(
-        n_rounds=cfg["n_rounds"],
+        n_rounds=n_rounds,
         alice=AlicePolicy.from_config(cfg.get("alice_weights")),
         bob=BobPolicy(json_choice(cfg.get("basis_mode"), BasisMode, "basis_mode")),
         eve=None if eve is None else InterceptResend.from_config(eve),

@@ -132,6 +132,8 @@ def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> np.n
         rho = density_from_ensemble(source) if isinstance(source, AbortEnsemble) else np.asarray(source, dtype=complex)
         if rho.shape != (4, 4):
             raise DimensionError(f"density operator must be 4x4, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise InvalidStateError("density operator has a non-finite entry")
         t = _t_ab_initio(rho)
     if not np.max(np.abs(t)) <= 1.0 + 1e-12:
         raise InvalidStateError(f"correlation entries exceed unit magnitude: {float(np.max(np.abs(t)))!r}")

@@ -136,6 +136,8 @@ class TestReceiverChain:
     def test_hadamard_stage_rejects_other_phases(self):
         with pytest.raises(InvalidStateError):
             hadamard_stage(prepare(StateLabel.PSI), 0.3)
+        with pytest.raises(InvalidStateError):
+            outcome_support(StateLabel.PSI, 0.3, SpinBasis.Z)
 
     @pytest.mark.parametrize("phi", [0.0, HALF_PI, 1.234])
     def test_path_observable_structure(self, phi):
@@ -146,9 +148,10 @@ class TestReceiverChain:
         np.testing.assert_allclose(obs @ plus, plus, atol=1e-12)
 
     @pytest.mark.parametrize("basis", list(SpinBasis))
-    @pytest.mark.parametrize("phi", [0.0, HALF_PI])
+    # pi/2 + 5e-13 is within the Hadamard stage's 1e-12 of pi/2 but is not pi/2 itself
+    @pytest.mark.parametrize("phi", [0.0, HALF_PI, HALF_PI + 5e-13])
     def test_receiver_distribution_runs_the_chain(self, phi, basis):
-        # an unequal splitter emits no signal state, so only the chain can serve it
+        # an unequal splitter emits no signal state; a signal state gives its label's row
         state = source_state(BeamSplitterSpec(0.8, 0.6))
         got = receiver_distribution(state, phi, basis)
         chain = measure_distribution(hadamard_stage(bob_transform(state, phi), phi), basis)

@@ -300,7 +300,7 @@ class TestRecordTuples:
         def chain(*args):
             raise AssertionError("a round ran the receiver chain")
 
-        monkeypatch.setattr(optics, "_chain_row", chain)
+        monkeypatch.setattr(optics, "receiver_distribution", chain)
         monkeypatch.setattr(protocol, "receiver_distribution", chain)
         session = run_session(2000, AlicePolicy.family(0.9), BobPolicy(), seed=9,
                               eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
@@ -409,8 +409,8 @@ class TestDrawTape:
         for label in StateLabel:
             for phi_idx, phi in enumerate(PhaseChoice):
                 for basis_idx, basis in enumerate((SpinBasis.Z, SpinBasis.Y)):
-                    chain = optics._chain_row(optics.prepare(label), phi.radians, basis)
-                    assert protocol.RECEIVED[label][phi_idx][basis_idx] == chain.distribution
+                    chain = optics.receiver_distribution(optics.prepare(label), phi.radians, basis)
+                    assert protocol.RECEIVED[label][phi_idx][basis_idx] == chain
 
 
 class TestSessions:
@@ -441,9 +441,33 @@ class TestSessions:
         # p = 0.8 family: the first label carries 0.8 of the abort mass
         assert abs(counts[StateLabel.PSI] / total - 0.8) < 0.02
 
-    def test_rejects_empty_session(self):
-        with pytest.raises(ConfigError):
-            run_session(n_rounds=0, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=1)
+    @staticmethod
+    def _session(n_rounds, seed):
+        return run_session(n_rounds=n_rounds, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=seed)
+
+    # the writer and the header reader take JSON integers only, so a session refuses the rest
+    @pytest.mark.parametrize("n_rounds, seed, message", [
+        (0, 1, "n_rounds must be >= 1, got 0"),
+        (True, 1, "n_rounds must be an integer, got True of type bool"),
+        (np.int64(3), 1, f"n_rounds must be an integer, got {np.int64(3)!r} of type int64"),
+        (2.0, 1, "n_rounds must be an integer, got 2.0 of type float"),
+        ("3", 1, "n_rounds must be an integer, got '3' of type str"),
+        (3, True, "seed must be an integer, got True of type bool"),
+        (3, 1.0, "seed must be an integer, got 1.0 of type float"),
+        (3, np.int64(2), f"seed must be an integer, got {np.int64(2)!r} of type int64"),
+        (None, None, "header config needs an integer n_rounds, got None"),
+    ], ids=["zero", "bool-rounds", "int64-rounds", "float-rounds", "str-rounds", "bool-seed",
+            "float-seed", "int64-seed", "replay-without-rounds"])
+    def test_rejects_empty_session(self, n_rounds, seed, message):
+        with pytest.raises(ConfigError) as err:
+            if n_rounds is None:  # a header config without n_rounds, replayed
+                replay_session(Transcript(seed=0, config={}, kinds=b""))
+            self._session(n_rounds, seed)
+        assert str(err.value) == message
+
+    def test_negative_seed_runs(self):
+        # a seed of 2**70 runs in the ``full-tap-2**70`` session below
+        assert len(self._session(3, -5).kinds) == 3
 
     def test_parallel_equals_serial(self, tmp_path):
         # the ``jobs`` config key selects no code path: the transcript is the same for every value

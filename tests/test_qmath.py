@@ -25,6 +25,8 @@ from pathspin.protocol import AlicePolicy
 RT2 = 1.0 / math.sqrt(2.0)
 NAN = float("nan")
 MASK = (1 << 64) - 1
+#: The receiver's outcome rows, one per (signal state, phase, basis), as sessions sample them.
+RECEIVER_ROWS = [dist for by_phi in protocol.RECEIVED.values() for row in by_phi for dist in row]
 
 
 def reference_uniform(seed, stream, counter):
@@ -129,7 +131,10 @@ class TestOperators:
         (lambda: security.horodecki_m(np.full((3, 3), NAN)), InvalidMatrixError,
          "matrix is not symmetric (deviation nan)"),
         (lambda: security.correlation_matrix(np.full((4, 4), NAN), security.Frame.AB_INITIO),
-         InvalidStateError, "correlation entries exceed unit magnitude: nan"),
+         InvalidStateError, "density operator has a non-finite entry"),
+        (lambda: security.correlation_matrix(np.diag([math.inf, 0, 0, 0]),
+                                             security.Frame.AB_INITIO),
+         InvalidStateError, "density operator has a non-finite entry"),
         (lambda: security.AbortEnsemble((1.5, 1, 1, 1)), InvalidDistributionError,
          "counts must be integers, got (1.5, 1, 1, 1)"),
         (lambda: security.AbortEnsemble((NAN, 1, 1, 1)), InvalidDistributionError,
@@ -137,7 +142,8 @@ class TestOperators:
         (lambda: optics.BeamSplitterSpec(NAN, 0.0), InvalidStateError,
          "beam splitter amplitudes must satisfy alpha^2 + beta^2 = 1, got nan"),
     ], ids=["as_state-nan", "apply-nan", "bob_transform-nan-phi",
-            "sym3_eigs-nan", "horodecki_m-nan", "correlation_matrix-nan", "ensemble-1.5",
+            "sym3_eigs-nan", "horodecki_m-nan", "correlation_matrix-nan",
+            "correlation_matrix-inf", "ensemble-1.5",
             "ensemble-nan", "beam-splitter-nan"])
     def test_non_finite_or_fractional_input_is_refused(self, call, error, message):
         with pytest.raises(error) as err:
@@ -290,8 +296,7 @@ class TestRng:
         q = (1.0 - 0.7) / 3.0
         assert isinstance(family, qmath.Distribution)
         assert family == (0.7, q, q, q)
-        rows = [row.distribution for row in optics._TABLE.values()]
-        for w in [family, (0.5, 0.5)] + rows:
+        for w in [family, (0.5, 0.5)] + RECEIVER_ROWS:
             checked = qmath.Distribution(w)
             for stream in range(200):
                 rng = qmath.Rng(seed=5, stream=stream)
@@ -390,14 +395,14 @@ class TestRng:
 
 class TestPrefixSums:
     DISTRIBUTIONS = (
-        [row.distribution for row in optics._TABLE.values()]
+        RECEIVER_ROWS
         + [protocol._HALF]
         + [AlicePolicy.family(p).weights for p in (0.0, 0.6655, 0.7, 0.9, 1.0)]
         + [qmath.Distribution(w) for w in ((0.0, 1.0, 0.0), (0.5, 0.0, 0.5, 0.0))]
     )
 
     def test_the_table_covers_every_receiver_row(self):
-        assert len(optics._TABLE) == 16 and len(self.DISTRIBUTIONS) == 24
+        assert len(RECEIVER_ROWS) == 16 and len(self.DISTRIBUTIONS) == 24
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=str)
     def test_prefix_is_the_running_float_sum(self, dist):
