@@ -8,11 +8,11 @@ The package is organised in layers:
     State/operator helpers, symmetric 3x3 eigenvalues, checked finite
     distributions and a counter-based deterministic random generator.
 ``optics``
-    The four signal states, the receiver interferometer chain, projective
-    spin measurements at the two output ports and the receiver outcome
-    table derived from that chain.
+    The four signal states, the receiver interferometer chain and projective
+    spin measurements at the two output ports.
 ``protocol``
-    Round simulation, sifting, key decoding, transcripts and replay.
+    Round simulation, the receiver outcome table, sifting, key decoding,
+    transcripts and replay.
 ``security``
     Abort-ensemble correlation matrices, the M(rho) violation criterion and
     the closed-form single-parameter family.

@@ -24,7 +24,7 @@ from typing import NoReturn
 from .adversary import InterceptResend, qber
 from .errors import (InsufficientDataError, ParseError, PathSpinError, is_json_int, json_choice,
                      read_json)
-from .optics import SpinBasis, StateLabel, outcome_support
+from .optics import OUTCOMES, SpinBasis, StateLabel, outcome_support
 from .protocol import (
     AlicePolicy,
     BasisMode,
@@ -293,10 +293,7 @@ def cmd_sift_table(args: argparse.Namespace) -> int:
     for label in StateLabel:
         for phi in PhaseChoice:
             for basis in SpinBasis:
-                support = sorted(
-                    outcome_support(label, phi.radians, basis),
-                    key=lambda o: o.index,
-                )
+                support = sorted(outcome_support(label, phi.radians, basis), key=OUTCOMES.index)
                 # verdict derived from the computed correlation structure,
                 # cross-checked against the sifting rule
                 derived = Verdict.KEEP if len(support) == 2 else Verdict.ABORT

@@ -35,7 +35,7 @@ class ConfigError(PathSpinError, ValueError):
 
 
 class DecodingError(PathSpinError):
-    """A kept round produced an outcome that matches no signal state."""
+    """A key bit was asked of a setting that is not kept for the group."""
 
 
 class ParseError(PathSpinError):

@@ -103,10 +103,6 @@ class OutcomePair(NamedTuple):
     port: Port
     spin: SpinOutcome
 
-    @property
-    def index(self) -> int:
-        return 2 * (self.port is Port.RPRIME) + (self.spin is SpinOutcome.S1)
-
 
 #: Port-major outcome order used by every 4-entry distribution here.
 OUTCOMES: tuple[OutcomePair, ...] = (

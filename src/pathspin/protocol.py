@@ -14,20 +14,20 @@ declared publicly and feed the security analysis.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import ClassVar, IO, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigError, DecodingError, InvalidDistributionError, ParseError,
                      is_json_int, json_choice, json_number, read_json)
 from .optics import (
+    HALF_PI,
     OUTCOMES,
     Group,
     IdentityEnum,
@@ -52,7 +52,7 @@ class PhaseChoice(IdentityEnum):
 
     @property
     def radians(self) -> float:
-        return 0.0 if self is PhaseChoice.PHI_0 else math.pi / 2.0
+        return 0.0 if self is PhaseChoice.PHI_0 else HALF_PI
 
 
 class Verdict(IdentityEnum):
@@ -164,8 +164,8 @@ class RoundRecord(NamedTuple):
 
 #: Labels, phases and bases in the order of the indices a round draws.
 _LABELS = tuple(StateLabel)
-_PHIS = (PhaseChoice.PHI_0, PhaseChoice.PHI_HALF_PI)
-_BASES = (SpinBasis.Z, SpinBasis.Y)
+_PHIS = tuple(PhaseChoice)
+_BASES = tuple(SpinBasis)
 
 
 def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: OutcomePair) -> tuple:
@@ -233,8 +233,6 @@ class Transcript:
     seed: int
     config: dict
     kinds: bytes
-    #: The one format version: ``save_transcript`` writes it and ``load_transcript`` reads no other.
-    version: ClassVar[int] = TRANSCRIPT_VERSION
 
     def __post_init__(self) -> None:
         if type(self.kinds) is not bytes:
@@ -464,8 +462,8 @@ def _round_from_obj(obj: dict, index: int, line: int) -> int:
     """The kind index ``obj`` draws, if ``obj`` is the object of round ``index``'s line: the
     head keys, then that kind's ``_WRITTEN`` entry.
 
-    A line without ``decode_failed`` (as early files were written) reads it as False.  Each
-    missing, differing or extra key is named, with the JSON types of ``_differing_keys``."""
+    A line without ``decode_failed`` reads it as False.  Each missing, differing or extra key
+    is named, with the JSON types of ``_differing_keys``."""
     try:
         drawn = tuple(obj[key] for key in _ROUND_KEYS[:_DRAWN])
     except KeyError as exc:
@@ -497,7 +495,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
           else nullcontext(dest)) as fh:
         header = {
             "record": "header",
-            "version": transcript.version,
+            "version": TRANSCRIPT_VERSION,
             "seed": transcript.seed,
             "config": transcript.config,
         }

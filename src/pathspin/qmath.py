@@ -178,10 +178,6 @@ class Distribution(tuple):
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"Distribution is immutable, cannot delete {name!r}")
 
-    def __reduce__(self):
-        # rebuilt from its weights: the default would set ``prefix`` as an attribute
-        return type(self), (tuple(self),)
-
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -208,7 +208,6 @@ class SecurityReport:
     eta1: float
     eta2: float
     frame: Frame
-    n_aborts: int
 
 
 def require_aborts(ensemble: AbortEnsemble, min_count: int = DEFAULT_MIN_ABORTS) -> None:
@@ -242,5 +241,4 @@ def security_decision(
         eta1=eta1,
         eta2=eta2,
         frame=frame,
-        n_aborts=ensemble.total,
     )

@@ -19,6 +19,7 @@ from pathspin.cli import (
     parse_eve,
     parse_weights,
 )
+from pathspin.optics import OUTCOMES
 
 
 class TestParsers:
@@ -366,6 +367,8 @@ class TestSiftTableCommand:
         kept = [r for r in rows if r["verdict"] == "keep"]
         assert len(kept) == 8
         assert all(len(r["support"]) == 2 for r in kept)
+        order = [[o.port.value, o.spin.value] for o in OUTCOMES]
+        assert all(r["support"] == sorted(r["support"], key=order.index) for r in rows)
 
     def test_rule_that_disagrees_with_the_optics_fails(self, monkeypatch, capsys):
         # a rule that keeps every row: the first row, (psi, 0, z), has a four-outcome support

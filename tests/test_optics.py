@@ -168,7 +168,6 @@ class TestOutcomeStatistics:
         assert OUTCOMES[1] == OutcomePair(Port.TPRIME, SpinOutcome.S1)
         assert OUTCOMES[2] == OutcomePair(Port.RPRIME, SpinOutcome.S0)
         assert OUTCOMES[3] == OutcomePair(Port.RPRIME, SpinOutcome.S1)
-        assert [o.index for o in OUTCOMES] == [0, 1, 2, 3]
 
     def test_full_outcome_table(self):
         for (label, phi, basis), expected in EXPECTED_TABLE.items():

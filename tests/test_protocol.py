@@ -203,7 +203,8 @@ class TestFooterLine:
 
 def _by_hand(t: Transcript) -> str:
     """The text ``save_transcript`` writes for ``t``, one line at a time."""
-    header = {"record": "header", "version": t.version, "seed": t.seed, "config": t.config}
+    header = {"record": "header", "version": protocol.TRANSCRIPT_VERSION,
+              "seed": t.seed, "config": t.config}
     return "".join([json.dumps(header, separators=(",", ":")) + "\n",
                     *(_ROUND_HEAD + str(i) + _TAILS[kind] for i, kind in enumerate(t.kinds)),
                     _footer_line(t.kinds) + "\n"])

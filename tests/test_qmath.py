@@ -259,7 +259,6 @@ class TestRng:
         assert abs(values.var() - 1.0 / 12.0) < 0.01
 
     def test_sample_matches_weights(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
         weights = (0.5, 0.25, 0.25)
         counts = [0, 0, 0]
         rng = qmath.Rng(seed=9)
@@ -268,8 +267,9 @@ class TestRng:
             idx, rng = rng.sample(weights)
             counts[idx] += 1
         expected = [w * n for w in weights]
-        _, pvalue = scipy_stats.chisquare(counts, expected)
-        assert pvalue > 1e-3
+        chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+        # the chi-square survival function at 2 degrees of freedom is exp(-chi2 / 2)
+        assert math.exp(-chi2 / 2) > 1e-3
 
     def test_sample_advances_one_draw(self):
         rng = qmath.Rng(seed=4)
@@ -438,7 +438,9 @@ class TestPrefixSums:
 
     def test_a_copy_keeps_its_weights_and_prefix(self):
         dist = AlicePolicy.family(0.7).weights
-        for again in (copy.copy(dist), copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))):
+        pickled = [pickle.loads(pickle.dumps(dist, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in (copy.copy(dist), copy.deepcopy(dist), *pickled):
             assert type(again) is qmath.Distribution
             assert again == dist and again.prefix == dist.prefix
 

@@ -280,7 +280,6 @@ class TestDecision:
         report = security_decision(AbortEnsemble((900, 33, 33, 34)), min_count=100)
         assert report.secure
         assert report.m_value > 1.0
-        assert report.n_aborts == 1000
 
     def test_frame_choice_recorded(self):
         for frame in Frame:

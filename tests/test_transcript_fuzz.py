@@ -58,7 +58,7 @@ def _as_read(lines: list[str]) -> list[str] | None:
         except ValueError:
             return None
         if isinstance(obj, dict) and obj.get("record") == "round":
-            obj.setdefault("decode_failed", False)  # how early files were written
+            obj.setdefault("decode_failed", False)  # a round line may leave it out
         objects.append(json.dumps(obj, sort_keys=True))
     return objects
 
