@@ -35,7 +35,6 @@ from .protocol import (
     run_session,
     save_transcript,
     sift,
-    Verdict,
 )
 from .security import (
     DEFAULT_MIN_ABORTS,
@@ -294,24 +293,14 @@ def cmd_sift_table(args: argparse.Namespace) -> int:
         for phi in PhaseChoice:
             for basis in SpinBasis:
                 support = sorted(outcome_support(label, phi.radians, basis), key=OUTCOMES.index)
-                # verdict derived from the computed correlation structure,
-                # cross-checked against the sifting rule
-                derived = Verdict.KEEP if len(support) == 2 else Verdict.ABORT
-                ruled = sift(label.group, phi, basis)
-                if derived is not ruled:
-                    print(
-                        f"internal inconsistency at ({label.value}, {phi.value}, "
-                        f"{basis.value}): rule says {ruled.value}, optics says {derived.value}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_ERROR
+                verdict = sift(label.group, phi, basis).value
                 names = " ".join(f"({o.port.value},{o.spin.value})" for o in support)
                 lines.append(
-                    f"{label.value:9s} {phi.value:4s} {basis.value:5s} {derived.value:7s} {names}"
+                    f"{label.value:9s} {phi.value:4s} {basis.value:5s} {verdict:7s} {names}"
                 )
                 payload.append(
                     {"state": label.value, "phi": phi.value, "basis": basis.value,
-                     "verdict": derived.value,
+                     "verdict": verdict,
                      "support": [[o.port.value, o.spin.value] for o in support]}
                 )
     _emit(args, lines, payload)

@@ -67,27 +67,28 @@ class BasisMode(Enum):
     ALWAYS_Z = "always_z"
 
 
-#: The unique group whose states are deterministically resolved by each
-#: receiver setting.  Rounds are kept exactly when the sent group matches.
+#: Labels, phases and bases in the order of the indices a round draws.
+_LABELS = tuple(StateLabel)
+_PHIS = tuple(PhaseChoice)
+_BASES = tuple(SpinBasis)
+
+#: (phi, basis) -> outcome -> label, read off the receiver chain: a setting resolves the labels
+#: it sends onto two outcomes each, and maps those outcomes, and only those.  The bit Bob
+#: decodes, and the label Eve infers with her copy of his apparatus.  Labels are written in
+#: reverse, so a tie would go to the lower label.
+DECODED = {(phi, basis): {outcome: label for label in reversed(_LABELS)
+                          for support in (outcome_support(label, phi.radians, basis),)
+                          if len(support) == 2 for outcome in support}
+           for phi in _PHIS for basis in _BASES}
+
+#: The group of the two labels each setting resolves, which split its four outcomes between
+#: them.  Rounds are kept exactly when the sent group matches.
 KEEP_GROUP: dict[tuple[PhaseChoice, SpinBasis], Group] = {
-    (PhaseChoice.PHI_0, SpinBasis.Y): Group.G1,
-    (PhaseChoice.PHI_HALF_PI, SpinBasis.Z): Group.G1,
-    (PhaseChoice.PHI_0, SpinBasis.Z): Group.G2,
-    (PhaseChoice.PHI_HALF_PI, SpinBasis.Y): Group.G2,
-}
-
-
-#: (phi, basis) -> outcome -> the label of ``KEEP_GROUP[phi, basis]`` whose support holds it,
-#: the lower label on a tie (its entries are written last): the bit Bob decodes, and the label
-#: Eve infers with her copy of his apparatus.  The matched setting splits the four outcomes
-#: between the group's two labels.
-DECODED = {(phi, basis): {outcome: label for label in reversed(group.labels)
-                          for outcome in outcome_support(label, phi.radians, basis)}
-           for (phi, basis), group in KEEP_GROUP.items()}
+    setting: next(iter(decoded.values())).group for setting, decoded in DECODED.items()}
 
 
 def sift(group: Group, phi: PhaseChoice, basis: SpinBasis) -> Verdict:
-    """Keep/abort decision; depends only on the setting, never the outcome."""
+    """Keep when the setting resolves the sent group: the setting decides, never the outcome."""
     return Verdict.KEEP if KEEP_GROUP[(phi, basis)] is group else Verdict.ABORT
 
 
@@ -160,12 +161,6 @@ class RoundRecord(NamedTuple):
     alice_bit: int
     bob_bit: int | None
     decode_failed: bool = False
-
-
-#: Labels, phases and bases in the order of the indices a round draws.
-_LABELS = tuple(StateLabel)
-_PHIS = tuple(PhaseChoice)
-_BASES = tuple(SpinBasis)
 
 
 def _kind(label: StateLabel, phi: PhaseChoice, basis: SpinBasis, outcome: OutcomePair) -> tuple:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -370,14 +371,33 @@ class TestSiftTableCommand:
         order = [[o.port.value, o.spin.value] for o in OUTCOMES]
         assert all(r["support"] == sorted(r["support"], key=order.index) for r in rows)
 
-    def test_rule_that_disagrees_with_the_optics_fails(self, monkeypatch, capsys):
-        # a rule that keeps every row: the first row, (psi, 0, z), has a four-outcome support
-        monkeypatch.setattr(cli, "sift", lambda group, phi, basis: cli.Verdict.KEEP)
-        assert main(["sift-table"]) == EXIT_ERROR
+    def test_whole_output_is_pinned(self, capsys):
+        four = "(tprime,s0) (tprime,s1) (rprime,s0) (rprime,s1)"
+        assert main(["sift-table"]) == EXIT_OK
+        assert capsys.readouterr() == (
+            "state     phi  basis verdict outcome support\n"
+            f"psi       0    z     abort   {four}\n"
+            "psi       0    y     keep    (tprime,s0) (rprime,s1)\n"
+            "psi       pi/2 z     keep    (tprime,s0) (rprime,s1)\n"
+            f"psi       pi/2 y     abort   {four}\n"
+            f"psi_perp  0    z     abort   {four}\n"
+            "psi_perp  0    y     keep    (tprime,s1) (rprime,s0)\n"
+            "psi_perp  pi/2 z     keep    (tprime,s1) (rprime,s0)\n"
+            f"psi_perp  pi/2 y     abort   {four}\n"
+            "phi       0    z     keep    (tprime,s0) (rprime,s1)\n"
+            f"phi       0    y     abort   {four}\n"
+            f"phi       pi/2 z     abort   {four}\n"
+            "phi       pi/2 y     keep    (tprime,s0) (rprime,s1)\n"
+            "phi_perp  0    z     keep    (tprime,s1) (rprime,s0)\n"
+            f"phi_perp  0    y     abort   {four}\n"
+            f"phi_perp  pi/2 z     abort   {four}\n"
+            "phi_perp  pi/2 y     keep    (tprime,s1) (rprime,s0)\n", "")
+        assert main(["sift-table", "--json"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("internal inconsistency at (psi, 0, z): "
-                                "rule says keep, optics says abort\n")
+        # the sha256 of the 322-line JSON form of the same 16 rows
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == (
+            "2da9aeeb087b749d04c8e804cc090ff35f9d1c6de788b141ca4333e348cf0a91")
+        assert captured.err == ""
 
 
 class TestUsageErrors:

@@ -100,12 +100,19 @@ class TestDecoding:
 
     def test_every_outcome_decodes_under_matched_setting(self):
         # the two member supports cover all four detectors, so a kept
-        # round can always be decoded, whatever arrives
+        # round can always be decoded, whatever arrives; each state of the
+        # other group spreads over all four, so the setting resolves one group
         for group in Group:
             for phi in PhaseChoice:
                 for basis in SpinBasis:
                     if sift(group, phi, basis) is not Verdict.KEEP:
+                        for label in group.labels:
+                            assert len(optics.outcome_support(label, phi.radians, basis)) == 4
                         continue
+                    decoded = protocol.DECODED[phi, basis]
+                    assert protocol.KEEP_GROUP[phi, basis] is group and len(decoded) == 4
+                    for label in group.labels:
+                        assert list(decoded.values()).count(label) == 2
                     for outcome in OUTCOMES:
                         assert decode_bit(group, phi, basis, outcome) in (0, 1)
 
