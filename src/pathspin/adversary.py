@@ -94,9 +94,12 @@ class InterceptResend:
             raise ConfigError(f"adversary config must be a mapping, got {cfg!r}")
         if cfg.get("type") != "intercept_resend":
             raise ConfigError(f"unknown adversary type {cfg.get('type')!r}")
-        return cls(phi=json_choice(cfg.get("phi"), PhaseChoice, "intercept_resend phi"),
-                   basis=json_choice(cfg.get("basis"), SpinBasis, "intercept_resend basis"),
-                   fraction=json_number(cfg.get("fraction", 1.0), "intercept_resend fraction"))
+        try:
+            return cls(phi=json_choice(cfg.get("phi"), PhaseChoice, "intercept_resend phi"),
+                       basis=json_choice(cfg.get("basis"), SpinBasis, "intercept_resend basis"),
+                       fraction=json_number(cfg.get("fraction", 1.0), "intercept_resend fraction"))
+        except InvalidDistributionError as exc:  # a fraction out of [0, 1]; the text names it
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,8 @@ _KEPT, _LABEL_INDEX, _ALICE_BIT, _BOB_BIT = (np.array(column) for column in zip(
     (verdict is Verdict.KEEP, _LABELS.index(label), alice, bob or 0)
     for label, _, _, _, verdict, alice, bob, _ in _KINDS)))
 
-#: Kinds are counted, round lines written and footer declarations rendered this many rounds
-#: at a time, so no pass over the kinds copies more than a block.
+#: Kinds are counted, round lines written and read and footer declarations rendered this
+#: many rounds at a time, so no pass over the kinds or the lines holds more than a block.
 _ROUND_BLOCK = 1 << 10
 
 #: Label on the channel -> [phi][basis], indices into ``_PHIS`` and ``_BASES`` -> the outcome
@@ -364,10 +364,6 @@ _KIND_OF_DRAWN = {tuple(fields.values())[:_DRAWN]: i for i, fields in enumerate(
 _TAILS = tuple(f",{json.dumps(fields, separators=(',', ':'))[1:]}\n" for fields in _WRITTEN)
 #: The tail of a canonical round line, newline included -> its kind index.
 _KIND_OF_TAIL = {tail: i for i, tail in enumerate(_TAILS)}
-#: ``load_transcript`` reads about this many characters of lines at a time.
-_BLOCK = 1 << 16
-#: The fewest characters of a canonical round line: the head, one digit, the shortest tail.
-_MIN_ROUND_LINE = len(_ROUND_HEAD) + 1 + min(map(len, _TAILS))
 
 
 def _canonical_rounds(lines: list[str], kinds: bytearray) -> int:
@@ -509,27 +505,27 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
 
     Blank lines are skipped; the first other line must be the header, and is
     read on its own.  Its ``version``, ``seed`` and ``n_rounds`` must be JSON
-    integers.  The lines after it are read in blocks of about ``_BLOCK``
-    characters.  Until the footer is read, a block also stops by the line of the
-    last announced round, since no canonical round line is shorter than
-    ``_MIN_ROUND_LINE``, and one ``_canonical_rounds`` call per block takes the
-    block's leading canonical round lines by text: each is exactly what
-    ``save_transcript`` writes for its kind, so ``_round_from_obj`` would accept
-    it.  Once every announced round is read, ``_read_footer`` reads each next
-    line a part at a time against ``_footer_parts`` of the kinds read: the footer,
-    with only whitespace after it, is accepted by text and never held whole.
-    Every other line is stripped and, unless blank, parsed by ``read_json``: a
-    round line with a CRLF line end or trailing spaces, a last round line
-    without a newline, round lines or a footer of another spelling, a footer
-    with leading whitespace, read in a block past short round lines or before
-    the last announced round, and every line of a block after its first such
-    line.  Each round's kind index is read from its draws, never trusted: a
-    parsed round line, and a parsed footer, must have the keys and JSON-typed
-    values of the object ``save_transcript`` writes for it, compared by
-    ``_differing_keys``.  Raises ParseError (with the 1-based
-    line number) on malformed or too deeply nested JSON, a non-object line,
-    unknown record kinds, an unsupported version, truncation, a rejected round
-    line, or a footer that differs from the one the kinds give.
+    integers.  The lines after it are read ``_ROUND_BLOCK`` at a time, and until
+    the footer no more at a time than rounds are still announced: every round
+    takes a line, so no block reaches past the last announced round's.  One
+    ``_canonical_rounds`` call per block takes its leading canonical round lines
+    by text: each is exactly what ``save_transcript`` writes for its kind, so
+    ``_round_from_obj`` would accept it.  Once every announced round is read,
+    ``_read_footer`` reads each next line a part at a time against
+    ``_footer_parts`` of the kinds read: the footer, with only whitespace after
+    it, is accepted by text and never held whole, whatever the spelling of the
+    round lines before it.  Every other line is stripped and, unless blank,
+    parsed by ``read_json``: a round line with a CRLF line end or trailing
+    spaces, a last round line without a newline, round lines or a footer of
+    another spelling, a footer with leading whitespace or before the last
+    announced round, and every line of a block after its first such line.
+    Each round's kind index is read from its draws, never trusted: a parsed
+    round line, and a parsed footer, must have the keys and JSON-typed values
+    of the object ``save_transcript`` writes for it, compared by
+    ``_differing_keys``.  Raises ParseError (with the 1-based line number) on
+    malformed or too deeply nested JSON, a non-object line, unknown record
+    kinds, an unsupported version, truncation, a rejected round line, or a
+    footer that differs from the one the kinds give.
     """
     with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
         for line_no, raw in enumerate(iter(fh.readline, ""), 1):
@@ -553,8 +549,10 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
         kinds = bytearray()
         footer = None
         while True:
-            left = config["n_rounds"] - len(kinds)
-            if footer is None and left <= 0:
+            # every round takes a line, so a block that takes no more lines than rounds are
+            # still announced ends by the last announced round's line
+            room = config["n_rounds"] - len(kinds) if footer is None else _ROUND_BLOCK
+            if room <= 0:
                 # every announced round is read: the footer is matched as it is read
                 line = _read_footer(fh, kinds)
                 if line is None:
@@ -563,9 +561,7 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
                     continue
                 block = [line] if line else []
             else:
-                # until the footer, a block of canonical lines ends by the last announced round
-                block = fh.readlines(_BLOCK if footer is not None
-                                     else min(_BLOCK, _MIN_ROUND_LINE * left))
+                block = list(islice(fh, min(_ROUND_BLOCK, room)))
             if not block:
                 break
             taken = _canonical_rounds(block, kinds) if footer is None else 0

@@ -834,6 +834,9 @@ class TestReplayOfAMalformedHeader:
                      id="weights-0001"),
         pytest.param(lambda cfg: cfg.update(eve={"type": "intercept_resend", "phi": "half",
                                                  "basis": "y"}), "phi", id="eve-phi-half"),
+        *(pytest.param(lambda cfg, fraction=fraction: cfg.update(
+            eve={"type": "intercept_resend", "phi": "0", "basis": "y", "fraction": fraction}),
+            "fraction", id=f"eve-fraction-{fraction}") for fraction in (2.0, -0.5, float("nan"))),
     ])
     def test_replay_raises_a_config_error_naming_the_key(self, tmp_path, edit, key):
         session = run_session(n_rounds=8, alice=AlicePolicy.uniform(), bob=BobPolicy(), seed=2)

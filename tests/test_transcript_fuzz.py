@@ -207,11 +207,32 @@ def test_a_mutant_loads_exactly_when_typed_equal(canonical, seed):
     assert outcomes["loaded"] > MUTANTS_PER_SEED // 10
 
 
+class _Reads(io.StringIO):
+    """A text stream that keeps the length of the longest string a read or iteration hands out."""
+
+    longest = 0
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.longest = max(self.longest, len(line))
+        return line
+
+    def readlines(self, hint=-1):
+        lines = super().readlines(hint)
+        self.longest = max([self.longest, *map(len, lines)])
+        return lines
+
+    def __next__(self):
+        line = super().__next__()
+        self.longest = max(self.longest, len(line))
+        return line
+
+
 class TestBulkReadEdges:
     """Single mutations at the edges of ``load_transcript``'s bulk read of canonical lines.
 
-    The transcript has 12 000 tapped rounds, so its text spans many blocks of
-    ``_BLOCK`` characters and every index width up to five digits.  A mutation is made
+    The transcript has 12 000 tapped rounds, so its round lines span 12 blocks of
+    ``_ROUND_BLOCK`` lines and every index width up to five digits.  A mutation is made
     at the first round after the header, at both sides of a block boundary, at both sides
     of each change of index width (where the expected heads grow a digit) and at the last
     round.  ``_as_read`` decides as in the fuzz above, applied to the changed lines only:
@@ -231,15 +252,11 @@ class TestBulkReadEdges:
         save_transcript(session, out)
         text = out.getvalue()
         # the 1-based last line of each block of rounds, as load_transcript reads them after
-        # the header: no block reaches past the lines the announced rounds could fill at the
-        # shortest canonical length
-        reader = io.StringIO(text)
-        reader.readline()
-        block_ends, end = [], 1
-        while left := self.ROUNDS + 1 - end:
-            end += len(reader.readlines(min(protocol._BLOCK, protocol._MIN_ROUND_LINE * left)))
-            block_ends.append(end)
-        assert len(block_ends) > 20
+        # the header: ``_ROUND_BLOCK`` lines, and none past the last announced round's
+        block = protocol._ROUND_BLOCK
+        block_ends = [1 + min(end, self.ROUNDS) for end in range(block, self.ROUNDS + block, block)]
+        # mutations are made at both sides of the third block's last line, so a fourth follows
+        assert len(block_ends) >= 4
         lines = text.split("\n")[:-1]
         return session, lines, _as_read(lines), block_ends
 
@@ -355,6 +372,26 @@ class TestBulkReadEdges:
         assert len(taken) == len(block_ends)
         assert sum(taken) == self.ROUNDS
 
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_short_round_lines_across_blocks_leave_the_footer_read_in_parts(self, big,
+                                                                           monkeypatch, blank):
+        # the last 1500 round lines, over two blocks, written without decode_failed: each is
+        # shorter than any canonical line, and, with a blank line among them or not, the
+        # blocks end by the last announced round and the footer is matched as it is read
+        session, lines, _, _ = big
+        short = [line.replace(',"decode_failed":false', "") for line in lines[-1501:-1]]
+        assert all(map(str.__ne__, short, lines[-1501:-1]))
+        head = lines[:-1501] + short[:700] + [""] * blank + short[700:]
+        parsed = []
+        read_json = protocol.read_json
+        monkeypatch.setattr(protocol, "read_json",
+                            lambda raw, line: parsed.append(line) or read_json(raw, line))
+        fh = _Reads("\n".join(head + [lines[-1]]) + "\n")
+        assert load_transcript(fh) == session
+        first = len(lines) - 1500  # the first short line's 1-based number
+        assert parsed == [1, *range(first, first + 700), *range(first + 700 + blank, len(head) + 1)]
+        assert 0 < fh.longest < len(lines[-1])
+
 
 class TestFooterInParts:
     """With ``_ROUND_BLOCK`` at 3 rounds, the 40-round footer spans many parts.
@@ -421,21 +458,6 @@ class TestFooterInParts:
             load_transcript(io.StringIO("\n".join(lines[:-1] + [footer]) + "\n"))
         assert str(exc.value) == f"line {len(lines)}: {message}"
 
-    class _Reads(io.StringIO):
-        """A text stream that keeps the length of the longest string a read hands out."""
-
-        longest = 0
-
-        def readline(self, size=-1):
-            line = super().readline(size)
-            self.longest = max(self.longest, len(line))
-            return line
-
-        def readlines(self, hint=-1):
-            lines = super().readlines(hint)
-            self.longest = max([self.longest, *map(len, lines)])
-            return lines
-
     @staticmethod
     def _edge(name: str, lines: list[str], parts: list[str]) -> str:
         """The canonical file with one edge at or around its footer, as text.  A footer that
@@ -464,8 +486,7 @@ class TestFooterInParts:
         if name == "blank_lines_around":
             return "\n".join(head + ["", footer, "", " "]) + "\n"
         # the last 12 rounds' lines written without decode_failed are shorter than any
-        # canonical line, so the 40 round lines fall short of the block's bound and the
-        # block reads on into the footer, whole
+        # canonical line, but still one line a round
         short = [line.replace(',"decode_failed":false', "") for line in head[-12:]]
         if name == "short_last_rounds":
             return "\n".join(head[:-12] + short + [footer]) + "\n"
@@ -507,24 +528,24 @@ class TestFooterInParts:
     @pytest.mark.parametrize("name", ["trailing_spaces", "crlf", "no_final_newline",
                                       "blank_lines_around", "short_last_rounds",
                                       "blank_among_short_last_rounds"])
-    def test_a_footer_is_read_whole_only_past_a_short_line(self, canonical, parts, name):
-        # canonical round lines end the bulk read by the last announced round, and the
-        # footer after them is read a part at a time; a shorter round line lets that read
-        # run on into the footer, which is then read whole, and loads all the same
+    def test_no_read_hands_out_the_footer_whole(self, canonical, parts, name):
+        # a block of round lines holds no more lines than rounds are left, however they are
+        # spelled, so it ends by the last announced round; the footer after it is read a
+        # part at a time
         session, lines = canonical
-        fh = self._Reads(self._edge(name, lines, parts))
+        fh = _Reads(self._edge(name, lines, parts))
         assert load_transcript(fh) == session
-        assert (fh.longest >= len(lines[-1])) is name.endswith("short_last_rounds")
+        assert 0 < fh.longest < len(lines[-1])
 
-    @pytest.mark.parametrize("name", ["leading_space", "short_last_rounds"])
+    @pytest.mark.parametrize("name, parses", [("leading_space", 1), ("short_last_rounds", 0)])
     def test_a_footer_the_streamed_read_does_not_take_is_parsed_once(self, canonical, parts,
-                                                                    monkeypatch, name):
-        # only the footer read a part at a time is matched by text; one with leading
-        # whitespace, or read whole past short round lines, is parsed and compared by keys
+                                                                    monkeypatch, name, parses):
+        # the footer read a part at a time is matched by text, after round lines of any
+        # spelling; one with leading whitespace is parsed once and compared by keys
         session, lines = canonical
         parsed = []
         read_json = protocol.read_json
         monkeypatch.setattr(protocol, "read_json",
                             lambda raw, line: parsed.append(line) or read_json(raw, line))
         assert load_transcript(io.StringIO(self._edge(name, lines, parts))) == session
-        assert parsed.count(len(lines)) == 1
+        assert parsed.count(len(lines)) == parses
