@@ -18,9 +18,11 @@ import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import partial
+from itertools import chain, repeat
+from os.path import commonprefix
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -252,6 +254,8 @@ class Transcript:
 
     @property
     def rounds(self) -> list[RoundRecord]:
+        """Each round's record, in round order.  ``perfbench/bench.py`` reads it to count key
+        mismatches."""
         return [RoundRecord(i, *_KINDS[kind]) for i, kind in enumerate(self.kinds)]
 
     @property
@@ -281,7 +285,10 @@ class Transcript:
                 for i, label in enumerate(_LABELS)}
 
     def decode_failures(self) -> int:
-        """Kept rounds Bob cannot decode: none, since every kept kind decodes (``_kind``)."""
+        """Kept rounds Bob cannot decode: none, since every kept kind decodes (``_kind``).
+
+        ``perfbench/bench.py`` calls it, and reads the ``decode_failures`` key that ``cli``
+        fills from it in ``run --json``."""
         return 0
 
     def key_errors(self) -> tuple[int, int]:
@@ -345,11 +352,9 @@ def replay_session(transcript: Transcript) -> Transcript:
 # transcript serialization: one JSON object per line, header / rounds / footer
 
 
-#: The keys of a round line after ``round_index``: the first ``_DRAWN``
-#: name what the round drew, the rest what follows from it.
+#: The keys of a round line after ``round_index``, in the order they are written.
 _ROUND_KEYS = ("label", "phi", "basis", "port", "spin",
                "verdict", "alice_bit", "bob_bit", "decode_failed")
-_DRAWN = 5
 
 
 #: Every round line starts with these bytes and continues with its index.
@@ -358,8 +363,6 @@ _ROUND_HEAD = '{"record":"round","round_index":'
 _WRITTEN = tuple(dict(zip(_ROUND_KEYS, (label.value, phi.value, basis.value, outcome.port.value,
                                         outcome.spin.value, verdict.value, *bits)))
                  for label, phi, basis, outcome, verdict, *bits in _KINDS)
-#: Drawn values as written -> kind index.
-_KIND_OF_DRAWN = {tuple(fields.values())[:_DRAWN]: i for i, fields in enumerate(_WRITTEN)}
 #: The tail of each kind's round line, the part after its index, newline included.
 _TAILS = tuple(f",{json.dumps(fields, separators=(',', ':'))[1:]}\n" for fields in _WRITTEN)
 #: The tail of a canonical round line, newline included -> its kind index.
@@ -418,60 +421,40 @@ def _footer_line(kinds: bytes) -> str:
     return "".join(_footer_parts(kinds))
 
 
-def _read_footer(fh: IO[str], kinds: bytearray) -> str | None:
-    """Read the next line of ``fh`` as far as it is ``_footer_parts(kinds)``, a part at a time.
-
-    None if the line is that footer and then whitespace only, so that stripped it is the
-    footer.  Else the whole line as read, ``""`` at the end of the file: the parts it
-    matched, rendered again, then the piece that differs and the rest of the line."""
-    matched = 0
-    for part in _footer_parts(kinds):
-        got = fh.readline(len(part))
-        if got != part:
-            # a piece shorter than asked for, or ending in a newline, ends the line
-            if len(got) == len(part) and not got.endswith("\n"):
-                got += fh.readline()
-            break
-        matched += 1
-    else:
-        got = fh.readline()
-        if not got.strip():
-            return None
-    return "".join(islice(_footer_parts(kinds), matched)) + got
+def _differs(what: str, line: int, column: int, expected: str, found: str) -> ParseError:
+    """The error for ``what`` on line ``line``, which first differs from the text ``save_transcript``
+    writes at ``column``: that text and the text found from there, 40 characters of each at most."""
+    return ParseError(f"{what} differs from its canonical text at column {column}: "
+                      f"expected {expected[:40]!r}, found {found[:40]!r}", line)
 
 
-def _differing_keys(got: dict, want: dict) -> list[str]:
-    """The keys ``got`` lacks or holds as another JSON value than ``want``, then those only it has.
+def _round_refused(text: str, index: int, n_rounds: int, line: int) -> ParseError:
+    """The error for ``text``, read at the start of line ``line`` where round ``index`` was due:
+    the end of the file, a footer before the last announced round, or else the first column at
+    which it differs from the closest of round ``index``'s 64 canonical lines."""
+    if not text:
+        return ParseError("transcript ended before footer record", line)
+    if text.startswith(_FOOTER_HEAD):
+        return ParseError(f"header announces {n_rounds} rounds, found {index}", line)
+    head = f"{_ROUND_HEAD}{index}"
+    # of the lines that agree with it the longest, one whose tail it ends with, if any
+    closest = head + max(_TAILS, key=lambda tail: (len(commonprefix([head + tail, text])),
+                                                   text.endswith(tail)))
+    same = len(commonprefix([closest, text]))
+    return _differs(f"round {index}", line, same + 1, closest[same:], text[same:])
 
-    ``1``, ``1.0`` and ``true`` all differ.  A list is the footer's ``[index, label]`` pairs."""
-    return [key for key in {**want, **got} if key not in got or key not in want
-            or type(got[key]) is not type(want[key]) or got[key] != want[key]
-            or type(want[key]) is list and {type(i) for i, _ in got[key]} - {int}]
 
+def _past_blank_lines(read: Callable[[], str], line_no: int) -> tuple[str, int]:
+    """The first piece ``read`` hands out of the next line that is not whitespace only, and that
+    line's number, line ``line_no`` being the last read; ``""`` at the end of the file.
 
-def _round_from_obj(obj: dict, index: int, line: int) -> int:
-    """The kind index ``obj`` draws, if ``obj`` is the object of round ``index``'s line: the
-    head keys, then that kind's ``_WRITTEN`` entry.
-
-    A line without ``decode_failed`` reads it as False.  Each missing, differing or extra key
-    is named, with the JSON types of ``_differing_keys``."""
-    try:
-        drawn = tuple(obj[key] for key in _ROUND_KEYS[:_DRAWN])
-    except KeyError as exc:
-        raise ParseError(f"round record without {exc}", line=line) from None
-    try:
-        kind = _KIND_OF_DRAWN[drawn]
-    except (KeyError, TypeError):
-        raise ParseError(f"no round draws {drawn!r}", line=line) from None
-    got = {"decode_failed": False, **obj}
-    want = {"record": "round", "round_index": index, **_WRITTEN[kind]}
-    wrong = _differing_keys(got, want)
-    if wrong:
-        raise ParseError("; ".join(
-            f"round record without {key!r}" if key not in got
-            else f"{key} {got[key]!r}, expected {want[key]!r}" if key in want
-            else f"round record with unknown key {key!r}" for key in wrong), line=line)
-    return kind
+    A line that starts with a piece of whitespace and goes on with text is given by that piece,
+    so it differs from every canonical line at its first column."""
+    start = ""  # the first piece of a blank line not yet ended
+    while (piece := read()).isspace():
+        line_no += not start
+        start = "" if piece.endswith("\n") else start or piece
+    return (start, line_no) if start and piece else (piece, line_no + 1)
 
 
 def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
@@ -503,97 +486,81 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
-    Blank lines are skipped; the first other line must be the header, and is
-    read on its own.  Its ``version``, ``seed`` and ``n_rounds`` must be JSON
-    integers.  The lines after it are read ``_ROUND_BLOCK`` at a time, and until
-    the footer no more at a time than rounds are still announced: every round
-    takes a line, so no block reaches past the last announced round's.  One
-    ``_canonical_rounds`` call per block takes its leading canonical round lines
-    by text: each is exactly what ``save_transcript`` writes for its kind, so
-    ``_round_from_obj`` would accept it.  Once every announced round is read,
-    ``_read_footer`` reads each next line a part at a time against
-    ``_footer_parts`` of the kinds read: the footer, with only whitespace after
-    it, is accepted by text and never held whole, whatever the spelling of the
-    round lines before it.  Every other line is stripped and, unless blank,
-    parsed by ``read_json``: a round line with a CRLF line end or trailing
-    spaces, a last round line without a newline, round lines or a footer of
-    another spelling, a footer with leading whitespace or before the last
-    announced round, and every line of a block after its first such line.
-    Each round's kind index is read from its draws, never trusted: a parsed
-    round line, and a parsed footer, must have the keys and JSON-typed values
-    of the object ``save_transcript`` writes for it, compared by
-    ``_differing_keys``.  Raises ParseError (with the 1-based line number) on
-    malformed or too deeply nested JSON, a non-object line, unknown record
-    kinds, an unsupported version, truncation, a rejected round line, or a
-    footer that differs from the one the kinds give.
+    Blank lines are skipped; the first other line must be the header, read
+    whole and parsed by ``read_json``.  Its ``version``, ``seed`` and
+    ``n_rounds`` must be JSON integers.  After it, the file must hold exactly
+    the bytes ``save_transcript`` writes for the kinds it names, blank lines
+    aside: each round line is one of the 64 canonical lines of its round,
+    taken by ``_canonical_rounds`` ``_ROUND_BLOCK`` lines at a time and never
+    more lines than rounds are still announced; then the footer, matched a part
+    of ``_footer_parts`` at a time; then only blank lines.  No read hands out
+    more than one footer part or one more character than the longest
+    canonical round line.  Raises ParseError at the first line that differs,
+    naming the round or the footer, the first differing column, and the
+    expected and found text; also on malformed or unsupported header JSON, a
+    transcript that ends early, a footer before the last announced round, and
+    text that is not UTF-8.
     """
-    with open(src, encoding="utf-8") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
-        for line_no, raw in enumerate(iter(fh.readline, ""), 1):
-            if raw.strip():
-                break
-        else:
-            raise ParseError("empty transcript, missing header record", line=1)
-        header = read_json(raw.strip(), line_no)
-        if header.get("record") != "header":
-            raise ParseError(f"expected header record, got {header.get('record')!r}", line=line_no)
-        # JSON integers only: True and 1.0 compare equal to 1
-        version, config = header.get("version"), header.get("config")
-        if not is_json_int(version) or version != TRANSCRIPT_VERSION:
-            raise ParseError(f"unsupported transcript version {version!r}", line_no)
-        if not isinstance(config, dict):
-            raise ParseError(f"header needs a config object, got {config!r}", line_no)
-        for key, value in (("seed", header.get("seed")), ("n_rounds", config.get("n_rounds"))):
-            if not is_json_int(value):
-                raise ParseError(f"header needs an integer {key}, got {value!r}", line_no)
+    with (open(src, encoding="utf-8", newline="\n") if isinstance(src, (str, Path))
+          else nullcontext(src)) as fh:
+        try:
+            return _read_transcript(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"transcript is not UTF-8 text "
+                             f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
-        kinds = bytearray()
-        footer = None
-        while True:
-            # every round takes a line, so a block that takes no more lines than rounds are
-            # still announced ends by the last announced round's line
-            room = config["n_rounds"] - len(kinds) if footer is None else _ROUND_BLOCK
-            if room <= 0:
-                # every announced round is read: the footer is matched as it is read
-                line = _read_footer(fh, kinds)
-                if line is None:
-                    line_no += 1
-                    footer, footer_line = True, line_no  # matched by text: no object to compare
-                    continue
-                block = [line] if line else []
-            else:
-                block = list(islice(fh, min(_ROUND_BLOCK, room)))
-            if not block:
-                break
-            taken = _canonical_rounds(block, kinds) if footer is None else 0
-            line_no += taken
-            for raw in block[taken:]:
-                line_no += 1
-                raw = raw.strip()
-                if not raw:
-                    continue
-                obj = read_json(raw, line_no)
-                kind = obj.get("record")
-                if kind == "round":
-                    if footer is not None:
-                        raise ParseError("round record after footer", line=line_no)
-                    kinds.append(_round_from_obj(obj, len(kinds), line_no))
-                elif kind == "footer":
-                    if footer is not None:
-                        raise ParseError("duplicate footer record", line=line_no)
-                    footer, footer_line = obj, line_no
-                elif kind == "header":
-                    raise ParseError("duplicate header record", line=line_no)
-                else:
-                    raise ParseError(f"unknown record kind {kind!r}", line=line_no)
-        if footer is None:
-            raise ParseError("transcript ended before footer record", line=line_no + 1)
-        if config["n_rounds"] != len(kinds):
-            raise ParseError(f"header announces {config['n_rounds']} rounds, found {len(kinds)}",
-                             line_no)
-        transcript = Transcript(seed=header["seed"], config=config, kinds=bytes(kinds))
-        if type(footer) is dict:  # parsed, not matched by text
-            want = json.loads(_footer_line(transcript.kinds))
-            wrong = ", ".join(_differing_keys(footer, want))
-            if wrong:
-                raise ParseError(f"footer {wrong} does not match the round records", footer_line)
-        return transcript
+
+def _read_transcript(fh: IO[str]) -> Transcript:
+    """``load_transcript`` of an open text stream."""
+    for line_no, raw in enumerate(iter(fh.readline, ""), 1):
+        if raw.strip():
+            break
+    else:
+        raise ParseError("empty transcript, missing header record", line=1)
+    header = read_json(raw.strip(), line_no)
+    if header.get("record") != "header":
+        raise ParseError(f"expected header record, got {header.get('record')!r}", line=line_no)
+    # JSON integers only: True and 1.0 compare equal to 1
+    version, config = header.get("version"), header.get("config")
+    if not is_json_int(version) or version != TRANSCRIPT_VERSION:
+        raise ParseError(f"unsupported transcript version {version!r}", line_no)
+    if not isinstance(config, dict):
+        raise ParseError(f"header needs a config object, got {config!r}", line_no)
+    for key, value in (("seed", header.get("seed")), ("n_rounds", config.get("n_rounds"))):
+        if not is_json_int(value):
+            raise ParseError(f"header needs an integer {key}, got {value!r}", line_no)
+
+    n_rounds = config["n_rounds"]
+    # one character more than the longest canonical round line: a longer line is never read whole
+    limit = len(f"{_ROUND_HEAD}{max(n_rounds - 1, 0)}") + max(map(len, _TAILS)) + 1
+    kinds = bytearray()
+    while len(kinds) < n_rounds:
+        # every round takes a line, so a block that takes no more lines than rounds are
+        # still announced ends by the last announced round's line
+        block = list(map(fh.readline, repeat(limit, min(_ROUND_BLOCK, n_rounds - len(kinds)))))
+        taken = _canonical_rounds(block, kinds)
+        line_no += taken
+        rest = iter(block[taken:])  # past a miss, a line at a time to the block's end
+        while operator.length_hint(rest):
+            text, line_no = _past_blank_lines(lambda: next(rest, None) or fh.readline(limit),
+                                              line_no)
+            if not _canonical_rounds([text], kinds):
+                raise _round_refused(text, len(kinds), n_rounds, line_no)
+    kinds = bytes(kinds)
+    got, line_no = _past_blank_lines(partial(fh.readline, len(_FOOTER_HEAD)), line_no)
+    if not got:
+        raise ParseError("transcript ended before footer record", line_no)
+    column = 0
+    for part in chain(_footer_parts(kinds), ["\n"]):
+        got = fh.readline(len(part)) if column else got  # the head is read past the blank lines
+        if got != part and not (part == "\n" and got == ""):  # the file may end without it
+            same = len(commonprefix([part, got]))
+            found = got[same:]
+            if len(got) == len(part) and not got.endswith("\n"):  # the line goes on
+                found += fh.readline(40)
+            raise _differs("footer", line_no, column + same + 1, part[same:], found)
+        column += len(part)
+    text, line_no = _past_blank_lines(partial(fh.readline, limit), line_no)
+    if text:
+        raise ParseError(f"text after the footer: {text[:40]!r}", line_no)
+    return Transcript(seed=header["seed"], config=config, kinds=kinds)

@@ -262,6 +262,17 @@ class TestCheckCommand:
         assert main(["check", str(bad)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: transcript parse failed: line 1: {message}\n"
 
+    def test_check_of_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "t.qkdlog"
+        main(["run", "--rounds", "50", "--seed", "5", "--out", str(out)])
+        capsys.readouterr()
+        data = out.read_bytes().split(b"\n")
+        data[3] = data[3].replace(b'"label":"', b'"label":"\xff', 1)
+        out.write_bytes(b"\n".join(data))
+        assert main(["check", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == ("error: transcript parse failed: transcript is not "
+                                           "UTF-8 text (byte 0xff: invalid start byte)\n")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--min-aborts", "-1", "min_aborts must be >= 0, got -1"),
         ("--frame", "bogus", "frame must be abinitio, weights or both, got 'bogus'"),
@@ -305,12 +316,12 @@ class TestCheckCommand:
         assert "verdict: NO VERDICT" in captured.out and "qber=n/a" in captured.out
         assert captured.err == ""
 
-    @pytest.mark.parametrize("field, edit", [
-        ("verdict", lambda v: "abort" if v == "keep" else "keep"),
+    @pytest.mark.parametrize("field, edit, verdict", [
+        ("verdict", lambda v: "abort" if v == "keep" else "keep", "keep"),
         ("label", lambda label: {"psi": "phi", "psi_perp": "phi_perp",
-                                 "phi": "psi", "phi_perp": "psi_perp"}[label]),
+                                 "phi": "psi", "phi_perp": "psi_perp"}[label], "abort"),
     ])
-    def test_check_rejects_a_round_its_draws_refute(self, tmp_path, capsys, field, edit):
+    def test_check_rejects_a_round_its_draws_refute(self, tmp_path, capsys, field, edit, verdict):
         out = tmp_path / "t.qkdlog"
         main(["run", "--rounds", "400", "--seed", "5", "--out", str(out)])
         capsys.readouterr()
@@ -318,11 +329,15 @@ class TestCheckCommand:
         n = next(i for i, line in enumerate(lines) if '"verdict":"keep"' in line)
         obj = json.loads(lines[n])
         obj[field] = edit(obj[field])
-        lines[n] = json.dumps(obj)
+        lines[n] = json.dumps(obj, separators=(",", ":"))
         out.write_text("\n".join(lines) + "\n")
         assert main(["check", str(out)]) == EXIT_ERROR
+        # the closest canonical line draws the values written, so it differs at the verdict:
+        # the line's own for an edited verdict, the other group's for an edited label
+        column = lines[n].index('"verdict":') + len('"verdict":"') + 1
         assert capsys.readouterr().err.startswith(
-            f"error: transcript parse failed: line {n + 1}: verdict"
+            f"error: transcript parse failed: line {n + 1}: round {n - 1} differs from its "
+            f"canonical text at column {column}: expected '{verdict}\",\"alice_bit\":"
         )
 
 

@@ -47,7 +47,6 @@ from pathspin.protocol import (
     _TAILS,
     RoundRecord,
     _footer_line,
-    _round_from_obj,
 )
 
 
@@ -150,8 +149,9 @@ class TestCanonicalLines:
         assert sorted(_KIND_OF_TAIL.values()) == list(range(64))
         for i, kind in enumerate(sorted(range(64), key=lambda k: repr(_KINDS[k]))):
             line = _ROUND_HEAD + str(i) + _TAILS[kind]
-            by_text = _KIND_OF_TAIL[line.removeprefix(_ROUND_HEAD + str(i))]
-            assert by_text == _round_from_obj(json.loads(line), i, 1) == kind
+            assert _KIND_OF_TAIL[line.removeprefix(_ROUND_HEAD + str(i))] == kind
+            by_json = json.dumps(_round_obj(RoundRecord(i, *_KINDS[kind])), separators=(",", ":"))
+            assert line == by_json + "\n"
 
 
 def _footer_by_json(t: Transcript) -> str:
@@ -529,15 +529,17 @@ class TestSessions:
 
 
 def _drop_header_key(line: str, key: str) -> str:
+    """``line`` without ``key``, written as ``save_transcript`` writes, so only that key differs."""
     head = json.loads(line)
     del head[key]
-    return json.dumps(head)
+    return json.dumps(head, separators=(",", ":"))
 
 
 def _edit_key(line: str, key: str, edit) -> str:
+    """``line`` with ``key`` edited, written as ``save_transcript`` writes, so only it differs."""
     obj = json.loads(line)
     obj[key] = edit(obj[key])
-    return json.dumps(obj)
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _flip_verdict(verdict: str) -> str:
@@ -622,7 +624,7 @@ class TestSerialization:
         assert loaded.rounds == session.rounds
         assert loaded.bob_key == session.bob_key
 
-    def test_round_lines_without_decode_failed_load(self, tmp_path):
+    def test_round_lines_without_decode_failed_are_refused(self, tmp_path):
         session = self._small(n=30)
         path = tmp_path / "session.qkdlog"
         save_transcript(session, path)
@@ -630,9 +632,11 @@ class TestSerialization:
         legacy = [lines[0]] + [_drop_header_key(line, "decode_failed") for line in lines[1:-1]]
         old = tmp_path / "legacy.qkdlog"
         old.write_text("\n".join(legacy + [lines[-1]]) + "\n")
-        loaded = load_transcript(old)
-        assert loaded.rounds == session.rounds
-        assert loaded.bob_key == session.bob_key
+        with pytest.raises(ParseError) as err:
+            load_transcript(old)
+        column = len(legacy[1]) - len("}") + 1
+        assert str(err.value) == (f"line 2: round 0 differs from its canonical text at column "
+                                  f"{column}: expected ',\"decode_failed\":false}}\\n', found '}}\\n'")
 
     def test_replay_of_loaded_transcript(self, tmp_path):
         session = self._small(seed=33)
@@ -646,41 +650,55 @@ class TestSerialization:
         [
             (lambda lines: ["not json"] + lines[1:], "line 1"),
             (lambda lines: lines[1:], "header"),
-            (lambda lines: lines[:-1], "footer"),
-            (lambda lines: lines[:1] + lines[2:], "round"),
-            (lambda lines: lines + [lines[-1]], "footer"),
-            (lambda lines: lines[:3] + ['{"record":"mystery"}'] + lines[3:], "mystery"),
+            (lambda lines: lines[:-1], "line 10: transcript ended before footer record"),
+            (lambda lines: lines[:1] + lines[2:],
+             "line 2: round 0 differs from its canonical text at column 33: expected '0,"),
+            (lambda lines: lines + [lines[-1]],
+             "line 11: text after the footer: '{\"record\":\"footer\""),
+            (lambda lines: lines[:3] + ['{"record":"mystery"}'] + lines[3:],
+             "line 4: round 2 differs from its canonical text at column 12: expected 'round\","
+             "\"round_index\":2,"),
             (lambda lines: [_drop_header_key(lines[0], "config")] + lines[1:],
              "line 1: header needs a config"),
             (lambda lines: [_drop_header_key(lines[0], "seed")] + lines[1:],
              "line 1: header needs an integer seed"),
-            (lambda lines: lines[:1] + ["[1,2]"] + lines[1:], "line 2"),
-            (lambda lines: lines[:1] + ["7"] + lines[1:], "line 2"),
+            (lambda lines: lines[:1] + ["[1,2]"] + lines[1:],
+             "line 2: round 0 differs from its canonical text at column 1: "
+             "expected '{\"record\":\"round\",\"round_index\":0,"),
+            (lambda lines: lines[:1] + ["7"] + lines[1:], "column 1: expected '{\"record"),
             (lambda lines: lines[:-1] + [_edit_key(lines[-1], "declarations",
                                                    lambda ds: [[i, "psi"] for i, _ in ds])],
-             "line 10: footer declarations"),
+             "line 10: footer differs from its canonical text at column 41: expected 'hi\"]"),
             (lambda lines: lines[:-1] + [_edit_key(lines[-1], "alice_key",
                                                    lambda key: "7" + key[1:])],
-             "line 10: footer alice_key"),
+             "line 10: footer differs from its canonical text at column 80: expected '0"),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "round_index", lambda i: 99999)]
-             + lines[2:], "line 2: round_index 99999"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 33: "
+             "expected '0,\"label\":\"psi\",\"phi\":\"pi/2\""),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "verdict", _flip_verdict)]
-             + lines[2:], "line 2: verdict"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 113: "
+             "expected 'keep\",\"alice_bit\":0,\"bob_bit\":0,"),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "label", _other_group_label)]
-             + lines[2:], "line 2"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 113: "
+             "expected 'abort\",\"alice_bit\":0,\"bob_bit\":null,"),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "alice_bit", lambda b: float("inf"))]
-             + lines[2:], "line 2"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 131: "
+             "expected '0,\"bob_bit\"", ),
             (lambda lines: lines[:1] + [_edit_key(lines[1], "round_index", lambda i: float("inf"))]
-             + lines[2:], "line 2: round_index inf"),
+             + lines[2:], "column 33: expected '0,\"label\":\"psi\",\"phi\":\"pi/2\",\"basis\":"
+             "\"z\"', found 'Infinity,"),
             (lambda lines: lines + [lines[1].replace('"round_index":0,', '"round_index":8,')],
-             "line 11: round record after footer"),
-            (lambda lines: lines[:2] + [lines[1]] + lines[2:], "line 3: round_index 0, expected 1"),
+             "line 11: text after the footer: '{\"record\":\"round\",\"round_index\":8,"),
+            (lambda lines: lines[:2] + [lines[1]] + lines[2:],
+             "line 3: round 1 differs from its canonical text at column 33: expected '1,"),
             (lambda lines: [lines[1]] + lines, "line 1: expected header record"),
             (lambda lines: lines[:1] + ["[" * 100000 + "]" * 100000] + lines[1:],
-             "line 2: invalid JSON"),
+             "line 2: round 0 differs from its canonical text at column 1: "
+             "expected '{\"record\":\"round\",\"round_index\":0,\"label', found '[[[["),
             (lambda lines: lines[:1]
              + [lines[1].replace('"alice_bit":', '"alice_bit":' + "1" * 5000)] + lines[2:],
-             "line 2: invalid JSON (integer literal too long)"),
+             "line 2: round 0 differs from its canonical text at column 131: "
+             "expected '0,\"bob_bit\":0,\"decode_failed\":false}\\n', found '1111"),
             (lambda lines: [_edit_key(lines[0], "seed", lambda seed: True)] + lines[1:],
              "line 1: header needs an integer seed, got True"),
             (lambda lines: [_edit_key(lines[0], "version", lambda version: True)] + lines[1:],
@@ -690,26 +708,36 @@ class TestSerialization:
             (lambda lines: [_edit_key(lines[0], "config", lambda cfg: {**cfg, "n_rounds": 8.0})]
              + lines[1:], "line 1: header needs an integer n_rounds, got 8.0"),
             (lambda lines: lines[:1] + [lines[1].replace('"alice_bit":0,', '"alice_bit":0.0,')]
-             + lines[2:], "line 2: alice_bit 0.0, expected 0"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 132: "
+             "expected ',\"bob_bit\":0,\"decode_failed\":false}\\n', found '.0,"),
             (lambda lines: lines[:1] + [lines[1].replace('"decode_failed":false',
                                                          '"decode_failed":0')]
-             + lines[2:], "line 2: decode_failed 0, expected False"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 161: "
+             "expected 'false}\\n', found '0}\\n'"),
             (lambda lines: lines[:1] + [lines[1].replace('"round_index":0,', '"round_index":0.0,')]
-             + lines[2:], "line 2: round_index 0.0, expected 0"),
+             + lines[2:], "line 2: round 0 differs from its canonical text at column 34: "
+             "expected ',\"label\":\"psi\",\"phi\":\"pi/2\",\"basis\":\"z\",', found '.0,"),
             (lambda lines: lines[:3] + [lines[3].replace('"bob_bit":1,', '"bob_bit":true,')]
-             + lines[4:], "line 4: bob_bit True, expected 1"),
+             + lines[4:], "line 4: round 2 differs from its canonical text at column 148: "
+             "expected '1,\"decode_failed\":false}\\n', found 'true,"),
             (lambda lines: lines[:-1] + [_edit_key(lines[-1], "declarations",
                                                    lambda ds: [[1.0, ds[0][1]]] + ds[1:])],
-             "line 10: footer declarations"),
+             "line 10: footer differs from its canonical text at column 38: "
+             "expected ',\"phi\"],[3,\"psi\"],[5,\"psi\"]', found '.0,"),
             (lambda lines: lines[:-1] + [_edit_key(lines[-1], "declarations",
                                                    lambda ds: [[True, ds[0][1]]] + ds[1:])],
-             "line 10: footer declarations"),
+             "line 10: footer differs from its canonical text at column 37: "
+             "expected '1,\"phi\"],[3,\"psi\"],[5,\"psi\"]', found 'true,"),
             (lambda lines: lines[:-1] + [lines[-1][:-1] + ',"extra":1}'],
-             "line 10: footer extra does not match"),
+             "line 10: footer differs from its canonical text at column 104: "
+             "expected '}', found ',\"extra\":1}\\n'"),
             (lambda lines: lines[:1] + [lines[1][:-1] + ',"extra":1}'] + lines[2:],
-             "line 2: round record with unknown key 'extra'"),
+             "line 2: round 0 differs from its canonical text at column 166: "
+             "expected '}\\n', found ',\"extra\":1}\\n'"),
             (lambda lines: lines[:2] + [_drop_header_key(lines[2], "bob_bit")] + lines[3:],
-             "line 3: round record without 'bob_bit'"),
+             "line 3: round 1 differs from its canonical text at column 135: "
+             "expected 'bob_bit\":null,\"decode_failed\":false}\\n', "
+             "found 'decode_failed\":false}\\n'"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
@@ -744,7 +772,7 @@ class TestSerialization:
         ],
         ids=["uniform", "tapped-always-z", "full-tap"],
     )
-    def test_respelled_round_lines_load_like_canonical_ones(self, tmp_path, alice, bob, eve):
+    def test_respelled_round_lines_are_refused_at_the_first(self, tmp_path, alice, bob, eve):
         session = run_session(600, alice, bob, eve=eve, seed=17)
         path = tmp_path / "session.qkdlog"
         save_transcript(session, path)
@@ -753,12 +781,18 @@ class TestSerialization:
         assert all(new != old for new, old in zip(respelled, lines[1:-1]))
         other = tmp_path / "respelled.qkdlog"
         other.write_text("\n".join([lines[0]] + respelled + [lines[-1]]) + "\n")
-        canonical = load_transcript(path)
-        assert canonical == session
-        assert load_transcript(other) == canonical
+        assert load_transcript(path) == session
+        with pytest.raises(ParseError) as err:
+            load_transcript(other)
+        assert str(err.value).startswith(
+            "line 2: round 0 differs from its canonical text at column 3: "
+            "expected 'record\":\"round\",\"round_index\":0,\"label\":', "
+            "found 'decode_failed\": false, \"bob_bit\": ")
 
-    @pytest.mark.parametrize("edit", ["crlf", "trailing-spaces", "no-final-newline"])
-    def test_off_canonical_line_ends_load_like_canonical_ones(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, line, found", [
+        ("crlf", 2, r"'\r\n'"), ("trailing-spaces", 6, r"'  \n'"), ("no-final-newline", None, None),
+    ])
+    def test_only_the_final_newline_may_be_left_out(self, tmp_path, edit, line, found):
         session = run_session(300, AlicePolicy.family(0.9), BobPolicy(), seed=12,
                               eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
         buf = io.StringIO()
@@ -772,21 +806,29 @@ class TestSerialization:
             text = "".join(lines)
         else:
             text = text[:-1]
-        canonical = load_transcript(io.StringIO(buf.getvalue()))
-        assert canonical == session
-        assert load_transcript(io.StringIO(text)) == canonical
+        assert load_transcript(io.StringIO(buf.getvalue())) == session
         path = tmp_path / "edited.qkdlog"
         path.write_bytes(text.encode("utf-8"))
-        assert load_transcript(path) == canonical
+        for src in (io.StringIO(text), path):  # a file is read with its line ends untranslated
+            if line is None:
+                assert load_transcript(src) == session
+                continue
+            with pytest.raises(ParseError) as err:
+                load_transcript(src)
+            column = len(buf.getvalue().splitlines(keepends=True)[line - 1])  # the newline's
+            assert str(err.value) == (f"line {line}: round {line - 2} differs from its canonical "
+                                      f"text at column {column}: expected '\\n', found {found}")
 
-    def test_round_line_with_extra_text_at_end_of_file_is_invalid_json(self):
+    def test_round_line_with_extra_text_at_end_of_file_is_refused(self):
         session = self._small(n=3)
         buf = io.StringIO()
         save_transcript(session, buf)
         lines = buf.getvalue().splitlines()
         # the last line is a canonical round line plus one character, without newline
-        with pytest.raises(ParseError, match="line 4: invalid JSON"):
+        with pytest.raises(ParseError) as err:
             load_transcript(io.StringIO("\n".join(lines[:3]) + "\n" + lines[3] + "x"))
+        assert str(err.value) == (f"line 4: round 2 differs from its canonical text at column "
+                                  f"{len(lines[3]) + 1}: expected '\\n', found 'x'")
 
     def test_version_mismatch_rejected(self, tmp_path):
         session = self._small(n=4)

@@ -3,18 +3,20 @@
 Each mutant changes one thing in a canonical tapped transcript: it retypes a
 value, changes a string's case, reorders, drops, duplicates or renames a key,
 respaces a line, drops, duplicates or inserts a line, or flips a footer digit.
-The test's own oracle calls a mutant typed-equal when its non-blank lines
-parse to the same JSON objects as the original's, compared as sorted
-``json.dumps`` text (so ``1``, ``1.0`` and ``true`` differ), a round line
-without ``decode_failed`` reading it as ``false``.  A typed-equal mutant must
-load to the original transcript; every other one must raise ``ParseError`` at
-the line it changed (for a dropped line: the line now in its place, or the
-end of the file).  Any other exception fails the test.
+The test's own oracle calls a mutant the same file when its non-blank lines
+are the original's, byte for byte, but for the header, which is parsed and so
+compared as its JSON object in sorted ``json.dumps`` text (``1``, ``1.0`` and
+``true`` differ).  The same file must load to the original transcript; every
+other mutant must raise ``ParseError`` at the line it changed (for a dropped
+line: the line now in its place, or the end of the file).  Any other
+exception fails the test.
 """
 
+import ast
 import io
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -47,20 +49,37 @@ def canonical():
     return session, out.getvalue().split("\n")[:-1]
 
 
-def _as_read(lines: list[str]) -> list[str] | None:
-    """The oracle: each non-blank line's object as sorted JSON text, or None if one is no JSON."""
-    objects = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            return None
-        if isinstance(obj, dict) and obj.get("record") == "round":
-            obj.setdefault("decode_failed", False)  # a round line may leave it out
-        objects.append(json.dumps(obj, sort_keys=True))
-    return objects
+def _as_read(lines: list[str]) -> list[str | None]:
+    """The oracle: the non-blank lines, the first as its object in sorted JSON text (None if it
+    is no JSON), the others as they are."""
+    header, *rest = [line for line in lines if line.strip()] or [""]
+    try:
+        header = json.dumps(json.loads(header), sort_keys=True)
+    except ValueError:
+        header = None
+    return [header, *rest]
+
+
+def _limit(n_rounds: int) -> int:
+    """One character more than the longest canonical round line of a session of ``n_rounds``."""
+    return len(protocol._ROUND_HEAD + str(n_rounds - 1)) + max(map(len, protocol._TAILS)) + 1
+
+
+_DIFFERS = re.compile(r"line \d+: .+ differs from its canonical text at column (\d+): "
+                      r"expected ('.*'|\".*\"), found ('.*'|\".*\")")
+
+
+def _assert_differs(error: ParseError, canonical: str, found: str) -> None:
+    """``error`` names the first column at which line ``found`` differs from ``canonical``, both
+    newline included, and no more than 40 characters of each from there."""
+    match = _DIFFERS.fullmatch(str(error))
+    assert match, error
+    column = int(match[1])
+    expected, got = map(ast.literal_eval, match.group(2, 3))
+    assert canonical[:column - 1] == found[:column - 1], error
+    assert canonical[column - 1] != found[column - 1:column], error
+    assert canonical[column - 1:].startswith(expected) and 0 < len(expected) <= 40, error
+    assert found[column - 1:].startswith(got) and len(got) <= 40, error
 
 
 def _dump(items: list, comma: str = ",", colon: str = ":") -> str:
@@ -181,7 +200,7 @@ MUTATIONS = (drop_line, duplicate_line, insert_blank_line, retype_value, reorder
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_a_mutant_loads_exactly_when_typed_equal(canonical, seed):
+def test_a_mutant_loads_exactly_when_byte_identical_up_to_blank_lines(canonical, seed):
     session, lines = canonical
     original = _as_read(lines)
     rng = random.Random(seed)
@@ -189,43 +208,53 @@ def test_a_mutant_loads_exactly_when_typed_equal(canonical, seed):
     for n in range(MUTANTS_PER_SEED):
         mutate = rng.choice(MUTATIONS)
         mutant, where = mutate(lines, rng)
-        typed_equal = _as_read(mutant) == original
+        same = _as_read(mutant) == original
         context = (f"mutant {n} of seed {seed} ({mutate.__name__}), line {where}: "
                    f"{mutant[where - 1] if where <= len(mutant) else '<end of file>'!r}")
         try:
             loaded = load_transcript(io.StringIO("\n".join(mutant) + "\n"))
         except ParseError as exc:
-            assert not typed_equal, f"{context} refused: {exc}"
+            assert not same, f"{context} refused: {exc}"
             assert exc.line == where, f"{context} refused at another line: {exc}"
             outcomes["refused"] += 1
         else:
-            assert typed_equal, f"{context} loaded"
+            assert same, f"{context} loaded"
             assert loaded == session, f"{context} loaded as another transcript"
-            outcomes["loaded"] += 1
-    # both outcomes are reached, so neither branch above is vacuous
-    assert outcomes["refused"] > MUTANTS_PER_SEED // 4
-    assert outcomes["loaded"] > MUTANTS_PER_SEED // 10
+            outcomes[f"loaded {mutate.__name__}"] += 1
+    # both outcomes are reached, so neither branch above is vacuous; a blank line always loads
+    assert outcomes["refused"] > MUTANTS_PER_SEED // 2
+    assert outcomes["loaded insert_blank_line"] > MUTANTS_PER_SEED // 20
 
 
 class _Reads(io.StringIO):
-    """A text stream that keeps the length of the longest string a read or iteration hands out."""
+    """A text stream that keeps the length of each string a read or iteration hands out.
 
-    longest = 0
+    ``load_transcript`` reads with ``readline`` alone; the other two are kept so that a reader
+    that iterated the stream would be measured as well."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.sizes = []
 
     def readline(self, size=-1):
         line = super().readline(size)
-        self.longest = max(self.longest, len(line))
+        self.sizes.append(len(line))
         return line
 
     def readlines(self, hint=-1):
         lines = super().readlines(hint)
-        self.longest = max([self.longest, *map(len, lines)])
+        self.sizes.extend(map(len, lines))
         return lines
 
     def __next__(self):
         line = super().__next__()
-        self.longest = max(self.longest, len(line))
+        self.sizes.append(len(line))
         return line
+
+    @property
+    def longest_after_the_header(self) -> int:
+        """The longest string handed out after the first, the header, which is read whole."""
+        return max(self.sizes[1:])
 
 
 class TestBulkReadEdges:
@@ -235,10 +264,10 @@ class TestBulkReadEdges:
     ``_ROUND_BLOCK`` lines and every index width up to five digits.  A mutation is made
     at the first round after the header, at both sides of a block boundary, at both sides
     of each change of index width (where the expected heads grow a digit) and at the last
-    round.  ``_as_read`` decides as in the fuzz above, applied to the changed lines only:
-    all others are the same on both sides.
-    A round line given another kind's canonical tail is typed-unequal but canonical, so
-    it is checked against the footer instead.
+    round.  Only the canonical file loads, the newline at its end optional; any other is
+    refused at the line that differs.
+    A round line given another kind's canonical tail is canonical, so it is checked against
+    the footer instead.
     """
 
     ROUNDS = 12_000
@@ -257,8 +286,7 @@ class TestBulkReadEdges:
         block_ends = [1 + min(end, self.ROUNDS) for end in range(block, self.ROUNDS + block, block)]
         # mutations are made at both sides of the third block's last line, so a fourth follows
         assert len(block_ends) >= 4
-        lines = text.split("\n")[:-1]
-        return session, lines, _as_read(lines), block_ends
+        return session, text.split("\n")[:-1], block_ends
 
     @staticmethod
     def _turning_lines(block_ends) -> list[int]:
@@ -273,26 +301,22 @@ class TestBulkReadEdges:
 
     def _expect(self, big, where, edited, cut=False, end="\n"):
         """Load the lines with line ``where`` replaced by ``edited`` and, if ``cut``, none after
-        it, the file ending in ``end``: a typed-equal mutant loads to the session, any other
-        fails at line ``where`` (past the end of a cut file, if only the footer is missing)."""
-        session, lines, original, _ = big
+        it, the file ending in ``end``: the canonical lines load to the session, any others
+        fail at line ``where``, at the column where ``edited`` differs from the line it replaces."""
+        session, lines, _ = big
         mutant = lines[:where - 1] + [edited] + ([] if cut else lines[where:])
-        typed_equal = _as_read([edited]) == original[where - 1:None if cut else where]
-        try:
-            loaded = self._load(mutant, end)
-        except ParseError as exc:
-            assert not typed_equal, f"line {where} refused: {exc}"
-            only_footer_missing = cut and _as_read([edited]) == original[where - 1:where]
-            expected = where + 1 if only_footer_missing else where
-            assert exc.line == expected, f"line {where} refused at another line: {exc}"
-        else:
-            assert typed_equal, f"line {where} loaded"
-            assert loaded == session, f"line {where} loaded as another transcript"
+        if mutant == lines:
+            assert self._load(mutant, end) == session
+            return
+        with pytest.raises(ParseError) as exc:
+            self._load(mutant, end)
+        assert exc.value.line == where, f"line {where} refused at another line: {exc.value}"
+        _assert_differs(exc.value, lines[where - 1] + "\n", edited + (end if cut else "\n"))
 
     @pytest.mark.parametrize("mutation", ["index_digit", "crlf", "trailing_space", "retyped_bit",
                                           "head_dropped"])
-    def test_a_round_line_mutant_loads_exactly_when_typed_equal(self, big, mutation):
-        _, lines, _, block_ends = big
+    def test_a_round_line_mutant_is_refused_at_its_line(self, big, mutation):
+        _, lines, block_ends = big
         for where in self._turning_lines(block_ends):
             line = lines[where - 1]
             head = protocol._ROUND_HEAD + str(where - 2)
@@ -308,10 +332,11 @@ class TestBulkReadEdges:
             else:
                 bit = '"alice_bit":' + line.split('"alice_bit":')[1][0]
                 edited = line.replace(bit, bit + ".0")
+            assert edited != line
             self._expect(big, where, edited)
 
     def test_another_kinds_tail_is_read_as_that_kind(self, big):
-        session, lines, _, block_ends = big
+        session, lines, block_ends = big
         for where in self._turning_lines(block_ends):
             index = where - 2
             verdict = protocol._KINDS[session.kinds[index]][4]
@@ -320,7 +345,7 @@ class TestBulkReadEdges:
             edited = protocol._ROUND_HEAD + str(index) + protocol._TAILS[other][:-1]
             mutant = lines[:where - 1] + [edited] + lines[where:]
             # the old footer no longer matches: a kept round became aborted or the reverse
-            with pytest.raises(ParseError, match="footer .* does not match") as exc:
+            with pytest.raises(ParseError, match="footer differs from its canonical text") as exc:
                 self._load(mutant)
             assert exc.value.line == len(lines)
             # with the footer of the new kinds, the file loads as those kinds
@@ -328,15 +353,15 @@ class TestBulkReadEdges:
             assert self._load(mutant).kinds == kinds
 
     def test_a_file_cut_after_a_line_without_its_newline(self, big):
-        _, lines, _, block_ends = big
+        _, lines, block_ends = big
         for where in self._turning_lines(block_ends) + [len(lines)]:
-            # ends before the footer, or (for the footer itself) loads
+            # a round line without its newline is refused at its line; the footer loads
             self._expect(big, where, lines[where - 1], cut=True, end="")
-            # one more character after a canonical tail is no JSON, refused at its line
+            # one more character after a canonical line is refused at its line
             self._expect(big, where, lines[where - 1] + "}", cut=True, end="")
 
     def test_a_footer_canonical_for_other_kinds_is_refused(self, big):
-        session, lines, _, _ = big
+        session, lines, _ = big
         aborted = [i for i, k in enumerate(session.kinds)
                    if protocol._KINDS[k][4] is Verdict.ABORT]
         index = aborted[len(aborted) // 2]
@@ -346,18 +371,19 @@ class TestBulkReadEdges:
         kinds = session.kinds[:index] + bytes([other]) + session.kinds[index + 1:]
         mutant = lines[:-1] + [protocol._footer_line(kinds)]
         assert mutant[-1] != lines[-1]
-        with pytest.raises(ParseError, match="footer declarations does not match") as exc:
+        with pytest.raises(ParseError) as exc:
             self._load(mutant)
         assert exc.value.line == len(lines)
+        _assert_differs(exc.value, lines[-1] + "\n", mutant[-1] + "\n")
 
     def test_a_canonical_footer_then_a_duplicate_is_refused(self, big):
-        _, lines, _, _ = big
-        with pytest.raises(ParseError, match="duplicate footer record") as exc:
+        _, lines, _ = big
+        with pytest.raises(ParseError, match="text after the footer") as exc:
             self._load(lines + [lines[-1]])
         assert exc.value.line == len(lines) + 1
 
     def test_a_canonical_file_parses_only_its_header_as_json(self, big, monkeypatch):
-        session, lines, _, block_ends = big
+        session, lines, block_ends = big
         parsed, taken = [], []
         read_json, canonical_rounds = protocol.read_json, protocol._canonical_rounds
         monkeypatch.setattr(protocol, "read_json",
@@ -373,12 +399,12 @@ class TestBulkReadEdges:
         assert sum(taken) == self.ROUNDS
 
     @pytest.mark.parametrize("blank", [False, True])
-    def test_short_round_lines_across_blocks_leave_the_footer_read_in_parts(self, big,
-                                                                           monkeypatch, blank):
-        # the last 1500 round lines, over two blocks, written without decode_failed: each is
-        # shorter than any canonical line, and, with a blank line among them or not, the
-        # blocks end by the last announced round and the footer is matched as it is read
-        session, lines, _, _ = big
+    def test_short_round_lines_across_blocks_are_refused_at_the_first(self, big, monkeypatch,
+                                                                      blank):
+        # the last 1500 round lines, over two blocks, written without decode_failed, with a
+        # blank line among them or not: the first is refused at its line, and no read hands
+        # out more than one more character than the longest canonical round line
+        session, lines, _ = big
         short = [line.replace(',"decode_failed":false', "") for line in lines[-1501:-1]]
         assert all(map(str.__ne__, short, lines[-1501:-1]))
         head = lines[:-1501] + short[:700] + [""] * blank + short[700:]
@@ -387,10 +413,13 @@ class TestBulkReadEdges:
         monkeypatch.setattr(protocol, "read_json",
                             lambda raw, line: parsed.append(line) or read_json(raw, line))
         fh = _Reads("\n".join(head + [lines[-1]]) + "\n")
-        assert load_transcript(fh) == session
+        with pytest.raises(ParseError) as exc:
+            load_transcript(fh)
         first = len(lines) - 1500  # the first short line's 1-based number
-        assert parsed == [1, *range(first, first + 700), *range(first + 700 + blank, len(head) + 1)]
-        assert 0 < fh.longest < len(lines[-1])
+        assert exc.value.line == first
+        _assert_differs(exc.value, lines[first - 1] + "\n", short[0] + "\n")
+        assert parsed == [1]
+        assert 0 < fh.longest_after_the_header <= _limit(self.ROUNDS)
 
 
 class TestFooterInParts:
@@ -424,15 +453,9 @@ class TestFooterInParts:
         save_transcript(loaded, out)
         assert out.getvalue() == text
 
-    @pytest.mark.parametrize("edit, message", [
-        ("last_index", "footer declarations does not match the round records"),
-        ("last_label", "footer declarations does not match the round records"),
-        ("boundary_comma", "invalid JSON (Expecting ',' delimiter)"),
-        ("key_digit", "footer alice_key does not match the round records"),
-        ("left_over", "footer extra does not match the round records"),
-    ])
-    def test_a_footer_changed_in_one_part_is_refused_at_its_line(self, canonical, parts, edit,
-                                                               message):
+    @pytest.mark.parametrize("edit", ["last_index", "last_label", "boundary_comma", "key_digit",
+                                      "left_over"])
+    def test_a_footer_changed_in_one_part_is_refused_at_its_line(self, canonical, parts, edit):
         _, lines = canonical
         parts = list(parts)
         last = len(parts) - 3  # the last declaration part
@@ -456,7 +479,8 @@ class TestFooterInParts:
         assert footer != lines[-1]
         with pytest.raises(ParseError) as exc:
             load_transcript(io.StringIO("\n".join(lines[:-1] + [footer]) + "\n"))
-        assert str(exc.value) == f"line {len(lines)}: {message}"
+        assert exc.value.line == len(lines)
+        _assert_differs(exc.value, lines[-1] + "\n", footer + "\n")
 
     @staticmethod
     def _edge(name: str, lines: list[str], parts: list[str]) -> str:
@@ -485,32 +509,31 @@ class TestFooterInParts:
             return "\n".join(head + [footer + " text"]) + "\n"
         if name == "blank_lines_around":
             return "\n".join(head + ["", footer, "", " "]) + "\n"
-        # the last 12 rounds' lines written without decode_failed are shorter than any
-        # canonical line, but still one line a round
+        # the last 12 rounds' lines written without decode_failed
         short = [line.replace(',"decode_failed":false', "") for line in head[-12:]]
         if name == "short_last_rounds":
             return "\n".join(head[:-12] + short + [footer]) + "\n"
         assert name == "blank_among_short_last_rounds"
         return "\n".join(head[:-12] + short[:6] + [""] + short[6:] + [footer]) + "\n"
 
-    #: Each edge's outcome: None where the file loads, else the error's message and its line,
-    #: counted from the footer's (0); a footer read a part at a time or whole gives the same.
+    #: Each edge's outcome: None where the file loads, else the line of the error, counted from
+    #: the footer's (0), and the start of its message after the line.
     EDGES = {
-        "cut_after_part_1": ("invalid JSON (Expecting value)", 0),
-        "cut_after_part_3": ("invalid JSON (Expecting ',' delimiter)", 0),
-        "cut_after_part_14": ("invalid JSON (Expecting ',' delimiter)", 0),
-        "cut_at_boundary_then_newline": ("invalid JSON (Expecting ',' delimiter)", 0),
-        "trailing_spaces": None,
-        "crlf": None,
+        "cut_after_part_1": (0, "footer differs"),
+        "cut_after_part_3": (0, "footer differs"),
+        "cut_after_part_14": (0, "footer differs"),
+        "cut_at_boundary_then_newline": (0, "footer differs"),
+        "trailing_spaces": (0, "footer differs"),
+        "crlf": (-40, "round 0 differs"),  # the first round line
         "no_final_newline": None,
-        "leading_space": None,
-        "round_after": ("round record after footer", 1),
-        "second_footer": ("duplicate footer record", 1),
-        "text_after": ("invalid JSON (Expecting value)", 1),
-        "text_on_its_line": ("invalid JSON (Extra data)", 0),
+        "leading_space": (0, "footer differs"),
+        "round_after": (1, "text after the footer: '{\"record\":\"round\","),
+        "second_footer": (1, "text after the footer: '{\"record\":\"footer\","),
+        "text_after": (1, "text after the footer: 'text\\n'"),
+        "text_on_its_line": (0, "footer differs"),
         "blank_lines_around": None,
-        "short_last_rounds": None,
-        "blank_among_short_last_rounds": None,
+        "short_last_rounds": (-12, "round 28 differs"),  # the first short line
+        "blank_among_short_last_rounds": (-12, "round 28 differs"),
     }
 
     @pytest.mark.parametrize("name", EDGES)
@@ -520,32 +543,85 @@ class TestFooterInParts:
         if self.EDGES[name] is None:
             assert load_transcript(io.StringIO(text)) == session
             return
-        message, offset = self.EDGES[name]
+        offset, message = self.EDGES[name]
         with pytest.raises(ParseError) as exc:
             load_transcript(io.StringIO(text))
-        assert str(exc.value) == f"line {len(lines) + offset}: {message}"
+        line = len(lines) + offset
+        assert str(exc.value).startswith(f"line {line}: {message}")
+        if "differs" in message:
+            _assert_differs(exc.value, lines[line - 1] + "\n",
+                            io.StringIO(text).readlines()[line - 1])
 
-    @pytest.mark.parametrize("name", ["trailing_spaces", "crlf", "no_final_newline",
-                                      "blank_lines_around", "short_last_rounds",
-                                      "blank_among_short_last_rounds"])
-    def test_no_read_hands_out_the_footer_whole(self, canonical, parts, name):
-        # a block of round lines holds no more lines than rounds are left, however they are
-        # spelled, so it ends by the last announced round; the footer after it is read a
-        # part at a time
+    @pytest.mark.parametrize("name", EDGES)
+    def test_no_read_hands_out_more_than_a_round_line_or_a_footer_part(self, canonical, parts,
+                                                                      name):
+        # round lines are read a line's piece at a time, capped one character past the longest
+        # canonical one, and the footer a part at a time: neither is ever held whole
         session, lines = canonical
         fh = _Reads(self._edge(name, lines, parts))
-        assert load_transcript(fh) == session
-        assert 0 < fh.longest < len(lines[-1])
+        try:
+            assert load_transcript(fh) == session
+        except ParseError:
+            assert self.EDGES[name] is not None
+        bound = max(_limit(len(session.kinds)), *map(len, parts))
+        assert 0 < fh.longest_after_the_header <= bound < len(lines[-1])
 
-    @pytest.mark.parametrize("name, parses", [("leading_space", 1), ("short_last_rounds", 0)])
-    def test_a_footer_the_streamed_read_does_not_take_is_parsed_once(self, canonical, parts,
-                                                                    monkeypatch, name, parses):
-        # the footer read a part at a time is matched by text, after round lines of any
-        # spelling; one with leading whitespace is parsed once and compared by keys
+    @pytest.mark.parametrize("name", EDGES)
+    def test_only_the_header_is_parsed_as_json(self, canonical, parts, monkeypatch, name):
         session, lines = canonical
         parsed = []
         read_json = protocol.read_json
         monkeypatch.setattr(protocol, "read_json",
                             lambda raw, line: parsed.append(line) or read_json(raw, line))
-        assert load_transcript(io.StringIO(self._edge(name, lines, parts))) == session
-        assert parsed.count(len(lines)) == parses
+        try:
+            load_transcript(io.StringIO(self._edge(name, lines, parts)))
+        except ParseError:
+            pass
+        assert parsed == [1]
+
+
+class TestCappedReads:
+    """A file that goes on long after it first differs from the canonical one is refused at its
+    line, and no read hands out more than one character past the longest canonical round line,
+    or one footer part, whatever follows."""
+
+    ROUNDS = 3000
+
+    @pytest.fixture(scope="class")
+    def canonical(self):
+        session = run_session(n_rounds=self.ROUNDS, alice=AlicePolicy.family(0.7),
+                              bob=BobPolicy(), eve=InterceptResend(PhaseChoice.PHI_0,
+                                                                   SpinBasis.Y, 0.5), seed=23)
+        out = io.StringIO()
+        save_transcript(session, out)
+        return session, out.getvalue().split("\n")[:-1]
+
+    MEGABYTE = "x" * (1 << 20)
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("last_round_deleted", ROUNDS + 1, "header announces 3000 rounds, found 2999"),
+        ("footer_changed_in_its_first_part", ROUNDS + 2,
+         "footer differs from its canonical text at column 12: expected 'footer\""),
+        ("megabyte_line_for_round_5", 7,
+         "round 5 differs from its canonical text at column 1: expected '{\"record\""),
+        ("megabyte_after_the_footer", ROUNDS + 3, "text after the footer: 'xxxx"),
+    ])
+    def test_a_long_file_is_refused_at_its_line_with_capped_reads(self, canonical, name, line,
+                                                                 message):
+        session, lines = canonical
+        head, footer = lines[:-1], lines[-1]
+        text = {
+            "last_round_deleted": lambda: "\n".join(head[:-1] + [footer]) + "\n",
+            "footer_changed_in_its_first_part":
+                lambda: "\n".join(head + [footer.replace('"footer"', '"FOOTER"', 1)]) + "\n",
+            "megabyte_line_for_round_5": lambda: "\n".join(head[:6] + [self.MEGABYTE]),
+            "megabyte_after_the_footer": lambda: "\n".join(lines + [self.MEGABYTE]),
+        }[name]()
+        fh = _Reads(text)
+        with pytest.raises(ParseError) as exc:
+            load_transcript(fh)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: {message}")
+        parts = list(protocol._footer_parts(session.kinds))
+        bound = max(_limit(self.ROUNDS), *map(len, parts))
+        assert 0 < fh.longest_after_the_header <= bound < len(footer)
