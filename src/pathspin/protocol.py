@@ -18,11 +18,10 @@ import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import chain, repeat
 from os.path import commonprefix
 from pathlib import Path
-from typing import IO, Callable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -357,6 +356,19 @@ _ROUND_KEYS = ("label", "phi", "basis", "port", "spin",
                "verdict", "alice_bit", "bob_bit", "decode_failed")
 
 
+#: The header line is read with this cap, newline included, so a longer first line is refused
+#: without being held whole.  No header ``run`` writes comes near it: with a seed and
+#: ``n_rounds`` of 4300 digits, the interpreter's limit for reading an integer, and every float
+#: at its longest repr, a header is under 9000 characters.
+_HEADER_LIMIT = 1 << 14
+
+
+def _header_line(seed: int, config: dict) -> str:
+    """The header line ``save_transcript`` writes, newline included."""
+    header = {"record": "header", "version": TRANSCRIPT_VERSION, "seed": seed, "config": config}
+    return json.dumps(header, separators=(",", ":")) + "\n"
+
+
 #: Every round line starts with these bytes and continues with its index.
 _ROUND_HEAD = '{"record":"round","round_index":'
 #: The fields of each kind's round line after ``round_index``, as written, by kind index.
@@ -444,19 +456,6 @@ def _round_refused(text: str, index: int, n_rounds: int, line: int) -> ParseErro
     return _differs(f"round {index}", line, same + 1, closest[same:], text[same:])
 
 
-def _past_blank_lines(read: Callable[[], str], line_no: int) -> tuple[str, int]:
-    """The first piece ``read`` hands out of the next line that is not whitespace only, and that
-    line's number, line ``line_no`` being the last read; ``""`` at the end of the file.
-
-    A line that starts with a piece of whitespace and goes on with text is given by that piece,
-    so it differs from every canonical line at its first column."""
-    start = ""  # the first piece of a blank line not yet ended
-    while (piece := read()).isspace():
-        line_no += not start
-        start = "" if piece.endswith("\n") else start or piece
-    return (start, line_no) if start and piece else (piece, line_no + 1)
-
-
 def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """Write a transcript as line-delimited JSON (.qkdlog).
 
@@ -467,13 +466,7 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
     """
     with (open(dest, "w", encoding="utf-8") if isinstance(dest, (str, Path))
           else nullcontext(dest)) as fh:
-        header = {
-            "record": "header",
-            "version": TRANSCRIPT_VERSION,
-            "seed": transcript.seed,
-            "config": transcript.config,
-        }
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        fh.write(_header_line(transcript.seed, transcript.config))
         kinds = transcript.kinds
         for start in range(0, len(kinds), _ROUND_BLOCK):
             fh.write("".join([f"{_ROUND_HEAD}{i}{_TAILS[kind]}"
@@ -486,20 +479,14 @@ def save_transcript(transcript: Transcript, dest: str | Path | IO[str]) -> None:
 def load_transcript(src: str | Path | IO[str]) -> Transcript:
     """Parse a .qkdlog file back into a Transcript.
 
-    Blank lines are skipped; the first other line must be the header, read
-    whole and parsed by ``read_json``.  Its ``version``, ``seed`` and
-    ``n_rounds`` must be JSON integers.  After it, the file must hold exactly
-    the bytes ``save_transcript`` writes for the kinds it names, blank lines
-    aside: each round line is one of the 64 canonical lines of its round,
-    taken by ``_canonical_rounds`` ``_ROUND_BLOCK`` lines at a time and never
-    more lines than rounds are still announced; then the footer, matched a part
-    of ``_footer_parts`` at a time; then only blank lines.  No read hands out
-    more than one footer part or one more character than the longest
-    canonical round line.  Raises ParseError at the first line that differs,
-    naming the round or the footer, the first differing column, and the
-    expected and found text; also on malformed or unsupported header JSON, a
-    transcript that ends early, a footer before the last announced round, and
-    text that is not UTF-8.
+    A file loads exactly when ``save_transcript`` of what it loads writes the
+    same bytes, and the header's ``version``, ``seed`` and ``n_rounds`` are
+    JSON integers.  No read hands out more than ``_HEADER_LIMIT`` characters,
+    one footer part, or one more than the longest canonical round line.
+    Raises ParseError at the first line that differs, naming the header, the
+    round or the footer, the first differing column, and the expected and
+    found text; also on malformed header JSON, a transcript that ends early,
+    and text that is not UTF-8.
     """
     with (open(src, encoding="utf-8", newline="\n") if isinstance(src, (str, Path))
           else nullcontext(src)) as fh:
@@ -512,55 +499,51 @@ def load_transcript(src: str | Path | IO[str]) -> Transcript:
 
 def _read_transcript(fh: IO[str]) -> Transcript:
     """``load_transcript`` of an open text stream."""
-    for line_no, raw in enumerate(iter(fh.readline, ""), 1):
-        if raw.strip():
-            break
-    else:
-        raise ParseError("empty transcript, missing header record", line=1)
-    header = read_json(raw.strip(), line_no)
+    raw = fh.readline(_HEADER_LIMIT)
+    if not raw:
+        raise ParseError("empty transcript, missing header record", 1)
+    if len(raw) == _HEADER_LIMIT and not raw.endswith("\n"):
+        raise ParseError(f"header longer than {_HEADER_LIMIT - 1} characters", 1)
+    header = read_json(raw.strip(), 1)
     if header.get("record") != "header":
-        raise ParseError(f"expected header record, got {header.get('record')!r}", line=line_no)
+        raise ParseError(f"expected header record, got {header.get('record')!r}", 1)
     # JSON integers only: True and 1.0 compare equal to 1
     version, config = header.get("version"), header.get("config")
     if not is_json_int(version) or version != TRANSCRIPT_VERSION:
-        raise ParseError(f"unsupported transcript version {version!r}", line_no)
+        raise ParseError(f"unsupported transcript version {version!r}", 1)
     if not isinstance(config, dict):
-        raise ParseError(f"header needs a config object, got {config!r}", line_no)
+        raise ParseError(f"header needs a config object, got {config!r}", 1)
     for key, value in (("seed", header.get("seed")), ("n_rounds", config.get("n_rounds"))):
         if not is_json_int(value):
-            raise ParseError(f"header needs an integer {key}, got {value!r}", line_no)
+            raise ParseError(f"header needs an integer {key}, got {value!r}", 1)
+    # the config keeps the file's key order, so only the spelling can differ
+    canonical = _header_line(header["seed"], config)
+    if raw != canonical:
+        same = len(commonprefix([canonical, raw]))
+        raise _differs("header", 1, same + 1, canonical[same:], raw[same:])
 
     n_rounds = config["n_rounds"]
     # one character more than the longest canonical round line: a longer line is never read whole
     limit = len(f"{_ROUND_HEAD}{max(n_rounds - 1, 0)}") + max(map(len, _TAILS)) + 1
     kinds = bytearray()
     while len(kinds) < n_rounds:
-        # every round takes a line, so a block that takes no more lines than rounds are
-        # still announced ends by the last announced round's line
+        # round i is on line i + 2; a block never reads past the last announced round's line
         block = list(map(fh.readline, repeat(limit, min(_ROUND_BLOCK, n_rounds - len(kinds)))))
         taken = _canonical_rounds(block, kinds)
-        line_no += taken
-        rest = iter(block[taken:])  # past a miss, a line at a time to the block's end
-        while operator.length_hint(rest):
-            text, line_no = _past_blank_lines(lambda: next(rest, None) or fh.readline(limit),
-                                              line_no)
-            if not _canonical_rounds([text], kinds):
-                raise _round_refused(text, len(kinds), n_rounds, line_no)
-    kinds = bytes(kinds)
-    got, line_no = _past_blank_lines(partial(fh.readline, len(_FOOTER_HEAD)), line_no)
-    if not got:
-        raise ParseError("transcript ended before footer record", line_no)
-    column = 0
+        if taken < len(block):
+            raise _round_refused(block[taken], len(kinds), n_rounds, len(kinds) + 2)
+    kinds, line_no, column = bytes(kinds), n_rounds + 2, 0
     for part in chain(_footer_parts(kinds), ["\n"]):
-        got = fh.readline(len(part)) if column else got  # the head is read past the blank lines
-        if got != part and not (part == "\n" and got == ""):  # the file may end without it
+        got = fh.readline(len(part))
+        if got != part:
+            if not (column or got):
+                raise ParseError("transcript ended before footer record", line_no)
             same = len(commonprefix([part, got]))
             found = got[same:]
             if len(got) == len(part) and not got.endswith("\n"):  # the line goes on
                 found += fh.readline(40)
             raise _differs("footer", line_no, column + same + 1, part[same:], found)
         column += len(part)
-    text, line_no = _past_blank_lines(partial(fh.readline, limit), line_no)
-    if text:
-        raise ParseError(f"text after the footer: {text[:40]!r}", line_no)
+    if text := fh.readline(40):
+        raise ParseError(f"text after the footer: {text!r}", line_no + 1)
     return Transcript(seed=header["seed"], config=config, kinds=kinds)

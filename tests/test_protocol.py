@@ -542,6 +542,11 @@ def _edit_key(line: str, key: str, edit) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _dump_reversed(line: str) -> str:
+    """``line`` with its keys in reverse order, written as ``save_transcript`` writes."""
+    return json.dumps(dict(reversed(json.loads(line).items())), separators=(",", ":"))
+
+
 def _flip_verdict(verdict: str) -> str:
     return "abort" if verdict == "keep" else "keep"
 
@@ -614,15 +619,58 @@ class TestSerialization:
         for r, line in zip(session.rounds, lines[1:-2]):
             assert line == json.dumps(_round_obj(r), separators=(",", ":"))
 
-    def test_leading_blank_lines_before_header_are_skipped(self, tmp_path):
+    def test_a_21_megabyte_first_line_is_refused_with_a_capped_read(self, tmp_path):
+        path = tmp_path / "long-header.qkdlog"
+        path.write_text("x" * 21_000_000 + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                load_transcript(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("line 1: header longer than "
+                                  f"{protocol._HEADER_LIMIT - 1} characters")
+        assert peak < 1e6
+
+    def test_a_header_loads_up_to_its_cap_and_no_further(self):
+        # the config's contents are not checked here, so a padding key sets the header's length
+        session = self._small(n=3)
+        pad = protocol._HEADER_LIMIT - len(protocol._header_line(session.seed,
+                                                                 {**session.config, "pad": ""}))
+        fits, over = (Transcript(session.seed, {**session.config, "pad": "p" * n}, session.kinds)
+                      for n in (pad, pad + 1))
+        buf = io.StringIO()
+        save_transcript(fits, buf)
+        assert len(buf.getvalue().split("\n")[0]) + 1 == protocol._HEADER_LIMIT  # newline included
+        assert load_transcript(io.StringIO(buf.getvalue())) == fits
+        buf = io.StringIO()
+        save_transcript(over, buf)
+        with pytest.raises(ParseError) as err:
+            load_transcript(io.StringIO(buf.getvalue()))
+        assert str(err.value) == ("line 1: header longer than "
+                                  f"{protocol._HEADER_LIMIT - 1} characters")
+
+    def test_a_seed_of_4300_digits_loads_and_saves_back(self):
+        session = self._small(n=5)
+        big = Transcript(seed=-int("9" * 4300), config=session.config, kinds=session.kinds)
+        buf = io.StringIO()
+        save_transcript(big, buf)
+        loaded = load_transcript(io.StringIO(buf.getvalue()))
+        assert loaded == big
+        again = io.StringIO()
+        save_transcript(loaded, again)
+        assert again.getvalue() == buf.getvalue()
+
+    def test_leading_blank_lines_before_header_are_refused_at_line_1(self, tmp_path):
         session = self._small(n=30)
         path = tmp_path / "session.qkdlog"
         save_transcript(session, path)
         padded = tmp_path / "padded.qkdlog"
         padded.write_text("\n \n" + path.read_text())
-        loaded = load_transcript(padded)
-        assert loaded.rounds == session.rounds
-        assert loaded.bob_key == session.bob_key
+        with pytest.raises(ParseError, match="^line 1: invalid JSON") as err:
+            load_transcript(padded)
+        assert err.value.line == 1
 
     def test_round_lines_without_decode_failed_are_refused(self, tmp_path):
         session = self._small(n=30)
@@ -738,6 +786,15 @@ class TestSerialization:
              "line 3: round 1 differs from its canonical text at column 135: "
              "expected 'bob_bit\":null,\"decode_failed\":false}\\n', "
              "found 'decode_failed\":false}\\n'"),
+            (lambda lines: [json.dumps(json.loads(lines[0]))] + lines[1:],
+             "line 1: header differs from its canonical text at column 11: "
+             "expected '\"header\",\"version\":1,"),
+            (lambda lines: [_dump_reversed(lines[0])] + lines[1:],
+             "line 1: header differs from its canonical text at column 3: "
+             "expected 'record\":\"header\",\"version\":1,\"seed\":21,\"', found 'config\":{"),
+            (lambda lines: [lines[0].replace("[0.25,", "[0.90,", 1)] + lines[1:],
+             "line 1: header differs from its canonical text at column 85: "
+             "expected ',0.25,0.25,0.25],\"basis_mode\":"),
         ],
     )
     def test_corrupt_files_raise_parse_errors(self, tmp_path, mangle, hint):
@@ -789,10 +846,11 @@ class TestSerialization:
             "expected 'record\":\"round\",\"round_index\":0,\"label\":', "
             "found 'decode_failed\": false, \"bob_bit\": ")
 
-    @pytest.mark.parametrize("edit, line, found", [
-        ("crlf", 2, r"'\r\n'"), ("trailing-spaces", 6, r"'  \n'"), ("no-final-newline", None, None),
+    @pytest.mark.parametrize("edit, line, what, found", [
+        ("crlf", 1, "header", r"'\r\n'"), ("trailing-spaces", 6, "round 4", r"'  \n'"),
+        ("no-final-newline", 302, "footer", "''"),
     ])
-    def test_only_the_final_newline_may_be_left_out(self, tmp_path, edit, line, found):
+    def test_every_line_must_end_in_one_newline(self, tmp_path, edit, line, what, found):
         session = run_session(300, AlicePolicy.family(0.9), BobPolicy(), seed=12,
                               eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5))
         buf = io.StringIO()
@@ -810,13 +868,10 @@ class TestSerialization:
         path = tmp_path / "edited.qkdlog"
         path.write_bytes(text.encode("utf-8"))
         for src in (io.StringIO(text), path):  # a file is read with its line ends untranslated
-            if line is None:
-                assert load_transcript(src) == session
-                continue
             with pytest.raises(ParseError) as err:
                 load_transcript(src)
             column = len(buf.getvalue().splitlines(keepends=True)[line - 1])  # the newline's
-            assert str(err.value) == (f"line {line}: round {line - 2} differs from its canonical "
+            assert str(err.value) == (f"line {line}: {what} differs from its canonical "
                                       f"text at column {column}: expected '\\n', found {found}")
 
     def test_round_line_with_extra_text_at_end_of_file_is_refused(self):
@@ -887,7 +942,7 @@ class TestReplayOfAMalformedHeader:
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         edit(header["config"])
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        path.write_text("\n".join([json.dumps(header, separators=(",", ":"))] + lines[1:]) + "\n")
         loaded = load_transcript(path)
         with pytest.raises(ConfigError, match=key):
             replay_session(loaded)
