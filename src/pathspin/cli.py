@@ -66,9 +66,8 @@ REFERENCE_TABLE = (
 )
 
 
-#: ``--frame`` or ``frame`` name -> the frames reported, the verdict's first.
-_FRAMES = {**{frame.value: (frame,) for frame in Frame},
-           "both": (Frame.WEIGHTS, Frame.AB_INITIO)}
+#: The frames every summary reports, the verdict's first; isospectral, as the gap line shows.
+_FRAMES = (Frame.WEIGHTS, Frame.AB_INITIO)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class SessionConfig:
     alice_weights: tuple[float, float, float, float] = AlicePolicy.uniform().weights
     basis_mode: BasisMode = BasisMode.INDEPENDENT_UNIFORM
     eve: InterceptResend | None = None
-    frame: tuple[Frame, ...] = _FRAMES["both"]
     min_aborts: int = DEFAULT_MIN_ABORTS
     out: str = "session.qkdlog"
     jobs: int = 1
@@ -118,14 +116,6 @@ def parse_eve(value: str | dict | None) -> InterceptResend | None:
     return None if value is None else InterceptResend.from_config(value)
 
 
-def _parse_frames(name: str) -> tuple[Frame, ...]:
-    """The frames a ``--frame`` or ``frame`` name selects."""
-    if not isinstance(name, str) or name not in _FRAMES:
-        *names, last = _FRAMES
-        raise ValueError(f"frame must be {', '.join(names)} or {last}, got {name!r}")
-    return _FRAMES[name]
-
-
 def _integer(value: object, key: str, least: int | None = None) -> int:
     """The value of ``key``: a JSON integer (a flag's is one), at least ``least`` if given."""
     if not is_json_int(value):
@@ -148,7 +138,6 @@ _PARSERS = {
     "alice_weights": parse_weights,
     "basis_mode": lambda mode: json_choice(mode, BasisMode, "basis_mode"),
     "eve": parse_eve,
-    "frame": _parse_frames,
     "min_aborts": partial(_integer, key="min_aborts", least=0),
     "out": _check_out,
     "jobs": partial(_integer, key="jobs", least=1),
@@ -179,13 +168,12 @@ def _merge_flags(cfg: SessionConfig, args: argparse.Namespace,
     return _apply(cfg, {key: value for key, value in flags.items() if value is not None})
 
 
-def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
-               min_aborts: int) -> tuple[int, list[str], dict]:
+def _summarize(transcript: Transcript, path: str, min_aborts: int) -> tuple[int, list[str], dict]:
     """Exit code, text lines and JSON payload of the summary of ``transcript``.
 
     Everything comes from the transcript.  Each frame's figures are
     ``security_decision``'s; ``require_aborts`` decides NO VERDICT, and the
-    verdict is the first frame's.
+    verdict is the weights frame's.
     """
     ensemble = AbortEnsemble(tuple(transcript.abort_counts().values()))
     n, aborted = len(transcript.kinds), ensemble.total
@@ -211,7 +199,7 @@ def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
     payload["abort_counts"] = counts
     # an empty ensemble has no correlation matrix; require_aborts reports it
     reports = [security_decision(ensemble, fr, min_count=1)
-               for fr in frames] if ensemble.total else []
+               for fr in _FRAMES] if ensemble.total else []
     for r in reports:
         out.append(
             f"frame={r.frame.value:13s} M={r.m_value:.6f} lambda={r.lam:.6f} mu={r.mu:.6f} "
@@ -219,7 +207,7 @@ def _summarize(transcript: Transcript, path: str, frames: tuple[Frame, ...],
         )
     payload["reports"] = [{"frame": r.frame.value, "lambda": r.lam, "mu": r.mu,
                            "m": r.m_value, "eta1": r.eta1, "eta2": r.eta2} for r in reports]
-    if len(reports) == 2:
+    if reports:
         gap = abs(reports[0].m_value - reports[1].m_value)
         out.append(f"frame gap |dM|={gap:.3e}" + ("  (divergent)" if gap > 1e-6 else ""))
         payload["frame_gap"] = gap
@@ -249,16 +237,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=cfg.seed,
     )
     save_transcript(transcript, cfg.out)
-    code, out, payload = _summarize(transcript, cfg.out, cfg.frame, cfg.min_aborts)
+    code, out, payload = _summarize(transcript, cfg.out, cfg.min_aborts)
     out.append(f"transcript written to {cfg.out}")
     _emit(args, out, payload)
     return code
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _merge_flags(SessionConfig(), args, ("frame", "min_aborts"))
+    cfg = _merge_flags(SessionConfig(), args, ("min_aborts",))
     transcript = load_transcript(args.transcript)
-    code, out, payload = _summarize(transcript, args.transcript, cfg.frame, cfg.min_aborts)
+    code, out, payload = _summarize(transcript, args.transcript, cfg.min_aborts)
     out.append(f"transcript read from {args.transcript}")
     _emit(args, out, payload)
     return code
@@ -341,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--basis-mode", choices=[m.value for m in BasisMode],
                        help="receiver basis strategy")
     p_run.add_argument("--eve", help="'none' or 'PHI,BASIS[,FRACTION]' (e.g. '0,y' or 'pi/2,z,0.5')")
-    p_run.add_argument("--frame", help="abinitio, weights or both")
     p_run.add_argument("--min-aborts", type=int, help="minimum declared aborts for a verdict")
     p_run.add_argument("--out", help="transcript output path (.qkdlog)")
     p_run.add_argument("--jobs", type=int,
@@ -361,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="recompute the verdict from a transcript")
     p_check.add_argument("transcript", help="path to a .qkdlog file")
-    p_check.add_argument("--frame", help="abinitio, weights or both")
     p_check.add_argument("--min-aborts", type=int, help="minimum declared aborts for a verdict")
     p_check.add_argument("--json", action="store_true", help="machine-readable summary")
     p_check.set_defaults(func=cmd_check)

@@ -4,9 +4,11 @@ The labels revealed for aborted rounds estimate the source distribution
 (p1, p2, p3, p4) over the four signal states.  From the corresponding
 mixed state the 3x3 spin-path correlation matrix T is formed and the
 Horodecki parameter M = sum of the two largest eigenvalues of T^T T is
-computed.  M > 1 certifies that the ensemble retains enough quantum
-correlation to reveal an intercepting adversary; M <= 1 means the source
-mix is declared insecure.
+computed.  M > 1 gives the verdict SECURE and M <= 1 INSECURE.  The
+verdict reads only the declared labels, which an intercept-resend tap
+leaves untouched (see ``adversary``): M certifies the source mix, not
+the channel.  A tap shows only as key mismatches on kept rounds (the
+summary's QBER line), which the verdict does not read yet.
 
 Two routes to T are provided: ``Frame.AB_INITIO`` takes Pauli
 expectation values of the reconstructed density operator, while

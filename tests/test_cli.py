@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,15 +95,6 @@ class TestRunCommand:
         assert payload["reports"] == []
         assert payload["verdict"] == "insufficient_data"
 
-    def test_single_frame_selection(self, tmp_path, capsys):
-        out = tmp_path / "t.qkdlog"
-        code = main(["run", "--rounds", "400", "--seed", "2", "--out", str(out),
-                     "--frame", "abinitio", "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == EXIT_INSECURE
-        assert [r["frame"] for r in payload["reports"]] == ["abinitio"]
-        assert "frame_gap" not in payload
-
     def test_eve_flag_raises_qber(self, tmp_path, capsys):
         out = tmp_path / "t.qkdlog"
         code = main(["run", "--rounds", "4000", "--seed", "9", "--out", str(out),
@@ -170,6 +162,14 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"rounds": 10, "mystery": 1}))
         assert main(["run", "--config", str(cfg)]) == EXIT_ERROR
         assert "mystery" in capsys.readouterr().err
+
+    def test_a_frame_key_is_refused_as_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        out = tmp_path / "c.qkdlog"
+        cfg.write_text(json.dumps({"rounds": 10, "frame": "both", "out": str(out)}))
+        assert main(["run", "--config", str(cfg)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config keys ['frame']\n"
+        assert not out.exists()
 
     def test_config_eve_mapping(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -275,7 +275,6 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--min-aborts", "-1", "min_aborts must be >= 0, got -1"),
-        ("--frame", "bogus", "frame must be abinitio, weights or both, got 'bogus'"),
     ])
     def test_check_rejects_a_bad_flag_before_loading(self, tmp_path, capsys, flag, value,
                                                      message):
@@ -290,7 +289,6 @@ class TestCheckCommand:
         pytest.param(["--rounds", "1500"], [], id="insecure"),
         pytest.param(["--rounds", "300"], ["--min-aborts", "500"], id="too-few-aborts"),
         pytest.param(["--rounds", "1"], [], id="no-aborts"),
-        pytest.param(["--rounds", "400"], ["--frame", "abinitio"], id="abinitio"),
         pytest.param(["--rounds", "300"], ["--min-aborts", "0"], id="min-aborts-0"),
     ])
     def test_check_json_equals_run_json(self, tmp_path, capsys, flags, audit):
@@ -421,8 +419,13 @@ class TestUsageErrors:
         ["check"],
         ["bogus"],
         [],
-    ], ids=["bad-int", "check-without-path", "unknown-command", "no-command"])
-    def test_usage_errors_exit_1_not_the_insecure_code(self, argv, capsys):
+        ["run", "--frame", "weights"],
+        ["check", "t.qkdlog", "--frame", "weights"],
+    ], ids=["bad-int", "check-without-path", "unknown-command", "no-command", "run-frame",
+            "check-frame"])
+    def test_usage_errors_exit_1_not_the_insecure_code(self, argv, capsys, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a command line that parsed would write session.qkdlog here
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_ERROR != EXIT_INSECURE
@@ -492,22 +495,6 @@ class TestOneAdversaryGrammar:
         assert not out.exists()
 
 
-class TestFrameFromConfig:
-    @pytest.mark.parametrize("frame", ["abinitio", "weights", "both"])
-    def test_config_frame_selects_the_reports_the_flag_does(self, tmp_path, capsys, frame):
-        out = str(tmp_path / "t.qkdlog")
-        flag_code = main(["run", "--rounds", "400", "--seed", "3", "--frame", frame,
-                          "--out", out, "--json"])
-        by_flag = json.loads(capsys.readouterr().out)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rounds": 400, "seed": 3, "frame": frame, "out": out}))
-        config_code = main(["run", "--config", str(cfg), "--json"])
-        by_config = json.loads(capsys.readouterr().out)
-        assert config_code == flag_code
-        assert by_config == by_flag
-        assert len(by_config["reports"]) == (2 if frame == "both" else 1)
-
-
 class TestNumpyScalarsInMessages:
     @pytest.mark.parametrize("weights, message", [
         ("0.5,0.5,0.5,0.5", "weights sum to 2.0, expected 1"),
@@ -545,6 +532,34 @@ class TestPinnedSummaryCounts:
             assert {key: payload[key] for key in self.PINNED} == self.PINNED
 
 
+class TestSummaryText:
+    """The human summary of a tapped session, line by line, from ``run`` and from ``check``."""
+
+    LINES = [
+        "rounds=3000 kept=1491 aborted=1509 keep_fraction=0.4970",
+        "qber=0.017438 (mismatches=26/1491, 3sigma=0.010170)",
+        "declared aborts: psi=1364 psi_perp=52 phi=52 phi_perp=41",
+        "frame=weights       M=1.660432 lambda=0.904265 mu=0.756167 eta1=0.4692 eta2=0.0308",
+        "frame=abinitio      M=1.660432 lambda=0.904265 mu=0.756167 eta1=0.4692 eta2=0.0308",
+        None,  # the gap line: its value is rounding noise, so only its form is pinned
+        "verdict: SECURE (M = 1.660432 > 1)",
+    ]
+
+    def test_run_and_check_print_both_frames_the_gap_and_the_verdict(self, tmp_path, capsys):
+        out = str(tmp_path / "t.qkdlog")
+        assert main(["run", "--rounds", "3000", "--seed", "5", "--alice-weights", "family:0.9",
+                     "--eve", "0,y,0.5", "--out", out]) == EXIT_OK
+        run = capsys.readouterr().out.splitlines()
+        assert main(["check", out]) == EXIT_OK
+        check = capsys.readouterr().out.splitlines()
+        assert run[-1] == f"transcript written to {out}"
+        assert check[-1] == f"transcript read from {out}"
+        for lines in (run[:-1], check[:-1]):
+            gap = re.fullmatch(r"frame gap \|dM\|=(\d\.\d{3}e[-+]\d\d)", lines[5])
+            assert gap and float(gap.group(1)) < 1e-10, lines[5]
+            assert [None if i == 5 else line for i, line in enumerate(lines)] == self.LINES
+
+
 class TestOneParserPerProcess:
     """``main`` parses every command line with one parser; no call may see another's flags."""
 
@@ -560,15 +575,14 @@ class TestOneParserPerProcess:
         text = capsys.readouterr().out
         assert text.startswith("rounds=300 ") and text.rstrip().endswith(f"written to {out}")
 
-    def test_frame_flag_does_not_outlive_its_command(self, tmp_path, capsys):
+    def test_min_aborts_flag_does_not_outlive_its_command(self, tmp_path, capsys):
         out = str(tmp_path / "t.qkdlog")
         main(["run", "--rounds", "300", "--out", out])
         capsys.readouterr()
-        main(["check", out, "--frame", "weights", "--json"])
-        assert [r["frame"] for r in json.loads(capsys.readouterr().out)["reports"]] == ["weights"]
-        main(["check", out, "--json"])
-        frames = [r["frame"] for r in json.loads(capsys.readouterr().out)["reports"]]
-        assert frames == ["weights", "abinitio"]
+        assert main(["check", out, "--min-aborts", "5000", "--json"]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["verdict"] == "insufficient_data"
+        assert main(["check", out, "--json"]) != EXIT_ERROR
+        assert json.loads(capsys.readouterr().out)["verdict"] in ("secure", "insecure")
 
     def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

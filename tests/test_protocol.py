@@ -299,7 +299,7 @@ class TestRecordTuples:
         save_transcript(session, path)
         loaded = load_transcript(path)
         cfg = cli.SessionConfig()
-        payload = cli._summarize(loaded, str(path), cfg.frame, cfg.min_aborts)[2]
+        payload = cli._summarize(loaded, str(path), cfg.min_aborts)[2]
         assert loaded == session
         assert payload["rounds"] == 5000
         assert (payload["qber"]["mismatches"] > 0) == (eve is not None)
