@@ -560,6 +560,28 @@ class TestSummaryText:
             assert [None if i == 5 else line for i, line in enumerate(lines)] == self.LINES
 
 
+class TestFixedFramePair:
+    """Every summary reports the weights frame, then the ab-initio one; the verdict is the weights
+    frame's."""
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_json_reports_both_frames_and_the_weights_verdict(self, tmp_path, capsys, command):
+        out = str(tmp_path / "t.qkdlog")
+        code = main(["run", "--rounds", "400", "--seed", "2", "--out", out, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        if command == "check":
+            code = main(["check", out, "--json"])
+            payload = json.loads(capsys.readouterr().out)
+        ensemble = pathspin.AbortEnsemble(tuple(load_transcript(out).abort_counts().values()))
+        weights = pathspin.security_decision(ensemble, pathspin.Frame.WEIGHTS, min_count=1)
+        reports = payload["reports"]
+        assert [r["frame"] for r in reports] == ["weights", "abinitio"]
+        assert reports[0]["m"] == weights.m_value
+        assert payload["frame_gap"] == abs(reports[0]["m"] - reports[1]["m"]) < 1e-10
+        assert payload["verdict"] == ("secure" if weights.secure else "insecure")
+        assert code == (EXIT_OK if weights.secure else EXIT_INSECURE)
+
+
 class TestOneParserPerProcess:
     """``main`` parses every command line with one parser; no call may see another's flags."""
 
