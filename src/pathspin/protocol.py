@@ -309,8 +309,9 @@ def run_session(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve=None,
                 seed: int = 0) -> Transcript:
     """Run ``n_rounds`` rounds; the transcript keeps the kind index of each.
 
-    Round ``i`` draws only from stream ``i`` of ``seed``, the ``i``-th
-    generator of ``Rng.streams``; rounds run in order on the calling thread.
+    Round ``i`` is ``run_round`` of the ``i``-th generator of ``Rng.streams``,
+    so it draws only from stream ``i`` of ``seed``.  Rounds run in order on
+    the calling thread, and their kind indices go straight into the bytes.
     """
     for key, value in (("n_rounds", n_rounds), ("seed", seed)):
         if not is_json_int(value):  # the rule load_transcript reads the header by
@@ -318,9 +319,11 @@ def run_session(n_rounds: int, alice: AlicePolicy, bob: BobPolicy, eve=None,
     if n_rounds < 1:
         raise ConfigError(f"n_rounds must be >= 1, got {n_rounds}")
 
-    # run_round by its module-global name, once per round: perfbench/tracer.py counts it there
+    # map looks run_round up by its module-global name when the session starts, so a
+    # wrapper installed there (perfbench/tracer.py counts rounds with one) runs every round
     return Transcript(seed, _config_snapshot(n_rounds, alice, bob, eve),
-                      bytes(run_round(alice, bob, eve, rng) for rng in Rng.streams(seed, n_rounds)))
+                      bytes(map(run_round, repeat(alice), repeat(bob), repeat(eve),
+                                Rng.streams(seed, n_rounds))))
 
 
 def replay_session(transcript: Transcript) -> Transcript:

@@ -14,8 +14,9 @@ deviation, from a NaN or infinite input, fails it as a large one does.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import FrozenInstanceError
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -215,110 +216,84 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _batch(mixed_seed: int, start: int, stop: int) -> Iterator[tuple[int, tuple[float, ...]]]:
-    """Stream and tape of streams ``start .. stop-1``, as a Python int and a tuple of floats.
+def _batch(mixed_seed: int, start: int, stop: int) -> Iterator[tuple[float, ...]]:
+    """The tapes of streams ``start .. stop-1``, one tuple of ``TAPE`` floats per stream.
 
-    The batch is mixed in numpy at once and turned into Python lists, its tapes as one
-    column list per tape position, zipped into one tuple per stream.  The arrays are freed
-    on return and the lists with the zip, so a caller that drops one batch before it
-    builds the next holds one batch only."""
+    The batch is mixed in numpy at once and turned into one Python list per tape position,
+    zipped into the tapes.  The arrays are freed on return and the lists with the zip, so
+    a caller that drops one batch before it builds the next holds one batch only."""
     with np.errstate(over="ignore"):
         streams = np.arange(start, stop, dtype=np.uint64)
         roots = _mix64_array(_U64(mixed_seed) ^ streams * _U64(_STREAM_SALT))
         words = _mix64_array(roots + _TAPE_STEPS[:, None])  # one row per tape position
         tapes = (words >> _U64(11)).astype(np.float64) * 2.0**-53
-    return zip(range(start, stop), zip(*tapes.tolist()))
+    return zip(*tapes.tolist())
 
 
-@dataclass(frozen=True)
-class Rng:
-    """Counter-based deterministic generator.
+class Rng(tuple):
+    """Counter-based deterministic generator, the tuple value ``(seed, stream, counter, tape)``.
 
-    Each (seed, stream) pair owns an independent sequence; ``stream`` is
-    conventionally the round index so rounds can be generated in parallel.
-    Draws advance functionally: every method returns the value together
-    with the successor generator, the receiver is never mutated.
-
-    Draw ``k`` of a stream is ``_uniform(seed, stream, k)``, a function of
-    (seed, stream, counter) alone: one SplitMix64 finaliser applied to the
-    stream's root plus ``k`` golden-ratio steps.  A generator is built with
-    the stream's tape, its draws 1..``TAPE``, and hands it on to every
-    successor, so a round reads its draws instead of mixing them; a draw
-    past the tape is mixed whole when it is made.  ``streams`` mixes the
-    seed once for a whole run of streams and their tapes in numpy batches;
-    a generator built directly mixes its own with ``_uniform``, and both
-    give equal fields.
+    Draw ``k`` of stream ``stream`` is ``_uniform(seed, stream, k)``, a function of those three
+    alone, so rounds, one stream each, can be drawn in any order.  ``tape`` holds the stream's
+    draws 1..``TAPE``: a draw on it is read, any other is mixed when it is made.  ``Rng(seed,
+    stream, counter)`` mixes its tape with ``_uniform``; ``streams`` mixes a run of tapes in
+    numpy, to equal values.  ``next_uniform`` and ``sample`` return draw ``counter + 1`` with the
+    successor, the same value with the counter one higher; nothing is mutated.  The fields read
+    as attributes (``_tape`` the tape), and setting or deleting one raises
+    ``FrozenInstanceError``.  Equality, hash and order are the tuple's.
     """
 
-    seed: int
-    stream: int = 0
-    counter: int = 0
-    _tape: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_tape", tuple(_uniform(self.seed, self.stream, k)
-                                                for k in range(1, TAPE + 1)))
+    seed = property(itemgetter(0))
+    stream = property(itemgetter(1))
+    counter = property(itemgetter(2))
+    _tape = property(itemgetter(3))
+
+    def __new__(cls, seed: int, stream: int = 0, counter: int = 0) -> "Rng":
+        tape = tuple(_uniform(seed, stream, k) for k in range(1, TAPE + 1))
+        return tuple.__new__(cls, (seed, stream, counter, tape))
+
+    def __getnewargs__(self) -> tuple[int, int, int]:
+        return self[:3]  # pickle and copy rebuild the tape
+
+    def __repr__(self) -> str:
+        return f"Rng(seed={self[0]!r}, stream={self[1]!r}, counter={self[2]!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def streams(cls, seed: int, n: int) -> Iterator["Rng"]:
         """Yield ``Rng(seed, i)`` for ``i`` in ``0 .. n-1``, mixing ``seed`` once.
 
-        Tapes are computed with numpy for one batch of
-        ``STREAM_BATCH`` streams at a time, by ``_batch``; a batch is dropped
-        before the next is built.  Each generator is built as ``next_uniform``
-        builds a successor, when it is asked for: one ``object.__new__``, its
-        own ``__dict__`` filled field by field.
-        """
+        The tapes of ``STREAM_BATCH`` streams at a time come from ``_batch``, and a
+        batch is dropped before the next is built."""
         mixed = _mix64(seed & _MASK)
         for start in range(0, n, STREAM_BATCH):
-            for stream, tape in _batch(mixed, start, min(start + STREAM_BATCH, n)):
-                rng = object.__new__(cls)
-                state = rng.__dict__
-                state["seed"] = seed
-                state["stream"] = stream
-                state["counter"] = 0
-                state["_tape"] = tape
-                yield rng
+            stop = min(start + STREAM_BATCH, n)
+            yield from map(tuple.__new__, repeat(cls), zip(
+                repeat(seed), range(start, stop), repeat(0), _batch(mixed, start, stop)))
 
     def next_uniform(self) -> tuple[float, "Rng"]:
         """Draw u in [0, 1) with 53 random bits."""
-        state = self.__dict__
-        counter = state["counter"] + 1
-        u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
-             else _uniform(state["seed"], state["stream"], counter))
-        # the successor shares seed, stream and tape; only the counter moves.  Its
-        # fields are set one by one, in declaration order: cheaper than ``dict.update``
-        nxt = object.__new__(type(self))
-        succ = nxt.__dict__
-        succ["seed"] = state["seed"]
-        succ["stream"] = state["stream"]
-        succ["counter"] = counter
-        succ["_tape"] = state["_tape"]
-        return u, nxt
+        seed, stream, counter, tape = self
+        u = tape[counter] if 0 <= counter < TAPE else _uniform(seed, stream, counter + 1)
+        return u, tuple.__new__(Rng, (seed, stream, counter + 1, tape))
 
     def sample(self, weights: Sequence[float]) -> tuple[int, "Rng"]:
-        """Draw an index from a finite distribution given by ``weights``.
+        """Draw an index from the finite distribution ``weights``, as ``next_uniform`` draws.
 
-        A ``Distribution`` was checked when it was built and is used as it
-        is.  Any other sequence is checked by building a ``Distribution``
-        from it on every call, since a list or array can change between
-        calls; either way invalid weights raise ``InvalidDistributionError``
-        before anything is drawn.  The index is ``bisect_right`` of the
-        draw ``u`` in the distribution's ``prefix``: the first index whose
-        running sum exceeds ``u``, as a left-to-right accumulate-and-compare
-        loop would pick, since no weight is negative or NaN.
+        A ``Distribution`` is used as it is; any other sequence is checked by building one on
+        every call, since a list or array can change between calls, so invalid weights raise
+        ``InvalidDistributionError`` before anything is drawn.  The index is ``bisect_right``
+        of the draw in the ``prefix``: the first index whose running sum exceeds it.
         """
         w = weights if isinstance(weights, Distribution) else Distribution(weights)
-        # the draw and successor of ``next_uniform``, inline: a round's draws are mostly
-        # samples, and the saved call is about a tenth of one
-        state = self.__dict__
-        counter = state["counter"] + 1
-        u = (state["_tape"][counter - 1] if 0 < counter <= TAPE
-             else _uniform(state["seed"], state["stream"], counter))
-        nxt = object.__new__(type(self))
-        succ = nxt.__dict__
-        succ["seed"] = state["seed"]
-        succ["stream"] = state["stream"]
-        succ["counter"] = counter
-        succ["_tape"] = state["_tape"]
-        return bisect_right(w.prefix, u), nxt
+        # the draw and successor of ``next_uniform``, inline: a round's draws are mostly samples
+        seed, stream, counter, tape = self
+        u = tape[counter] if 0 <= counter < TAPE else _uniform(seed, stream, counter + 1)
+        return bisect_right(w.prefix, u), tuple.__new__(Rng, (seed, stream, counter + 1, tape))

@@ -38,6 +38,11 @@ def reference_uniform(seed, stream, counter):
     return (word >> 11) * 2.0**-53
 
 
+def fields(rng):
+    """A generator's four fields, its tape included."""
+    return rng.seed, rng.stream, rng.counter, rng._tape
+
+
 def reference_pick(weights, u):
     """The index an accumulate-and-compare loop picks for the draw ``u``."""
     acc = 0.0
@@ -327,7 +332,7 @@ class TestRng:
             for stream, rng in enumerate(streams):
                 fresh = qmath.Rng(seed, stream)
                 assert rng == fresh
-                assert vars(rng) == vars(fresh)
+                assert fields(rng) == fields(fresh)
                 assert rng.next_uniform() == fresh.next_uniform()
             assert stream == 39
         assert list(qmath.Rng.streams(3, 0)) == []
@@ -339,14 +344,14 @@ class TestRng:
         # past the end of its tape too, wherever the batches split the run
         assert qmath.STREAM_BATCH == 1024 and qmath.TAPE < 9
         sizes = (1, 1023, 1024, 1025, 4097, 8195)
-        expected = [(vars(qmath.Rng(seed, stream)),
+        expected = [(fields(qmath.Rng(seed, stream)),
                      [reference_uniform(seed, stream, counter) for counter in range(9)])
                     for stream in range(max(sizes))]
         for n in sizes:
             streams = list(qmath.Rng.streams(seed, n))
             assert len(streams) == n
-            for rng, (fields, draws) in zip(streams, expected):
-                assert vars(rng) == fields
+            for rng, (want_fields, draws) in zip(streams, expected):
+                assert fields(rng) == want_fields
                 for want in draws:
                     u, rng = rng.next_uniform()
                     assert u == want
@@ -372,7 +377,7 @@ class TestRng:
             for _ in range(qmath.TAPE + 3):
                 u, after = rng.next_uniform()
                 idx, nxt = rng.sample(weights)
-                assert vars(nxt) == vars(after)
+                assert fields(nxt) == fields(after)
                 assert idx == (0 if u < 0.2 else 1 if u < 0.2 + 0.3 else 2)
                 rng = nxt
 
@@ -382,9 +387,47 @@ class TestRng:
         assert repr(nxt) == "Rng(seed=5, stream=3, counter=1)"
         with pytest.raises(dataclasses.FrozenInstanceError):
             nxt.counter = 0
-        jumped = dataclasses.replace(nxt, counter=9)
-        assert jumped == qmath.Rng(5, 3, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nxt._tape = (0.5,) * qmath.TAPE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nxt.other = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del nxt.counter
+        assert fields(nxt) == (5, 3, 1, rng._tape)
+        jumped = qmath.Rng(nxt.seed, nxt.stream, 9)
+        assert fields(jumped) == fields(qmath.Rng(5, 3, 9))
         assert jumped.next_uniform() == qmath.Rng(5, 3, 9).next_uniform()
+
+    @pytest.mark.parametrize("make", [lambda: qmath.Rng(5, 3, 1),
+                                      lambda: qmath.Rng(7, 2**64 + 5, 9),
+                                      lambda: list(qmath.Rng.streams(13, 6))[5]],
+                             ids=["Rng(5,3,1)", "Rng(7,2**64+5,9)", "streams(13)[5]"])
+    def test_a_copy_is_an_equal_generator_that_draws_the_same(self, make):
+        rng = make()
+        pickled = [pickle.loads(pickle.dumps(rng, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in (copy.copy(rng), copy.deepcopy(rng), *pickled):
+            assert type(again) is qmath.Rng
+            assert again == rng and fields(again) == fields(rng)
+            mine, theirs = rng, again
+            for _ in range(qmath.TAPE + 2):
+                assert theirs.sample((0.2, 0.3, 0.5))[0] == mine.sample((0.2, 0.3, 0.5))[0]
+                (u, mine), (v, theirs) = mine.next_uniform(), theirs.next_uniform()
+                assert u == v and fields(theirs) == fields(mine)
+
+    def test_draws_before_and_past_the_tape_are_mixed_whole(self):
+        # only counters 0..TAPE-1 read the tape; a negative one must not index it from the end
+        weights = qmath.Distribution((0.2, 0.3, 0.5))
+        for seed in (0, 7, -1, 2**64 + 5):
+            for stream in (0, 3, 2**64 - 1, -3):
+                for counter in (-3, -1, qmath.TAPE - 1, qmath.TAPE, qmath.TAPE + 4):
+                    rng = qmath.Rng(seed, stream, counter)
+                    want = reference_uniform(seed, stream, counter)
+                    u, nxt = rng.next_uniform()
+                    idx, after = rng.sample(weights)
+                    assert u == want
+                    assert idx == reference_pick(weights, want)
+                    assert fields(nxt) == fields(after) == fields(qmath.Rng(seed, stream, counter + 1))
 
     def test_sample_boundary_weights(self):
         rng = qmath.Rng(seed=17)
@@ -419,11 +462,10 @@ class TestPrefixSums:
         # ``sample`` is given each one as its next draw through a generator's tape
         draws = [u for rng in qmath.Rng.streams(29, 2000) for u in rng._tape]
         edges = [v for x in dist.prefix for v in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))]
-        rng = qmath.Rng(0)
         for u in draws + edges + [0.0, math.nextafter(1.0, 0.0)]:
             want = reference_pick(dist, u)
             assert bisect_right(dist.prefix, u) == want, u
-            object.__setattr__(rng, "_tape", (u,) * qmath.TAPE)
+            rng = tuple.__new__(qmath.Rng, (0, 0, 0, (u,) * qmath.TAPE))
             assert rng.sample(dist)[0] == want, u
 
     def test_a_distribution_is_immutable(self):
