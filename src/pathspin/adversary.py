@@ -61,19 +61,19 @@ class InterceptResend:
             raise InvalidDistributionError(f"outcome {outcome} outside every support")
         return label
 
-    def tap(self, label: StateLabel, rng: Rng) -> tuple[StateLabel, Rng]:
+    def tap(self, label: StateLabel, rng: Rng, k: int) -> tuple[StateLabel, int]:
         """Possibly intercept the signal label in flight; return the label that travels on.
 
-        An intercepted label is measured through her setting's row of
-        ``protocol.RECEIVED``, the table Bob samples, and replaced by
-        ``infer_label`` of her outcome.
+        An intercepted label is measured through her setting's row of ``protocol.RECEIVED``, the
+        table Bob samples, and replaced by ``infer_label`` of her outcome.  She draws from
+        position ``k`` of ``rng`` on, and returns the next position with the label.
         """
         if self.fraction < 1.0:
-            u, rng = rng.next_uniform()
+            u, k = rng.next_uniform(k)
             if u >= self.fraction:
-                return label, rng
-        idx, rng = rng.sample(RECEIVED[label][_PHIS.index(self.phi)][_BASES.index(self.basis)])
-        return self.infer_label(OUTCOMES[idx]), rng
+                return label, k
+        idx, k = rng.sample(RECEIVED[label][_PHIS.index(self.phi)][_BASES.index(self.basis)], k)
+        return self.infer_label(OUTCOMES[idx]), k
 
     def to_config(self) -> dict:
         return {

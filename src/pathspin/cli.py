@@ -18,12 +18,13 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
+from itertools import product
 from pathlib import Path
 from typing import NoReturn
 
 from .adversary import InterceptResend, qber
-from .errors import (InsufficientDataError, ParseError, PathSpinError, is_json_int, json_choice,
-                     read_json)
+from .errors import (ConfigError, InsufficientDataError, ParseError, PathSpinError, is_json_int,
+                     json_choice, read_json)
 from .optics import OUTCOMES, SpinBasis, StateLabel, outcome_support
 from .protocol import (
     AlicePolicy,
@@ -84,6 +85,14 @@ class SessionConfig:
     jobs: int = 1
 
 
+def _flag_number(text: str, key: str) -> float:
+    """The float ``text`` spells, else a ConfigError naming ``key`` and the text."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+
+
 def parse_weights(value: str | list) -> tuple[float, float, float, float]:
     """The weights of a list of four numbers, read by ``AlicePolicy.from_config``.
 
@@ -94,9 +103,10 @@ def parse_weights(value: str | list) -> tuple[float, float, float, float]:
         if value == "uniform":
             value = list(AlicePolicy.uniform().weights)
         elif value.startswith("family:"):
-            value = list(AlicePolicy.family(float(value.split(":", 1)[1])).weights)
+            p = _flag_number(value.split(":", 1)[1], "alice_weights")
+            value = list(AlicePolicy.family(p).weights)
         else:
-            value = [float(x) for x in value.split(",")]
+            value = [_flag_number(x, "alice_weights") for x in value.split(",")]
     return AlicePolicy.from_config(value).weights
 
 
@@ -111,8 +121,9 @@ def parse_eve(value: str | dict | None) -> InterceptResend | None:
             return None
         if len(parts) not in (2, 3):
             raise ValueError(f"adversary must be 'PHI,BASIS[,FRACTION]', got {value!r}")
-        value = {"type": "intercept_resend", "phi": parts[0], "basis": parts[1],
-                 "fraction": float(parts[2]) if len(parts) == 3 else 1.0}
+        value = {"type": "intercept_resend", "phi": parts[0], "basis": parts[1]}
+        if len(parts) == 3:
+            value["fraction"] = _flag_number(parts[2], "intercept_resend fraction")
     return None if value is None else InterceptResend.from_config(value)
 
 
@@ -133,7 +144,7 @@ def _check_out(path: object) -> str:
 
 #: How a config-file value or a flag value becomes each SessionConfig field.
 _PARSERS = {
-    "rounds": partial(_integer, key="rounds"),
+    "rounds": partial(_integer, key="rounds", least=1),
     "seed": partial(_integer, key="seed"),
     "alice_weights": parse_weights,
     "basis_mode": lambda mode: json_choice(mode, BasisMode, "basis_mode"),
@@ -253,11 +264,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = []
-    for p, *_ in REFERENCE_TABLE:
-        _, _, m = closed_form_family(p)
-        eta1, eta2 = eta_rates(AlicePolicy.family(p).weights)
-        rows.append((p, m, eta1, eta2))
+    rows = [(p, closed_form_family(p)[2], *eta_rates(AlicePolicy.family(p).weights))
+            for p, *_ in REFERENCE_TABLE]
     lines = ["p,m,eta1,eta2"] + [f"{p:.2f},{m:.6f},{e1:.6f},{e2:.6f}" for p, m, e1, e2 in rows]
     text = "\n".join(lines)
     if args.out:
@@ -277,20 +285,14 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_sift_table(args: argparse.Namespace) -> int:
     lines = [f"{'state':9s} {'phi':4s} {'basis':5s} {'verdict':7s} outcome support"]
     payload = []
-    for label in StateLabel:
-        for phi in PhaseChoice:
-            for basis in SpinBasis:
-                support = sorted(outcome_support(label, phi.radians, basis), key=OUTCOMES.index)
-                verdict = sift(label.group, phi, basis).value
-                names = " ".join(f"({o.port.value},{o.spin.value})" for o in support)
-                lines.append(
-                    f"{label.value:9s} {phi.value:4s} {basis.value:5s} {verdict:7s} {names}"
-                )
-                payload.append(
-                    {"state": label.value, "phi": phi.value, "basis": basis.value,
-                     "verdict": verdict,
-                     "support": [[o.port.value, o.spin.value] for o in support]}
-                )
+    for label, phi, basis in product(StateLabel, PhaseChoice, SpinBasis):
+        support = sorted(outcome_support(label, phi.radians, basis), key=OUTCOMES.index)
+        verdict = sift(label.group, phi, basis).value
+        names = " ".join(f"({o.port.value},{o.spin.value})" for o in support)
+        lines.append(f"{label.value:9s} {phi.value:4s} {basis.value:5s} {verdict:7s} {names}")
+        payload.append({"state": label.value, "phi": phi.value, "basis": basis.value,
+                        "verdict": verdict,
+                        "support": [[o.port.value, o.spin.value] for o in support]})
     _emit(args, lines, payload)
     return EXIT_OK
 

@@ -196,25 +196,22 @@ RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
 def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
     """Simulate one round; return its kind index ``((label*2 + phi)*2 + basis)*4 + outcome``.
 
-    ``eve`` is None or an adversary object exposing
-    ``tap(label, rng) -> (label, rng)``: the channel carries a signal label.
-    Draw order within the round's stream: label, phi, basis (uniform mode
-    only), adversary draws, outcome.  Every round reads its outcome
-    distribution from ``RECEIVED`` by the label that reaches Bob.  The
-    index is that of the label Alice sent; its entry of ``_KINDS`` holds the
-    verdict and bits ``sift`` and ``decode_bit`` fill at import.
+    Each draw reads ``rng`` at the position ``k`` the previous draw returned, so the round
+    builds no generator.  ``eve`` is None or an adversary object exposing ``tap(label, rng, k)
+    -> (label, k)``: the channel carries a signal label.  Draw order within the round's stream:
+    label, phi, basis (uniform mode only), adversary draws, outcome.  Every round reads its
+    outcome distribution from ``RECEIVED`` by the label that reaches Bob.  The index is that of
+    the label Alice sent; its entry of ``_KINDS`` holds the verdict and bits ``sift`` and
+    ``decode_bit`` fill at import.
     """
-    label_idx, rng = rng.sample(alice.weights)
-    phi_idx, rng = rng.sample(_HALF)
-    if bob.basis_mode is BasisMode.ALWAYS_Z:
-        basis_idx = 0
-    else:
-        basis_idx, rng = rng.sample(_HALF)
+    label_idx, k = rng.sample(alice.weights)
+    phi_idx, k = rng.sample(_HALF, k)
+    basis_idx, k = (0, k) if bob.basis_mode is BasisMode.ALWAYS_Z else rng.sample(_HALF, k)
 
     label = _LABELS[label_idx]
     if eve is not None:
-        label, rng = eve.tap(label, rng)
-    outcome_idx, rng = rng.sample(RECEIVED[label][phi_idx][basis_idx])
+        label, k = eve.tap(label, rng, k)
+    outcome_idx, _ = rng.sample(RECEIVED[label][phi_idx][basis_idx], k)
 
     return ((label_idx * 2 + phi_idx) * 2 + basis_idx) * 4 + outcome_idx
 

@@ -153,9 +153,9 @@ class Distribution(tuple):
 
     ``prefix`` holds the running sums of every weight but the last, added
     left to right in Python floats, also computed once here.  ``Rng.sample``
-    returns ``bisect_right(prefix, u)``: the first index whose running sum
-    exceeds ``u``, or the last index if none does.  Setting or deleting any
-    attribute raises ``AttributeError``.
+    picks ``bisect_right(prefix, u)`` for its draw ``u``: the first index whose
+    running sum exceeds ``u``, or the last index if none does.  Setting or
+    deleting any attribute raises ``AttributeError``.
     """
 
     prefix: tuple[float, ...]
@@ -237,8 +237,8 @@ class Rng(tuple):
     alone, so rounds, one stream each, can be drawn in any order.  ``tape`` holds the stream's
     draws 1..``TAPE``: a draw on it is read, any other is mixed when it is made.  ``Rng(seed,
     stream, counter)`` mixes its tape with ``_uniform``; ``streams`` mixes a run of tapes in
-    numpy, to equal values.  ``next_uniform`` and ``sample`` return draw ``counter + 1`` with the
-    successor, the same value with the counter one higher; nothing is mutated.  The fields read
+    numpy, to equal values.  ``next_uniform(k)`` and ``sample(weights, k)`` return draw ``counter
+    + k + 1`` with the next position, ``k + 1``; nothing is built or mutated.  The fields read
     as attributes (``_tape`` the tape), and setting or deleting one raises
     ``FrozenInstanceError``.  Equality, hash and order are the tuple's.
     """
@@ -278,14 +278,14 @@ class Rng(tuple):
             yield from map(tuple.__new__, repeat(cls), zip(
                 repeat(seed), range(start, stop), repeat(0), _batch(mixed, start, stop)))
 
-    def next_uniform(self) -> tuple[float, "Rng"]:
-        """Draw u in [0, 1) with 53 random bits."""
+    def next_uniform(self, k: int = 0) -> tuple[float, int]:
+        """Draw u in [0, 1) with 53 random bits, at position ``k``."""
         seed, stream, counter, tape = self
-        u = tape[counter] if 0 <= counter < TAPE else _uniform(seed, stream, counter + 1)
-        return u, tuple.__new__(Rng, (seed, stream, counter + 1, tape))
+        j = counter + k
+        return (tape[j] if 0 <= j < TAPE else _uniform(seed, stream, j + 1)), k + 1
 
-    def sample(self, weights: Sequence[float]) -> tuple[int, "Rng"]:
-        """Draw an index from the finite distribution ``weights``, as ``next_uniform`` draws.
+    def sample(self, weights: Sequence[float], k: int = 0) -> tuple[int, int]:
+        """Draw an index from the finite distribution ``weights``, as ``next_uniform(k)`` draws.
 
         A ``Distribution`` is used as it is; any other sequence is checked by building one on
         every call, since a list or array can change between calls, so invalid weights raise
@@ -293,7 +293,8 @@ class Rng(tuple):
         of the draw in the ``prefix``: the first index whose running sum exceeds it.
         """
         w = weights if isinstance(weights, Distribution) else Distribution(weights)
-        # the draw and successor of ``next_uniform``, inline: a round's draws are mostly samples
+        # the draw of ``next_uniform``, inline: a round's draws are mostly samples
         seed, stream, counter, tape = self
-        u = tape[counter] if 0 <= counter < TAPE else _uniform(seed, stream, counter + 1)
-        return bisect_right(w.prefix, u), tuple.__new__(Rng, (seed, stream, counter + 1, tape))
+        j = counter + k
+        u = tape[j] if 0 <= j < TAPE else _uniform(seed, stream, j + 1)
+        return bisect_right(w.prefix, u), k + 1

@@ -22,7 +22,7 @@ from pathspin import (
     replay_session,
     run_session,
 )
-from pathspin import protocol
+from pathspin import protocol, qmath
 from pathspin.errors import ConfigError, InsufficientDataError, InvalidDistributionError
 from pathspin.optics import OUTCOMES, outcome_support, pipeline_distribution
 from pathspin.qmath import Distribution
@@ -77,13 +77,13 @@ class TestInference:
         # the four settings by the four labels: the row she samples is Bob's row of
         # protocol.RECEIVED, that very object, and it is the row she would compute
         draw, sampled = Rng.sample, []
-        monkeypatch.setattr(Rng, "sample",
-                            lambda rng, weights: sampled.append(weights) or draw(rng, weights))
+        monkeypatch.setattr(Rng, "sample", lambda rng, weights, k=0:
+                            sampled.append(weights) or draw(rng, weights, k))
         for phi_idx, phi in enumerate(PhaseChoice):
             for basis_idx, basis in enumerate(SpinBasis):
                 for label in StateLabel:
                     sampled.clear()
-                    InterceptResend(phi, basis).tap(label, Rng(seed=0))
+                    InterceptResend(phi, basis).tap(label, Rng(seed=0), 0)
                     (row,) = sampled
                     assert row is protocol.RECEIVED[label][phi_idx][basis_idx]
                     want = pipeline_distribution(label, phi.radians, basis)
@@ -93,16 +93,17 @@ class TestInference:
     @pytest.mark.parametrize("phi", list(PhaseChoice))
     @pytest.mark.parametrize("basis", list(SpinBasis))
     def test_tap_samples_its_settings_row(self, phi, basis):
-        # an intercept is one sample of the row and one inference from its outcome
+        # an intercept is one sample of the row, at the position it is given, and one
+        # inference from its outcome; it returns the sample's next position
         eve = InterceptResend(phi, basis)
         for stream in range(64):
             rng = Rng(seed=8, stream=stream)
             for label in StateLabel:
-                idx, want_rng = rng.sample(pipeline_distribution(label, phi.radians, basis))
-                resent, got_rng = eve.tap(label, rng)
-                assert resent is eve.infer_label(OUTCOMES[idx])
-                assert (got_rng.seed, got_rng.stream, got_rng.counter, got_rng._tape) == \
-                    (want_rng.seed, want_rng.stream, want_rng.counter, want_rng._tape)
+                for k in (0, 3, qmath.TAPE + 1):
+                    idx, want_k = rng.sample(pipeline_distribution(label, phi.radians, basis), k)
+                    resent, got_k = eve.tap(label, rng, k)
+                    assert resent is eve.infer_label(OUTCOMES[idx])
+                    assert type(got_k) is int and got_k == want_k == k + 1
 
     def test_outcome_outside_every_support_is_refused(self):
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y)
@@ -113,27 +114,28 @@ class TestInference:
         # her setting resolves the sent group perfectly, so the resent
         # state is the sent state and the round is undisturbed
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y)
-        rng = Rng(seed=1)
+        rng, k = Rng(seed=1), 0
         for label in (StateLabel.PSI, StateLabel.PSI_PERP):
-            resent, rng = eve.tap(label, rng)
+            resent, k = eve.tap(label, rng, k)
             assert resent is label
 
     def test_mismatched_group_resend_overlap_one_quarter(self):
         # wrong-group interception forwards a cross-group state whose
         # overlap-squared with the sent one is exactly 1/4
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Z)  # guesses the other group
-        rng = Rng(seed=2)
+        rng, k = Rng(seed=2), 0
         for _ in range(20):
-            resent, rng = eve.tap(StateLabel.PSI, rng)
+            resent, k = eve.tap(StateLabel.PSI, rng, k)
             overlap = abs(np.vdot(prepare(StateLabel.PSI), prepare(resent))) ** 2
             np.testing.assert_allclose(overlap, 0.25, atol=1e-12)
 
     def test_zero_fraction_never_touches_the_state(self):
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Z, fraction=0.0)
         rng = Rng(seed=3)
-        out, rng2 = eve.tap(StateLabel.PSI, rng)
+        out, k = eve.tap(StateLabel.PSI, rng, 0)
         assert out is StateLabel.PSI
-        assert rng2.counter == rng.counter + 1  # the pass/intercept coin
+        assert k == 1  # the pass/intercept coin only
+        assert rng == Rng(seed=3)
 
 
 class TestFootprint:

@@ -134,6 +134,32 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rounds_below_one_fails_cleanly(self, tmp_path, capsys, source):
+        out = tmp_path / "t.qkdlog"
+        argv = ["run", "--out", str(out)]
+        if source == "flag":
+            argv += ["--rounds", "0"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"rounds": 0}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: rounds must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--eve", "0,y,abc", "intercept_resend fraction must be a number, got 'abc'"),
+        ("--alice-weights", "family:abc", "alice_weights must be a number, got 'abc'"),
+        ("--alice-weights", "0.5,x,0.2,0.3", "alice_weights must be a number, got 'x'"),
+    ], ids=["eve-fraction", "family-parameter", "explicit-weight"])
+    def test_a_flag_number_that_does_not_parse_is_named(self, tmp_path, capsys, flag, text,
+                                                        message):
+        out = tmp_path / "t.qkdlog"
+        assert main(["run", "--rounds", "10", flag, text, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_drives_run(self, tmp_path, capsys):

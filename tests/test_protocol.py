@@ -37,7 +37,7 @@ from pathspin.errors import (
     InvalidDistributionError,
     ParseError,
 )
-from pathspin import cli, optics, protocol
+from pathspin import cli, optics, protocol, qmath
 from pathspin.optics import OUTCOMES, Port, SpinOutcome
 from pathspin.protocol import (
     _KIND_OF_TAIL,
@@ -381,6 +381,27 @@ class TestRounds:
         assert run_session(300, alice, bob, eve=eve, seed=5) == expected
         assert len(calls) == 300
 
+    def test_session_draws_once_per_call_of_the_two_draw_functions(self, monkeypatch):
+        # perfbench/tracer.py counts draws as calls of Rng.sample and Rng.next_uniform: four
+        # samples a round, a tap's gate every round and its sample on each intercept, or three
+        # samples a round with the basis fixed.  The gate is draw 4 of the round's stream.
+        n, seed, alice = 3000, 3, AlicePolicy.family(0.9)
+        eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)
+        intercepts = sum(Rng(seed, i, 3).next_uniform()[0] < 0.5 for i in range(n))
+        assert 0 < intercepts < n
+        calls = {"sample": 0, "next_uniform": 0}
+        for name in calls:
+            def counted(*args, name=name, draw=getattr(Rng, name)):
+                calls[name] += 1
+                return draw(*args)
+            monkeypatch.setattr(Rng, name, counted)
+        run_session(n, alice, BobPolicy(), eve=eve, seed=seed)
+        assert calls == {"sample": 4 * n + intercepts, "next_uniform": n}
+        assert sum(calls.values()) == 4 * n + n + intercepts  # draws + taps + intercepts
+        calls.update(sample=0, next_uniform=0)
+        run_session(n, alice, BobPolicy(BasisMode.ALWAYS_Z), seed=seed)
+        assert calls == {"sample": 3 * n, "next_uniform": 0}
+
     def test_kept_round_has_bits_abort_has_none(self):
         session = run_session(n_rounds=200, alice=AlicePolicy.uniform(),
                               bob=BobPolicy(), seed=5)
@@ -398,6 +419,7 @@ class TestRounds:
 
 
 class TestDrawTape:
+    @pytest.mark.parametrize("seed", [1, 7, -3, 2**70], ids=["1", "7", "-3", "2**70"])
     @pytest.mark.parametrize("bob", [BobPolicy(), BobPolicy(BasisMode.ALWAYS_Z)],
                              ids=["uniform", "always-z"])
     @pytest.mark.parametrize("eve", [
@@ -405,13 +427,15 @@ class TestDrawTape:
         InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5),
         InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z),
     ], ids=["untapped", "0,y,0.5", "pi/2,z"])
-    def test_session_equals_its_rounds_on_scalar_generators(self, bob, eve):
-        # 4200 rounds cross four boundaries of Rng.streams' 1024-stream batches; each round
-        # on a generator built with the scalar mix must give the kind the session did
-        alice, seed = AlicePolicy.family(0.7), 41
-        session = run_session(4200, alice, bob, eve=eve, seed=seed)
+    def test_session_equals_its_rounds_on_scalar_generators(self, bob, eve, seed):
+        # 2100 rounds cross two boundaries of Rng.streams' 1024-stream batches; each round
+        # on a generator built with the scalar mix must give the kind the session did, on
+        # negative seeds and seeds wider than 64 bits too
+        alice, n = AlicePolicy.family(0.7), 2100
+        assert n > 2 * qmath.STREAM_BATCH
+        session = run_session(n, alice, bob, eve=eve, seed=seed)
         assert session.kinds == bytes(run_round(alice, bob, eve, Rng(seed, i))
-                                      for i in range(4200))
+                                      for i in range(n))
 
     def test_untapped_outcome_table_is_the_receiver_chain(self):
         for label in StateLabel:

@@ -241,10 +241,12 @@ class TestRng:
         b, _ = qmath.Rng(seed=1, stream=5, counter=9).next_uniform()
         assert a == b
 
-    def test_draw_returns_successor_not_mutation(self):
+    def test_draw_returns_a_position_not_a_mutation(self):
         rng = qmath.Rng(seed=3)
-        _, nxt = rng.next_uniform()
-        assert rng.counter == 0 and nxt.counter == 1
+        _, k = rng.next_uniform()
+        _, k2 = rng.sample((0.5, 0.5), k)
+        assert type(k) is int and type(k2) is int and (k, k2) == (1, 2)
+        assert rng == qmath.Rng(seed=3) and rng.counter == 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             rng.counter = 7
 
@@ -253,10 +255,10 @@ class TestRng:
         assert len(draws) == 64
 
     def test_uniform_range_and_moments(self):
-        rng = qmath.Rng(seed=123)
+        rng, k = qmath.Rng(seed=123), 0
         values = []
         for _ in range(10_000):
-            u, rng = rng.next_uniform()
+            u, k = rng.next_uniform(k)
             values.append(u)
         values = np.asarray(values)
         assert np.all((values >= 0.0) & (values < 1.0))
@@ -266,10 +268,10 @@ class TestRng:
     def test_sample_matches_weights(self):
         weights = (0.5, 0.25, 0.25)
         counts = [0, 0, 0]
-        rng = qmath.Rng(seed=9)
+        rng, k = qmath.Rng(seed=9), 0
         n = 20_000
         for _ in range(n):
-            idx, rng = rng.sample(weights)
+            idx, k = rng.sample(weights, k)
             counts[idx] += 1
         expected = [w * n for w in weights]
         chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
@@ -277,9 +279,9 @@ class TestRng:
         assert math.exp(-chi2 / 2) > 1e-3
 
     def test_sample_advances_one_draw(self):
-        rng = qmath.Rng(seed=4)
-        _, nxt = rng.sample([0.5, 0.5])
-        assert nxt.counter == rng.counter + 1
+        rng = qmath.Rng(seed=4, counter=2)
+        for k in (-3, 0, 1, qmath.TAPE, 2**64):
+            assert rng.sample([0.5, 0.5], k)[1] == k + 1
 
     def test_sample_rejects_bad_weights(self):
         rng = qmath.Rng(seed=0)
@@ -307,22 +309,22 @@ class TestRng:
                 rng = qmath.Rng(seed=5, stream=stream)
                 assert rng.sample(checked) == rng.sample(list(w))
 
-    def test_successor_draws_like_a_fresh_generator(self):
+    def test_next_position_draws_like_a_fresh_generator(self):
         # the root mixed once per generator must give the draws of the
-        # three-mix formula, from any (seed, stream, counter)
+        # three-mix formula, from any (seed, stream, counter); position k of a
+        # generator draws what a fresh one at counter k draws first
         seeds = [0, 1, 7, -1, -(2**63), 2**63, 2**64, 2**64 + 5, 3**50]
         streams = list(range(40)) + [2**32 + 1, 2**63, 2**64 - 1, 2**64, 5**40, -3]
         for seed in seeds:
             for stream in streams:
                 rng = qmath.Rng(seed, stream)
-                for counter in range(4):
-                    u, nxt = rng.next_uniform()
-                    fresh = qmath.Rng(seed, stream, counter + 1)
-                    assert u == reference_uniform(seed, stream, counter)
-                    assert nxt == fresh and hash(nxt) == hash(fresh)
-                    assert nxt.next_uniform() == fresh.next_uniform()
-                    assert nxt.sample((0.2, 0.3, 0.5)) == fresh.sample((0.2, 0.3, 0.5))
-                    rng = nxt
+                for k in range(4):
+                    u, nxt = rng.next_uniform(k)
+                    fresh = qmath.Rng(seed, stream, k + 1)
+                    assert u == reference_uniform(seed, stream, k)
+                    assert nxt == k + 1
+                    assert rng.next_uniform(nxt)[0] == fresh.next_uniform()[0]
+                    assert rng.sample((0.2, 0.3, 0.5), nxt)[0] == fresh.sample((0.2, 0.3, 0.5))[0]
 
     def test_streams_equal_fresh_generators(self):
         seeds = [0, 1, 7, -1, -(2**63), 2**63, 2**64, 2**64 + 5, 3**50, 5**40]
@@ -352,9 +354,7 @@ class TestRng:
             assert len(streams) == n
             for rng, (want_fields, draws) in zip(streams, expected):
                 assert fields(rng) == want_fields
-                for want in draws:
-                    u, rng = rng.next_uniform()
-                    assert u == want
+                assert [rng.next_uniform(k)[0] for k in range(len(draws))] == draws
 
     def test_streams_hold_one_batch_at_a_time(self):
         # a batch's roots, tapes and arrays are dropped before the next batch is built,
@@ -374,27 +374,28 @@ class TestRng:
         weights = qmath.Distribution((0.2, 0.3, 0.5))
         for stream in range(50):
             rng = qmath.Rng(11, stream)
-            for _ in range(qmath.TAPE + 3):
-                u, after = rng.next_uniform()
-                idx, nxt = rng.sample(weights)
-                assert fields(nxt) == fields(after)
+            for k in range(qmath.TAPE + 3):
+                u, after = rng.next_uniform(k)
+                idx, nxt = rng.sample(weights, k)
+                assert nxt == after == k + 1
                 assert idx == (0 if u < 0.2 else 1 if u < 0.2 + 0.3 else 2)
-                rng = nxt
 
     def test_generator_stays_a_frozen_three_field_value(self):
         rng = qmath.Rng(seed=5, stream=3)
-        _, nxt = rng.next_uniform()
-        assert repr(nxt) == "Rng(seed=5, stream=3, counter=1)"
+        one = qmath.Rng(seed=5, stream=3, counter=1)
+        assert one.next_uniform() == (rng.next_uniform(1)[0], 1)
+        assert one == qmath.Rng(5, 3, 1)  # a draw leaves it as it was
+        assert repr(one) == "Rng(seed=5, stream=3, counter=1)"
         with pytest.raises(dataclasses.FrozenInstanceError):
-            nxt.counter = 0
+            one.counter = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            nxt._tape = (0.5,) * qmath.TAPE
+            one._tape = (0.5,) * qmath.TAPE
         with pytest.raises(dataclasses.FrozenInstanceError):
-            nxt.other = 1
+            one.other = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
-            del nxt.counter
-        assert fields(nxt) == (5, 3, 1, rng._tape)
-        jumped = qmath.Rng(nxt.seed, nxt.stream, 9)
+            del one.counter
+        assert fields(one) == (5, 3, 1, rng._tape)
+        jumped = qmath.Rng(one.seed, one.stream, 9)
         assert fields(jumped) == fields(qmath.Rng(5, 3, 9))
         assert jumped.next_uniform() == qmath.Rng(5, 3, 9).next_uniform()
 
@@ -409,11 +410,10 @@ class TestRng:
         for again in (copy.copy(rng), copy.deepcopy(rng), *pickled):
             assert type(again) is qmath.Rng
             assert again == rng and fields(again) == fields(rng)
-            mine, theirs = rng, again
-            for _ in range(qmath.TAPE + 2):
-                assert theirs.sample((0.2, 0.3, 0.5))[0] == mine.sample((0.2, 0.3, 0.5))[0]
-                (u, mine), (v, theirs) = mine.next_uniform(), theirs.next_uniform()
-                assert u == v and fields(theirs) == fields(mine)
+            for k in range(-2, qmath.TAPE + 2):
+                assert again.sample((0.2, 0.3, 0.5), k) == rng.sample((0.2, 0.3, 0.5), k)
+                assert again.next_uniform(k) == rng.next_uniform(k)
+            assert fields(again) == fields(rng)
 
     def test_draws_before_and_past_the_tape_are_mixed_whole(self):
         # only counters 0..TAPE-1 read the tape; a negative one must not index it from the end
@@ -427,12 +427,16 @@ class TestRng:
                     idx, after = rng.sample(weights)
                     assert u == want
                     assert idx == reference_pick(weights, want)
-                    assert fields(nxt) == fields(after) == fields(qmath.Rng(seed, stream, counter + 1))
+                    assert nxt == after == 1
+                    # the same draw at position ``counter`` of the stream's counter-0 generator
+                    at_zero = qmath.Rng(seed, stream)
+                    assert at_zero.next_uniform(counter) == (want, counter + 1)
+                    assert at_zero.sample(weights, counter) == (idx, counter + 1)
 
     def test_sample_boundary_weights(self):
-        rng = qmath.Rng(seed=17)
+        rng, k = qmath.Rng(seed=17), 0
         for _ in range(50):
-            idx, rng = rng.sample([0.0, 1.0, 0.0])
+            idx, k = rng.sample([0.0, 1.0, 0.0], k)
             assert idx == 1
 
 
