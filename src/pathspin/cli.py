@@ -182,14 +182,14 @@ def _merge_flags(cfg: SessionConfig, args: argparse.Namespace,
 def _summarize(transcript: Transcript, path: str, min_aborts: int) -> tuple[int, list[str], dict]:
     """Exit code, text lines and JSON payload of the summary of ``transcript``.
 
-    Everything comes from the transcript.  Each frame's figures are
-    ``security_decision``'s; ``require_aborts`` decides NO VERDICT, and the
-    verdict is the weights frame's.
+    Every figure is read from the kind counts the transcript took when it was built; this
+    makes no pass over its rounds.  Each frame's figures are ``security_decision``'s;
+    ``require_aborts`` decides NO VERDICT, and the verdict is the weights frame's.
     """
-    ensemble = AbortEnsemble(tuple(transcript.abort_counts().values()))
+    abort_counts = transcript.abort_counts()
+    ensemble = AbortEnsemble(tuple(abort_counts.values()))
     n, aborted = len(transcript.kinds), ensemble.total
-    kept = n - aborted
-    keep_fraction = kept / max(n, 1)
+    kept, keep_fraction = n - aborted, transcript.keep_fraction()
     out = [f"rounds={n} kept={kept} aborted={aborted} keep_fraction={keep_fraction:.4f}"]
     payload = {"rounds": n, "seed": transcript.seed, "kept": kept,
                "aborted": aborted, "keep_fraction": keep_fraction, "transcript": str(path),
@@ -205,9 +205,8 @@ def _summarize(transcript: Transcript, path: str, min_aborts: int) -> tuple[int,
     except InsufficientDataError:
         out.append("qber=n/a (no kept rounds)")
         payload["qber"] = None
-    counts = dict(zip((label.value for label in StateLabel), ensemble.counts))
+    payload["abort_counts"] = counts = {label.value: count for label, count in abort_counts.items()}
     out.append("declared aborts: " + " ".join(f"{k}={n}" for k, n in counts.items()))
-    payload["abort_counts"] = counts
     # an empty ensemble has no correlation matrix; require_aborts reports it
     reports = [security_decision(ensemble, fr, min_count=1)
                for fr in _FRAMES] if ensemble.total else []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import operator
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from os.path import commonprefix
@@ -220,33 +220,32 @@ def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
 class Transcript:
     """A session: its seed, its config and the kind index of each round, one byte per round.
 
-    ``kinds`` is the only per-round state: records, declarations, both keys and every summary
-    figure (a masked sum of ``kind_counts``) derive from it, through the per-kind columns."""
+    ``kinds`` is the only per-round state: records, declarations and both keys derive from it
+    through the per-kind columns.  Its 64 ``kind_counts`` are taken once, when the transcript
+    is built, and every summary figure is a masked sum of them."""
 
     seed: int
     config: dict
     kinds: bytes
+    kind_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.kinds) is not bytes:
             raise ValueError("kinds must be bytes of kind indices below 64, "
                              f"got a {type(self.kinds).__name__}")
-        kinds = np.frombuffer(self.kinds, np.uint8)
-        if kinds.max(initial=0) > 63:
-            first = int(np.argmax(kinds > 63))
+        # the one pass over the kinds: ``np.bincount`` copies them to 8-byte ``intp``, so by blocks
+        kinds, counts = np.frombuffer(self.kinds, np.uint8), np.zeros(256, np.intp)
+        for start in range(0, len(kinds), _ROUND_BLOCK):
+            counts += np.bincount(kinds[start:start + _ROUND_BLOCK], minlength=256)
+        if counts[len(_KINDS):].any():  # a kind above 63 counts past index 63
+            first = int(np.argmax(kinds >= len(_KINDS)))
             raise ValueError("kinds must be bytes of kind indices below 64, "
                              f"round {first} has kind {kinds[first]}")
+        object.__setattr__(self, "kind_counts", counts[:len(_KINDS)])
+        self.kind_counts.flags.writeable = False
 
-    @property
-    def kind_counts(self) -> np.ndarray:
-        """The rounds of each kind index, 64 counts.
-
-        ``np.bincount`` copies what it counts to ``intp``, 8 bytes a round, so the kinds are
-        counted ``_ROUND_BLOCK`` rounds at a time and the counts summed."""
-        kinds, counts = np.frombuffer(self.kinds, np.uint8), np.zeros(len(_KINDS), np.intp)
-        for start in range(0, len(kinds), _ROUND_BLOCK):
-            counts += np.bincount(kinds[start:start + _ROUND_BLOCK], minlength=len(_KINDS))
-        return counts
+    def __reduce__(self) -> tuple:
+        return Transcript, (self.seed, self.config, self.kinds)  # pickle and copy recount
 
     @property
     def rounds(self) -> list[RoundRecord]:
@@ -273,11 +272,12 @@ class Transcript:
         return _BOB_BIT[kinds[_KEPT[kinds]]].tolist()
 
     def keep_fraction(self) -> float:
+        """Kept rounds over all rounds (0 with none), read from ``kind_counts``."""
         return int(self.kind_counts[_KEPT].sum()) / max(len(self.kinds), 1)
 
     def abort_counts(self) -> dict[StateLabel, int]:
-        counts = self.kind_counts
-        return {label: int(counts[~_KEPT & (_LABEL_INDEX == i)].sum())
+        """Aborted rounds of each label, in ``StateLabel`` order, read from ``kind_counts``."""
+        return {label: int(self.kind_counts[~_KEPT & (_LABEL_INDEX == i)].sum())
                 for i, label in enumerate(_LABELS)}
 
     def decode_failures(self) -> int:
@@ -288,7 +288,7 @@ class Transcript:
         return 0
 
     def key_errors(self) -> tuple[int, int]:
-        """(mismatched, decoded): kept rounds whose two bits differ, and kept rounds, all decoded."""
+        """(mismatched, decoded) from ``kind_counts``: kept rounds whose bits differ; kept rounds."""
         counts = self.kind_counts
         return int(counts[_KEPT & (_BOB_BIT != _ALICE_BIT)].sum()), int(counts[_KEPT].sum())
 

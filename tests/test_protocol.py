@@ -1,5 +1,6 @@
 """Round simulation, sifting, keys, transcripts and replay."""
 
+import copy
 import dataclasses
 import hashlib
 import io
@@ -1058,16 +1059,49 @@ class TestKindCounts:
         assert by_hand.keep_fraction() > 0.0 and by_hand == session
 
     def test_counting_a_million_rounds_copies_no_more_than_a_block(self):
+        # the kinds are counted when the transcript is built, so the trace spans the build
         kinds = np.random.default_rng(3).integers(0, 64, 10**6, dtype=np.uint8)
-        transcript = Transcript(seed=0, config={}, kinds=kinds.tobytes())
+        data = kinds.tobytes()
         tracemalloc.start()
         try:
-            counts = transcript.kind_counts
+            transcript = Transcript(seed=0, config={}, kinds=data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert np.array_equal(counts, np.bincount(kinds, minlength=64))
+        assert np.array_equal(transcript.kind_counts, np.bincount(kinds, minlength=64))
+
+    def test_kind_counts_are_a_read_only_field_outside_eq_and_repr(self, session):
+        with pytest.raises(ValueError, match="read-only"):
+            session.kind_counts[0] += 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.kind_counts = np.zeros(64, np.intp)
+        assert repr(session) == (f"Transcript(seed={session.seed!r}, config={session.config!r}, "
+                                 f"kinds={session.kinds!r})")
+        other = Transcript(session.seed, session.config, session.kinds)
+        object.__setattr__(other, "kind_counts", np.zeros(64, np.intp))
+        assert other == session
+        pickled = [pickle.loads(pickle.dumps(session, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in (copy.copy(session), copy.deepcopy(session), *pickled):
+            assert again == session
+            assert again.kind_counts.tolist() == session.kind_counts.tolist()
+            assert not again.kind_counts.flags.writeable
+
+    def test_kinds_are_counted_once_when_built_and_never_by_the_summary(self, monkeypatch):
+        bincount, calls = np.bincount, []
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(a) or bincount(*a, **k))
+        session = run_session(3000, AlicePolicy.family(0.9), BobPolicy(),
+                              eve=InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5), seed=3)
+        # one pass: a call per block of rounds, each block counted once
+        block = protocol._ROUND_BLOCK
+        assert [len(a[0]) for a in calls] == [min(block, 3000 - s) for s in range(0, 3000, block)]
+        calls.clear()
+        code, out, payload = cli._summarize(session, "session.qkdlog", 0)
+        assert calls == []
+        assert (payload["kept"] + payload["aborted"], payload["qber"]["kept"]) == (
+            3000, payload["kept"])
+        assert payload["reports"] and code in (cli.EXIT_OK, cli.EXIT_INSECURE)
 
     def test_an_empty_transcript_has_zero_counts(self):
         empty = Transcript(seed=0, config={}, kinds=b"")
