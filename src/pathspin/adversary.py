@@ -65,8 +65,8 @@ class InterceptResend:
         """Possibly intercept the signal label in flight; return the label that travels on.
 
         An intercepted label is measured through her setting's row of ``protocol.RECEIVED``, the
-        table Bob samples, and replaced by ``infer_label`` of her outcome.  She draws from
-        position ``k`` of ``rng`` on, and returns the next position with the label.
+        table Bob samples, and replaced by ``infer_label`` of her outcome.  Her draws, the gate
+        and ``eve`` of ``protocol.DRAWS``, start at position ``k``; she returns the next one.
         """
         if self.fraction < 1.0:
             u, k = rng.next_uniform(k)

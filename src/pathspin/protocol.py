@@ -18,7 +18,7 @@ import operator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from os.path import commonprefix
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple
@@ -193,16 +193,22 @@ RECEIVED = {label: tuple(tuple(pipeline_distribution(label, phi.radians, basis)
             for label in _LABELS}
 
 
+#: A round's draws in order, by (basis mode, gated, intercepted): name ``j`` is ``Rng`` position
+#: ``j``, as ``run_round`` and ``InterceptResend.tap`` draw.  A tap of fraction 1 draws no gate.
+DRAWS = {(mode, gated, hit): tuple(compress(("label", "phi", "basis", "gate", "eve", "outcome"), (
+    True, True, mode is BasisMode.INDEPENDENT_UNIFORM, gated, hit, True)))
+    for mode in BasisMode for gated in (False, True) for hit in (False, True)}
+
+
 def run_round(alice: AlicePolicy, bob: BobPolicy, eve, rng: Rng) -> int:
     """Simulate one round; return its kind index ``((label*2 + phi)*2 + basis)*4 + outcome``.
 
     Each draw reads ``rng`` at the position ``k`` the previous draw returned, so the round
     builds no generator.  ``eve`` is None or an adversary object exposing ``tap(label, rng, k)
-    -> (label, k)``: the channel carries a signal label.  Draw order within the round's stream:
-    label, phi, basis (uniform mode only), adversary draws, outcome.  Every round reads its
-    outcome distribution from ``RECEIVED`` by the label that reaches Bob.  The index is that of
-    the label Alice sent; its entry of ``_KINDS`` holds the verdict and bits ``sift`` and
-    ``decode_bit`` fill at import.
+    -> (label, k)``: the channel carries a signal label.  The round draws its row of ``DRAWS``,
+    in order.  Every round reads its outcome distribution from ``RECEIVED`` by the label that
+    reaches Bob.  The index is that of the label Alice sent; its entry of ``_KINDS`` holds the
+    verdict and bits ``sift`` and ``decode_bit`` fill at import.
     """
     label_idx, k = rng.sample(alice.weights)
     phi_idx, k = rng.sample(_HALF, k)

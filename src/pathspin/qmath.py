@@ -184,7 +184,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 #: Draws held on a generator's tape: counters 1..6, the most one protocol
-#: round makes (label, phi, basis, tap gate, the tap's sample, outcome).
+#: round makes (the longest row of ``protocol.DRAWS``).
 TAPE = 6
 #: Streams whose tapes ``Rng.streams`` computes in one numpy batch.
 STREAM_BATCH = 1024

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import pickle
 import tracemalloc
@@ -383,25 +384,29 @@ class TestRounds:
         assert len(calls) == 300
 
     def test_session_draws_once_per_call_of_the_two_draw_functions(self, monkeypatch):
-        # perfbench/tracer.py counts draws as calls of Rng.sample and Rng.next_uniform: four
-        # samples a round, a tap's gate every round and its sample on each intercept, or three
-        # samples a round with the basis fixed.  The gate is draw 4 of the round's stream.
+        # perfbench/tracer.py counts draws as calls of Rng.sample and Rng.next_uniform: one call
+        # per name of each round's protocol.DRAWS row, the gate by next_uniform and every other
+        # by sample.  Intercepts are recounted at the gate's position in the table: 3 in the
+        # uniform mode, 2 under always_z.
         n, seed, alice = 3000, 3, AlicePolicy.family(0.9)
         eve = InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)
-        intercepts = sum(Rng(seed, i, 3).next_uniform()[0] < 0.5 for i in range(n))
-        assert 0 < intercepts < n
         calls = {"sample": 0, "next_uniform": 0}
         for name in calls:
             def counted(*args, name=name, draw=getattr(Rng, name)):
                 calls[name] += 1
                 return draw(*args)
             monkeypatch.setattr(Rng, name, counted)
-        run_session(n, alice, BobPolicy(), eve=eve, seed=seed)
-        assert calls == {"sample": 4 * n + intercepts, "next_uniform": n}
-        assert sum(calls.values()) == 4 * n + n + intercepts  # draws + taps + intercepts
-        calls.update(sample=0, next_uniform=0)
-        run_session(n, alice, BobPolicy(BasisMode.ALWAYS_Z), seed=seed)
-        assert calls == {"sample": 3 * n, "next_uniform": 0}
+        intercepted = {}
+        for mode, tap in itertools.product(BasisMode, (None, eve)):
+            rows = [protocol.DRAWS[_draw_key(mode, tap, seed, i)] for i in range(n)]
+            calls.update(sample=0, next_uniform=0)  # _draw_key's own gate draws are not counted
+            run_session(n, alice, BobPolicy(mode), eve=tap, seed=seed)
+            gates = sum(row.count("gate") for row in rows)
+            assert calls == {"sample": sum(map(len, rows)) - gates, "next_uniform": gates}
+            intercepted[mode, tap] = sum("eve" in row for row in rows)
+        assert intercepted == {(BasisMode.INDEPENDENT_UNIFORM, None): 0,
+                               (BasisMode.INDEPENDENT_UNIFORM, eve): 1440,
+                               (BasisMode.ALWAYS_Z, None): 0, (BasisMode.ALWAYS_Z, eve): 1466}
 
     def test_kept_round_has_bits_abort_has_none(self):
         session = run_session(n_rounds=200, alice=AlicePolicy.uniform(),
@@ -417,6 +422,48 @@ class TestRounds:
         session = run_session(n_rounds=100, alice=AlicePolicy.uniform(),
                               bob=BobPolicy(BasisMode.ALWAYS_Z), seed=6)
         assert all(rec.basis is SpinBasis.Z for rec in session.rounds)
+
+
+def _draw_key(mode: BasisMode, eve, seed: int, i: int) -> tuple:
+    """The ``protocol.DRAWS`` key of round ``i``, its gate read at the gate's position there."""
+    gated = eve is not None and eve.fraction < 1.0
+    gate = protocol.DRAWS[mode, True, False].index("gate")
+    hit = eve is not None and (not gated or Rng(seed, i).next_uniform(gate)[0] < eve.fraction)
+    return mode, gated, hit
+
+
+class TestDrawSchedule:
+    TAPS = [None, InterceptResend(PhaseChoice.PHI_HALF_PI, SpinBasis.Z),
+            InterceptResend(PhaseChoice.PHI_0, SpinBasis.Y, 0.5)]
+
+    def test_run_round_draws_at_the_positions_of_its_row(self, monkeypatch):
+        # every draw a round makes, by function and position, is its row of protocol.DRAWS
+        # in order; both basis modes and the three kinds of tap reach all eight rows
+        drawn, seen, seed, alice = [], set(), 11, AlicePolicy.family(0.8)
+
+        def sample(rng, weights, k=0, draw=Rng.sample):
+            drawn.append(("sample", rng.counter + k))
+            return draw(rng, weights, k)
+
+        def next_uniform(rng, k=0, draw=Rng.next_uniform):
+            drawn.append(("next_uniform", rng.counter + k))
+            return draw(rng, k)
+
+        monkeypatch.setattr(Rng, "sample", sample)
+        monkeypatch.setattr(Rng, "next_uniform", next_uniform)
+        for mode, eve in itertools.product(BasisMode, self.TAPS):
+            for i, rng in enumerate(Rng.streams(seed, 500)):
+                key = _draw_key(mode, eve, seed, i)
+                drawn.clear()
+                run_round(alice, BobPolicy(mode), eve, rng)
+                assert drawn == [("next_uniform" if name == "gate" else "sample", j)
+                                 for j, name in enumerate(protocol.DRAWS[key])], (key, i)
+                seen.add(key)
+        assert seen == protocol.DRAWS.keys() and len(seen) == 8
+
+    def test_the_tape_holds_the_longest_row(self):
+        # a round that drew past the tape would mix its extra draws one by one
+        assert qmath.TAPE == max(map(len, protocol.DRAWS.values()))
 
 
 class TestDrawTape:
