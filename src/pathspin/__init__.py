@@ -31,7 +31,6 @@ from .errors import (
     InsufficientDataError,
     InvalidDistributionError,
     InvalidMatrixError,
-    InvalidMeasurementError,
     InvalidStateError,
     ParseError,
     PathSpinError,
@@ -105,7 +104,6 @@ __all__ = [
     "InterceptResend",
     "InvalidDistributionError",
     "InvalidMatrixError",
-    "InvalidMeasurementError",
     "InvalidStateError",
     "OUTCOMES",
     "OutcomePair",

@@ -120,7 +120,7 @@ def parse_eve(value: str | dict | None) -> InterceptResend | None:
         if parts in ([""], ["none"]):
             return None
         if len(parts) not in (2, 3):
-            raise ValueError(f"adversary must be 'PHI,BASIS[,FRACTION]', got {value!r}")
+            raise ConfigError(f"adversary must be 'PHI,BASIS[,FRACTION]', got {value!r}")
         value = {"type": "intercept_resend", "phi": parts[0], "basis": parts[1]}
         if len(parts) == 3:
             value["fraction"] = _flag_number(parts[2], "intercept_resend fraction")
@@ -130,15 +130,15 @@ def parse_eve(value: str | dict | None) -> InterceptResend | None:
 def _integer(value: object, key: str, least: int | None = None) -> int:
     """The value of ``key``: a JSON integer (a flag's is one), at least ``least`` if given."""
     if not is_json_int(value):
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
     if least is not None and value < least:
-        raise ValueError(f"{key} must be >= {least}, got {value}")
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
     return value
 
 
 def _check_out(path: object) -> str:
     if not isinstance(path, str):
-        raise ValueError(f"out must be a string, got {json.dumps(path)}")
+        raise ConfigError(f"out must be a string, got {json.dumps(path)}")
     return path
 
 
@@ -164,11 +164,14 @@ def load_config(path: str) -> SessionConfig:
     """Read a JSON config file and validate it against the known keys."""
     try:
         raw = read_json(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text "
+                          f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
     except ParseError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
     unknown = set(raw).difference(_CONFIG_KEYS)
     if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     return _apply(SessionConfig(), raw)
 
 

@@ -22,10 +22,6 @@ class InvalidMatrixError(PathSpinError):
     """A matrix violates a structural requirement (unitarity, symmetry, ...)."""
 
 
-class InvalidMeasurementError(PathSpinError):
-    """A projector family is not a valid projective measurement."""
-
-
 class InvalidDistributionError(PathSpinError):
     """Sampling weights are negative or do not sum to one."""
 

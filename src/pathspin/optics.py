@@ -226,9 +226,15 @@ def measure_distribution(state: np.ndarray, basis: SpinBasis) -> np.ndarray:
     """Probabilities of the four (port, spin) outcomes, in OUTCOMES order.
 
     Expects a state already propagated through ``bob_transform`` (and
-    ``hadamard_stage``), so the path component indexes output ports.
+    ``hadamard_stage``), so the path component indexes output ports.  Each
+    probability is <v|P|v> of the basis's projector, rounding below zero
+    clamped to 0.0.  The two projector families are constants, checked once
+    by a test to be projective measurements in OUTCOMES order.
     """
-    return qmath.born(state, _PROJECTORS[basis])
+    v = qmath.as_state(state, 4)
+    probs = np.array([np.real(np.vdot(v, p @ v)) for p in _PROJECTORS[basis]])
+    probs[probs < 0.0] = 0.0
+    return probs
 
 
 def path_observable(phi: float) -> np.ndarray:

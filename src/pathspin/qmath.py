@@ -1,11 +1,10 @@
 """Small dense linear-algebra and sampling kernel.
 
 Everything here is physics-agnostic: complex vectors of dimension 2 and 4,
-projective (Born-rule) probabilities, symmetric 3x3 eigenvalues, checked
-finite distributions, and a counter-based random generator whose draws
-depend only on (seed, stream, counter) so that independently generated
-streams can be evaluated in any order, on any platform, with identical
-results.
+symmetric 3x3 eigenvalues, checked finite distributions, and a
+counter-based random generator whose draws depend only on (seed, stream,
+counter) so that independently generated streams can be evaluated in any
+order, on any platform, with identical results.
 
 Each tolerance check is written ``not deviation <= tol``, so that a NaN
 deviation, from a NaN or infinite input, fails it as a large one does.
@@ -25,13 +24,11 @@ from .errors import (
     DimensionError,
     InvalidDistributionError,
     InvalidMatrixError,
-    InvalidMeasurementError,
     InvalidStateError,
 )
 
 NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
-PROB_CLAMP = -1e-14
 
 
 def as_state(v: Sequence[complex] | np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -85,38 +82,6 @@ def lift_path(u: np.ndarray) -> np.ndarray:
     if u.shape != (2, 2):
         raise DimensionError(f"path operator must be 2x2, got {u.shape}")
     return np.kron(np.eye(2, dtype=complex), u)
-
-
-def born(v: np.ndarray, projectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Outcome probabilities of a projective measurement on a pure state.
-
-    The projectors must be Hermitian, idempotent and resolve the identity
-    (each checked to 1e-10).  Probabilities in [-1e-14, 0) are clamped to
-    zero; anything more negative raises, as does a family that fails to
-    sum to one within 1e-12.
-    """
-    v = as_state(v)
-    d = v.shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    probs = np.empty(len(projectors))
-    for k, p in enumerate(projectors):
-        p = np.asarray(p, dtype=complex)
-        if p.shape != (d, d):
-            raise DimensionError(f"projector {k} has shape {p.shape}, expected {(d, d)}")
-        if not np.max(np.abs(p - p.conj().T)) <= UNITARY_ATOL:
-            raise InvalidMeasurementError(f"projector {k} is not Hermitian")
-        if not np.max(np.abs(p @ p - p)) <= UNITARY_ATOL:
-            raise InvalidMeasurementError(f"projector {k} is not idempotent")
-        total += p
-        probs[k] = np.real(np.vdot(v, p @ v))
-    if not np.max(np.abs(total - np.eye(d))) <= UNITARY_ATOL:
-        raise InvalidMeasurementError("projectors do not resolve the identity")
-    if np.any(probs < PROB_CLAMP):
-        raise InvalidMeasurementError(f"negative probability {probs.min():.3e}")
-    probs[probs < 0.0] = 0.0
-    if not abs(probs.sum() - 1.0) <= 1e-12:
-        raise InvalidMeasurementError(f"probabilities sum to {float(probs.sum())!r}")
-    return probs
 
 
 # ---------------------------------------------------------------------------

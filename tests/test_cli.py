@@ -21,6 +21,7 @@ from pathspin.cli import (
     parse_eve,
     parse_weights,
 )
+from pathspin.errors import PathSpinError
 from pathspin.optics import OUTCOMES
 
 
@@ -255,6 +256,41 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2, 3]")
         assert main(["run", "--config", str(cfg)]) == EXIT_ERROR
+
+    def test_config_that_is_not_utf8_names_itself(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'\xff\xfe{"rounds": 10}')
+        out = tmp_path / "t.qkdlog"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config is not UTF-8 text (byte 0xff: invalid start byte)\n")
+        assert not out.exists()
+
+
+def _config(tmp_path, data: bytes) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda tmp: parse_eve("0,y,0.5,1"),
+     "adversary must be 'PHI,BASIS[,FRACTION]', got '0,y,0.5,1'"),
+    (lambda tmp: cli._integer("10", key="rounds"), 'rounds must be an integer, got "10"'),
+    (lambda tmp: cli._integer(0, key="rounds", least=1), "rounds must be >= 1, got 0"),
+    (lambda tmp: cli._check_out(5), "out must be a string, got 5"),
+    (lambda tmp: cli.load_config(_config(tmp, b"[1]")),
+     "{path}: line 1: expected a JSON object, got list"),
+    (lambda tmp: cli.load_config(_config(tmp, b'{"mystery": 1}')),
+     "{path}: unknown config keys ['mystery']"),
+    (lambda tmp: cli.load_config(_config(tmp, b"\xff\xfe{}")),
+     "{path}: config is not UTF-8 text (byte 0xff: invalid start byte)"),
+], ids=["eve-parts", "integer-type", "integer-least", "out-type", "config-parse",
+        "config-keys", "config-utf8"])
+def test_a_refused_outside_value_is_a_pathspin_error(tmp_path, refuse, message):
+    with pytest.raises(PathSpinError) as err:
+        refuse(tmp_path)
+    assert str(err.value) == message.format(path=tmp_path / "cfg.json")
 
 
 class TestCheckCommand:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pathspin import qmath
-from pathspin.errors import InvalidStateError
+from pathspin import optics, protocol, qmath
+from pathspin.errors import DimensionError, InvalidStateError
 from pathspin.optics import (
     GROUP_GATE,
     HALF_PI,
@@ -27,6 +27,7 @@ from pathspin.optics import (
     prepare,
     receiver_distribution,
     source_state,
+    spin_basis_vectors,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -34,6 +35,23 @@ RT2 = 1.0 / math.sqrt(2.0)
 KEEP_ROW_A = (0.5, 0.0, 0.0, 0.5)   # support {(t', s0), (r', s1)}
 KEEP_ROW_B = (0.0, 0.5, 0.5, 0.0)   # support {(t', s1), (r', s0)}
 ABORT_ROW = (0.25, 0.25, 0.25, 0.25)
+
+# every float of protocol.RECEIVED, as float.hex, by signal state: one row per (phase,
+# basis), phase-major; the 1e-12 tables here cannot see an ulp, a sampling prefix can
+_QUARTER, _QUARTER_LOW = "0x1.ffffffffffffcp-3", "0x1.ffffffffffffap-3"
+_HALF, _HALF_LOW = "0x1.ffffffffffffcp-2", "0x1.ffffffffffffap-2"
+_HALF_LOWER = "0x1.ffffffffffff8p-2"
+_ZERO, _TINY, _TINIER = "0x0.0p+0", "0x1.4b6f40ecb503cp-110", "0x1.0793ec2ff60b7p-122"
+RECEIVED_HEX = {
+    StateLabel.PSI: [(_QUARTER,) * 4, (_HALF_LOW, _ZERO, _ZERO, _HALF_LOW),
+                     (_HALF, _TINY, _TINY, _HALF), (_QUARTER_LOW,) * 4],
+    StateLabel.PSI_PERP: [(_QUARTER,) * 4, (_ZERO, _HALF_LOW, _HALF_LOW, _ZERO),
+                          (_TINY, _HALF, _HALF, _TINY), (_QUARTER_LOW,) * 4],
+    StateLabel.PHI: [(_HALF, _ZERO, _ZERO, _HALF), (_QUARTER_LOW,) * 4,
+                     (_QUARTER_LOW,) * 4, (_HALF_LOWER, _TINIER, _TINIER, _HALF_LOWER)],
+    StateLabel.PHI_PERP: [(_ZERO, _HALF, _HALF, _ZERO), (_QUARTER_LOW,) * 4,
+                          (_QUARTER_LOW,) * 4, (_TINIER, _HALF_LOWER, _HALF_LOWER, _TINIER)],
+}
 
 # every (state, phase, basis) row of the outcome table; derived in
 # test_full_outcome_table from the measurement chain itself
@@ -198,3 +216,43 @@ class TestOutcomeStatistics:
             out = bob_transform(prepare(label), 0.0)
             probs = measure_distribution(out, SpinBasis.Y)
             np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
+
+
+class TestMeasurement:
+    @pytest.mark.parametrize("basis", list(SpinBasis))
+    def test_projector_families_are_projective_measurements_in_outcome_order(self, basis):
+        family = optics._PROJECTORS[basis]
+        assert len(family) == len(OUTCOMES) == 4
+        ports = {Port.TPRIME: np.array([1.0, 0.0]), Port.RPRIME: np.array([0.0, 1.0])}
+        for p, outcome in zip(family, OUTCOMES):
+            spin = spin_basis_vectors(basis)[list(SpinOutcome).index(outcome.spin)]
+            joint = np.kron(spin, ports[outcome.port])
+            np.testing.assert_allclose(p, np.outer(joint, joint.conj()), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p, p.conj().T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sum(family), np.eye(4), rtol=0, atol=1e-12)
+
+    def test_receiver_rows_are_pinned_bit_for_bit(self):
+        got = {label: [tuple(map(float.hex, dist)) for row in by_phi for dist in row]
+               for label, by_phi in protocol.RECEIVED.items()}
+        assert got == RECEIVED_HEX
+
+    def test_probabilities_are_clamped_nonnegative_and_sum_to_one(self):
+        # rounding may drive an orthogonal outcome a hair below zero; the clamp returns 0.0
+        out = hadamard_stage(bob_transform(prepare(StateLabel.PSI), 0.0), 0.0)
+        probs = measure_distribution(out, SpinBasis.Y)
+        assert probs[1] >= 0.0 and probs[2] >= 0.0
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v /= np.linalg.norm(v)
+            for phi in (0.0, HALF_PI):
+                for basis in SpinBasis:
+                    probs = measure_distribution(hadamard_stage(bob_transform(v, phi), phi), basis)
+                    assert np.all(probs >= 0.0)
+                    assert abs(probs.sum() - 1.0) <= 1e-12
+
+    def test_state_of_wrong_dimension_is_refused(self):
+        with pytest.raises(DimensionError) as err:
+            measure_distribution(np.array([1.0, 0.0]), SpinBasis.Z)
+        assert str(err.value) == "expected dimension 4, got 2"

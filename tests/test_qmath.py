@@ -17,7 +17,6 @@ from pathspin.errors import (
     DimensionError,
     InvalidDistributionError,
     InvalidMatrixError,
-    InvalidMeasurementError,
     InvalidStateError,
 )
 from pathspin.protocol import AlicePolicy
@@ -116,9 +115,7 @@ class TestOperators:
         (lambda: qmath.apply(np.ones((2, 3)), np.array([1.0, 0.0, 0.0])),
          "operator must be square, got shape (2, 3)"),
         (lambda: qmath.sym3_eigs(np.eye(2)), "expected a 3x3 matrix, got (2, 2)"),
-        (lambda: qmath.born(np.array([1.0, 0.0]), [np.eye(3)]),
-         "projector 0 has shape (3, 3), expected (2, 2)"),
-    ], ids=["lift_path-3x3", "apply-2x3", "sym3_eigs-2x2", "born-3x3-projector"])
+    ], ids=["lift_path-3x3", "apply-2x3", "sym3_eigs-2x2"])
     def test_wrong_shape_is_a_dimension_error(self, call, message):
         with pytest.raises(DimensionError) as err:
             call()
@@ -154,50 +151,6 @@ class TestOperators:
         with pytest.raises(error) as err:
             call()
         assert str(err.value) == message
-
-
-class TestBorn:
-    def _z_projectors(self):
-        return [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-
-    def test_probabilities_of_plus_state(self):
-        probs = qmath.born(np.array([RT2, RT2]), self._z_projectors())
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
-
-    def test_rejects_non_hermitian_projector(self):
-        bad = [np.array([[1.0, 1.0], [0.0, 0.0]]), np.diag([0.0, 1.0])]
-        with pytest.raises(InvalidMeasurementError):
-            qmath.born(np.array([1.0, 0.0]), bad)
-
-    def test_rejects_non_idempotent_projector(self):
-        bad = [np.diag([0.5, 0.0]), np.diag([0.5, 1.0])]
-        with pytest.raises(InvalidMeasurementError):
-            qmath.born(np.array([1.0, 0.0]), bad)
-
-    def test_rejects_incomplete_family(self):
-        with pytest.raises(InvalidMeasurementError):
-            qmath.born(np.array([1.0, 0.0]), [np.diag([1.0, 0.0])])
-
-    @pytest.mark.parametrize("low, message", [
-        (-1e-11, "negative probability -1.000e-11"),
-        (0.0, "probabilities sum to 1.00000000001"),
-    ], ids=["negative", "sum-above-one"])
-    def test_probabilities_past_rounding_are_refused(self, low, message):
-        # a family within 1e-10 of a projective measurement, off by 1e-11 in the outcomes
-        family = [np.diag([1.0 + 1e-11, 0.0]), np.diag([low, 1.0])]
-        with pytest.raises(InvalidMeasurementError) as err:
-            qmath.born(np.array([1.0, 0.0]), family)
-        assert str(err.value) == message
-
-    def test_orthogonal_outcome_probability_is_nonnegative_zero(self):
-        # rounding may drive |<minus|plus>|^2 a hair below zero; the clamp
-        # must return an exact nonnegative value
-        plus = np.array([RT2, RT2])
-        minus = np.array([RT2, -RT2])
-        probs = qmath.born(plus, [np.outer(plus, plus), np.outer(minus, minus)])
-        assert probs[1] >= 0.0
-        assert probs[1] <= 1e-14
-        np.testing.assert_allclose(probs[0], 1.0, atol=1e-12)
 
 
 class TestSym3Eigs:
