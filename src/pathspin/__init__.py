@@ -5,8 +5,8 @@ The package is organised in layers:
 ``errors``
     The ``PathSpinError`` family and the one reader of outside JSON, ``read_json``.
 ``qmath``
-    State/operator helpers, symmetric 3x3 eigenvalues, checked finite
-    distributions and a counter-based deterministic random generator.
+    State helpers, 2x2-operator lifts (applied with a plain ``@``), symmetric 3x3
+    eigenvalues, checked finite distributions and a counter-based deterministic RNG.
 ``optics``
     The four signal states, the receiver interferometer chain and projective
     spin measurements at the two output ports.

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from .adversary import InterceptResend, qber
-from .errors import (ConfigError, InsufficientDataError, ParseError, PathSpinError, is_json_int,
-                     json_choice, read_json)
+from .errors import (ConfigError, InsufficientDataError, InvalidDistributionError, ParseError,
+                     PathSpinError, is_json_int, json_choice, read_json)
 from .optics import OUTCOMES, SpinBasis, StateLabel, outcome_support
 from .protocol import (
     AlicePolicy,
@@ -104,7 +104,10 @@ def parse_weights(value: str | list) -> tuple[float, float, float, float]:
             value = list(AlicePolicy.uniform().weights)
         elif value.startswith("family:"):
             p = _flag_number(value.split(":", 1)[1], "alice_weights")
-            value = list(AlicePolicy.family(p).weights)
+            try:
+                value = list(AlicePolicy.family(p).weights)
+            except InvalidDistributionError as exc:
+                raise ConfigError(f"alice_weights: {exc}") from None
         else:
             value = [_flag_number(x, "alice_weights") for x in value.split(",")]
     return AlicePolicy.from_config(value).weights
@@ -242,6 +245,10 @@ def _summarize(transcript: Transcript, path: str, min_aborts: int) -> tuple[int,
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else SessionConfig()
     cfg = _merge_flags(cfg, args)
+    try:  # refuse an unwritable path before simulating; appending keeps an existing file
+        open(cfg.out, "ab").close()
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {cfg.out!r} ({exc.strerror})") from None
     transcript = run_session(
         n_rounds=cfg.rounds,
         alice=AlicePolicy(cfg.alice_weights),

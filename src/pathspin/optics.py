@@ -190,8 +190,10 @@ def _recombiner(phi: float) -> np.ndarray:
 
 
 def bob_transform(state: np.ndarray, phi: float) -> np.ndarray:
-    """Propagate a 4-dim state through the receiver interferometer."""
-    return qmath.apply(_recombiner(float(phi)), qmath.as_state(state, 4))
+    """Propagate a 4-dim state through the receiver interferometer; refuse a non-finite phi."""
+    if not math.isfinite(phi := float(phi)):
+        raise InvalidStateError(f"phase must be finite, got {phi!r}")
+    return _recombiner(phi) @ qmath.as_state(state, 4)
 
 
 def hadamard_stage(state: np.ndarray, phi: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Small dense linear-algebra and sampling kernel.
 
-Everything here is physics-agnostic: complex vectors of dimension 2 and 4,
-symmetric 3x3 eigenvalues, checked finite distributions, and a
-counter-based random generator whose draws depend only on (seed, stream,
-counter) so that independently generated streams can be evaluated in any
-order, on any platform, with identical results.
+Everything here is physics-agnostic: complex vectors of dimension 2 and 4, the lifts
+of 2x2 operators into their product space (applied with a plain ``@``), symmetric 3x3
+eigenvalues, checked finite distributions, and a counter-based random generator whose
+draws depend only on (seed, stream, counter) so that independently generated streams
+can be evaluated in any order, on any platform, with identical results.
 
 Each tolerance check is written ``not deviation <= tol``, so that a NaN
 deviation, from a NaN or infinite input, fails it as a large one does.
@@ -28,7 +28,6 @@ from .errors import (
 )
 
 NORM_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 
 
 def as_state(v: Sequence[complex] | np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -49,38 +48,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_state(a), as_state(b))
 
 
-def _check_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"operator must be square, got shape {u.shape}")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not err <= UNITARY_ATOL:
-        raise InvalidMatrixError(f"operator is not unitary (deviation {err:.3e})")
-    return u
-
-
-def apply(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply a unitary to a state vector."""
-    u = _check_unitary(u)
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != u.shape[1]:
-        raise DimensionError(f"cannot apply {u.shape} operator to vector of shape {v.shape}")
-    return u @ v
-
-
 def lift_spin(u: np.ndarray) -> np.ndarray:
     """Embed a 2x2 spin operator into the 4-dim spin (x) path space."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DimensionError(f"spin operator must be 2x2, got {u.shape}")
     return np.kron(u, np.eye(2, dtype=complex))
 
 
 def lift_path(u: np.ndarray) -> np.ndarray:
     """Embed a 2x2 path operator into the 4-dim spin (x) path space."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DimensionError(f"path operator must be 2x2, got {u.shape}")
     return np.kron(np.eye(2, dtype=complex), u)
 
 

@@ -21,7 +21,7 @@ from pathspin.cli import (
     parse_eve,
     parse_weights,
 )
-from pathspin.errors import PathSpinError
+from pathspin.errors import ConfigError, PathSpinError
 from pathspin.optics import OUTCOMES
 
 
@@ -160,6 +160,43 @@ class TestRunCommand:
         assert main(["run", "--rounds", "10", flag, text, "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, shown", [("nan", "nan"), ("2", "2.0"), ("-0.1", "-0.1")])
+    def test_a_family_parameter_outside_zero_to_one_is_named(self, tmp_path, capsys, text,
+                                                             shown):
+        out = tmp_path / "t.qkdlog"
+        code = main(["run", "--rounds", "10", "--alice-weights", f"family:{text}",
+                     "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: alice_weights: family parameter must lie in [0, 1], got {shown}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/t.qkdlog", "No such file or directory"),
+        ("", "Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_an_unwritable_out_is_refused_before_the_session_runs(self, tmp_path, capsys,
+                                                                   monkeypatch, where, reason):
+        def simulate(**_):
+            raise AssertionError("run simulated a session it could not write")
+
+        monkeypatch.setattr(cli, "run_session", simulate)
+        out = str(tmp_path / where)
+        assert main(["run", "--rounds", "10000000", "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: out: cannot write {out!r} ({reason})\n"
+
+    def test_the_writability_check_leaves_an_existing_out_file_as_it_was(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        def simulate(**_):
+            raise ConfigError("stopped before the save")
+
+        monkeypatch.setattr(cli, "run_session", simulate)
+        out = tmp_path / "t.qkdlog"
+        out.write_bytes(b"an earlier transcript\n")
+        assert main(["run", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: stopped before the save\n"
+        assert out.read_bytes() == b"an earlier transcript\n"
 
 
 class TestConfigFile:

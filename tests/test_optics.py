@@ -9,6 +9,7 @@ from pathspin import optics, protocol, qmath
 from pathspin.errors import DimensionError, InvalidStateError
 from pathspin.optics import (
     GROUP_GATE,
+    HADAMARD,
     HALF_PI,
     OUTCOMES,
     BeamSplitterSpec,
@@ -51,6 +52,23 @@ RECEIVED_HEX = {
                      (_QUARTER_LOW,) * 4, (_HALF_LOWER, _TINIER, _TINIER, _HALF_LOWER)],
     StateLabel.PHI_PERP: [(_ZERO, _HALF, _HALF, _ZERO), (_QUARTER_LOW,) * 4,
                           (_QUARTER_LOW,) * 4, (_TINIER, _HALF_LOWER, _HALF_LOWER, _TINIER)],
+}
+
+# every amplitude of bob_transform(prepare(label), phi), as float.hex of (real, imaginary), by
+# signal state: phase 0, then pi/2; _EPS is the cos(pi/2) that exp(1j * pi/2) rounds to
+_Z, _EPS = "0x0.0p+0", "0x1.1a62633145c06p-55"
+_H, _NH = "0x1.ffffffffffffep-2", "-0x1.ffffffffffffep-2"     # 1/2, one ulp low
+_Q, _NQ = "0x1.6a09e667f3bcbp-2", "-0x1.6a09e667f3bcbp-2"     # 1/(2 sqrt 2)
+_R, _NR = "0x1.6a09e667f3bcbp-1", "-0x1.6a09e667f3bcbp-1"     # 1/sqrt 2
+TRANSFORMED_HEX = {
+    StateLabel.PSI: [((_H, _Z), (_Z, _H), (_Z, _H), (_H, _Z)),
+                     ((_EPS, _H), (_NH, _EPS), (_Z, _H), (_H, _Z))],
+    StateLabel.PSI_PERP: [((_H, _Z), (_Z, _H), (_Z, _NH), (_NH, _Z)),
+                          ((_EPS, _H), (_NH, _EPS), (_Z, _NH), (_NH, _Z))],
+    StateLabel.PHI: [((_Z, _R), (_Z, _Z), (_Z, _Z), (_R, _Z)),
+                     ((_NQ, _Q), (_Q, _NQ), (_Q, _Q), (_Q, _Q))],
+    StateLabel.PHI_PERP: [((_Z, _Z), (_NR, _Z), (_Z, _NR), (_Z, _Z)),
+                          ((_NQ, _NQ), (_NQ, _NQ), (_Q, _NQ), (_NQ, _Q))],
 }
 
 # every (state, phase, basis) row of the outcome table; derived in
@@ -141,6 +159,21 @@ class TestReceiverChain:
         for label in StateLabel:
             out = bob_transform(prepare(label), phi)
             np.testing.assert_allclose(np.linalg.norm(out), 1.0, atol=1e-12)
+
+    def test_receiver_operators_are_unitary(self):
+        # bob_transform and hadamard_stage apply these constants with no check of their own
+        ops = [optics._recombiner(phi) for phi in (0.0, HALF_PI, 1.234, -3.0)]
+        ops += [qmath.lift_spin(HADAMARD), qmath.lift_spin(GROUP_GATE)]
+        for u in ops:
+            assert u.shape == (4, 4)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-12)
+
+    def test_transformed_signal_states_are_pinned_bit_for_bit(self):
+        got = {label: [tuple((z.real.hex(), z.imag.hex())
+                             for z in bob_transform(prepare(label), phi).tolist())
+                       for phi in (0.0, HALF_PI)]
+               for label in StateLabel}
+        assert got == TRANSFORMED_HEX
 
     def test_hadamard_stage_identity_at_zero_phase(self):
         v = prepare(StateLabel.PSI)
