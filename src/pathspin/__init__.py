@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     InvalidDistributionError,
-    InvalidMatrixError,
     InvalidStateError,
     ParseError,
     PathSpinError,
@@ -69,7 +68,7 @@ from .protocol import (
     save_transcript,
     sift,
 )
-from .qmath import Rng, sym3_eigs
+from .qmath import Rng
 from .security import (
     AbortEnsemble,
     Frame,
@@ -103,7 +102,6 @@ __all__ = [
     "InsufficientDataError",
     "InterceptResend",
     "InvalidDistributionError",
-    "InvalidMatrixError",
     "InvalidStateError",
     "OUTCOMES",
     "OutcomePair",
@@ -145,7 +143,6 @@ __all__ = [
     "security_decision",
     "sift",
     "source_state",
-    "sym3_eigs",
     "violation_threshold",
     "__version__",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import product
@@ -145,6 +146,15 @@ def _check_out(path: object) -> str:
     return path
 
 
+@contextmanager
+def _writing(path: str):
+    """An ``OSError`` in the block becomes a ConfigError naming ``out``, ``path`` and the cause."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path!r} ({exc.strerror})") from None
+
+
 #: How a config-file value or a flag value becomes each SessionConfig field.
 _PARSERS = {
     "rounds": partial(_integer, key="rounds", least=1),
@@ -245,10 +255,8 @@ def _summarize(transcript: Transcript, path: str, min_aborts: int) -> tuple[int,
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else SessionConfig()
     cfg = _merge_flags(cfg, args)
-    try:  # refuse an unwritable path before simulating; appending keeps an existing file
+    with _writing(cfg.out):  # refuse it before simulating; appending truncates nothing
         open(cfg.out, "ab").close()
-    except OSError as exc:
-        raise ConfigError(f"out: cannot write {cfg.out!r} ({exc.strerror})") from None
     transcript = run_session(
         n_rounds=cfg.rounds,
         alice=AlicePolicy(cfg.alice_weights),
@@ -256,7 +264,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         eve=cfg.eve,
         seed=cfg.seed,
     )
-    save_transcript(transcript, cfg.out)
+    with _writing(cfg.out):
+        save_transcript(transcript, cfg.out)
     code, out, payload = _summarize(transcript, cfg.out, cfg.min_aborts)
     out.append(f"transcript written to {cfg.out}")
     _emit(args, out, payload)
@@ -278,7 +287,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines = ["p,m,eta1,eta2"] + [f"{p:.2f},{m:.6f},{e1:.6f},{e2:.6f}" for p, m, e1, e2 in rows]
     text = "\n".join(lines)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
     if args.verify:

@@ -18,10 +18,6 @@ class DimensionError(PathSpinError):
     """Operands have incompatible shapes."""
 
 
-class InvalidMatrixError(PathSpinError):
-    """A matrix violates a structural requirement (unitarity, symmetry, ...)."""
-
-
 class InvalidDistributionError(PathSpinError):
     """Sampling weights are negative or do not sum to one."""
 

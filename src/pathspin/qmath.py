@@ -20,12 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidDistributionError,
-    InvalidMatrixError,
-    InvalidStateError,
-)
+from .errors import DimensionError, InvalidDistributionError, InvalidStateError
 
 NORM_ATOL = 1e-12
 
@@ -63,19 +58,14 @@ def lift_path(u: np.ndarray) -> np.ndarray:
 
 
 def sym3_eigs(m: np.ndarray) -> tuple[float, float, float]:
-    """Eigenvalues of a real symmetric 3x3 matrix, sorted descending.
+    """Eigenvalues of a real symmetric 3x3 array, sorted descending, unchecked.
 
-    The symmetric part is handed to LAPACK's symmetric eigensolver
-    (``numpy.linalg.eigvalsh``).
+    The only caller, ``security.horodecki_m``, passes T^T T, symmetric as it is
+    built.  LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) reads
+    its lower triangle.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise DimensionError(f"expected a 3x3 matrix, got {m.shape}")
-    err = np.max(np.abs(m - m.T))
-    if not err <= 1e-12:
-        raise InvalidMatrixError(f"matrix is not symmetric (deviation {err:.3e})")
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
-    return float(eigs[0]), float(eigs[1]), float(eigs[2])
+    e3, e2, e1 = np.linalg.eigvalsh(m).tolist()
+    return e1, e2, e3
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,14 @@ def correlation_matrix(source: AbortEnsemble | np.ndarray, frame: Frame) -> np.n
 
 
 def horodecki_m(corr: np.ndarray) -> tuple[float, float, float]:
-    """(largest, second, sum) of the top two eigenvalues of T^T T."""
+    """(largest, second, sum) of the top two eigenvalues of T^T T.
+
+    A T with a NaN or infinite entry raises ``InvalidStateError``."""
     t = np.asarray(corr, dtype=float)
     if t.shape != (3, 3):
         raise DimensionError(f"correlation matrix must be 3x3, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise InvalidStateError("correlation matrix has a non-finite entry")
     e1, e2, _ = qmath.sym3_eigs(t.T @ t)
     return e1, e2, e1 + e2
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -197,6 +198,16 @@ class TestRunCommand:
         assert main(["run", "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: stopped before the save\n"
         assert out.read_bytes() == b"an earlier transcript\n"
+
+    def test_a_failed_save_names_out_and_its_path(self, tmp_path, capsys, monkeypatch):
+        def save(transcript, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "save_transcript", save)
+        out = str(tmp_path / "t.qkdlog")
+        assert main(["run", "--rounds", "10", "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: out: cannot write {out!r} (No space left on device)\n")
 
 
 class TestConfigFile:
@@ -463,6 +474,14 @@ class TestTableCommand:
         dest = tmp_path / "table.csv"
         assert main(["table", "--out", str(dest)]) == EXIT_OK
         assert dest.read_text().startswith("p,m,eta1,eta2")
+
+    def test_csv_into_a_missing_directory_names_out_and_its_path(self, tmp_path, capsys):
+        dest = str(tmp_path / "missing" / "table.csv")
+        assert main(["table", "--out", dest]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: out: cannot write {dest!r} (No such file or directory)\n")
+        assert captured.out == ""
 
 
 class TestSiftTableCommand:

@@ -174,6 +174,38 @@ class TestViolationFunctional:
         lam, mu, m = horodecki_m(np.diag([0.8, 0.5, 0.1]))
         np.testing.assert_allclose((lam, mu, m), (0.64, 0.25, 0.89), atol=1e-12)
 
+    def test_gram_matrix_is_symmetric_as_built(self):
+        # horodecki_m hands T^T T to an unchecked symmetric eigensolver
+        for counts in itertools.product(range(6), repeat=4):
+            if any(counts):
+                for frame in Frame:
+                    t = correlation_matrix(AbortEnsemble(counts), frame)
+                    m = t.T @ t
+                    assert np.array_equal(m, m.T), (counts, frame)
+
+    @pytest.mark.parametrize("counts, frame, pinned", [
+        ((1364, 52, 52, 41), Frame.AB_INITIO,
+         ("0x1.cefbcfc52aa51p-1", "0x1.83285a4a17b52p-1", "0x1.a9121507a12d2p+0")),
+        ((1364, 52, 52, 41), Frame.WEIGHTS,
+         ("0x1.cefbcfc52aa55p-1", "0x1.83285a4a17b57p-1", "0x1.a9121507a12d6p+0")),
+        ((1, 1, 1, 1), Frame.AB_INITIO,
+         ("0x1.ffffffffffffap-2", "0x0.0p+0", "0x1.ffffffffffffap-2")),
+        ((1, 1, 1, 1), Frame.WEIGHTS,
+         ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1")),
+        ((5, 0, 0, 0), Frame.AB_INITIO,
+         ("0x1.ffffffffffffcp-1", "0x1.ffffffffffffcp-1", "0x1.ffffffffffffcp+0")),
+        ((5, 0, 0, 0), Frame.WEIGHTS,
+         ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+1")),
+        ((0, 0, 4, 6), Frame.AB_INITIO,
+         ("0x1.ffffffffffff8p-1", "0x1.47ae147ae1475p-5", "0x1.0a3d70a3d70a0p+0")),
+        ((0, 0, 4, 6), Frame.WEIGHTS,
+         ("0x1.0000000000000p+0", "0x1.47ae147ae1478p-5", "0x1.0a3d70a3d70a4p+0")),
+    ])
+    def test_m_is_pinned_bit_for_bit(self, counts, frame, pinned):
+        # the first row is the seed-5 tapped session's declared aborts (tests/test_cli.py)
+        got = horodecki_m(correlation_matrix(AbortEnsemble(counts), frame))
+        assert tuple(x.hex() for x in got) == pinned
+
 
 class TestClosedFormFamily:
     @pytest.mark.parametrize("p, m_ref, eta1_ref, eta2_ref", FAMILY_TABLE)
